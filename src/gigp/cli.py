@@ -3,7 +3,7 @@
 Every output document embeds the resolved run configuration (including
 the scaling pair and regime when a model is involved), and rerunning the
 same command reproduces the file byte for byte. Exit codes: 0 success,
-1 validation error, 2 I/O error.
+1 validation error or a numerical kernel that gave up, 2 I/O error.
 """
 
 from __future__ import annotations
@@ -444,7 +444,8 @@ def main(argv=None) -> int:
         return 0 if code == 0 else 1  # argparse usage errors are validation
     try:
         return _COMMANDS[args.command](args)
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
+        # RuntimeError: a kernel gave up, e.g. the pmf table hit its size cap
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

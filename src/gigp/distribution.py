@@ -25,6 +25,7 @@ from .specfun import bessel_k_ratio, log_bessel_k
 
 _LOG_TAIL_EPS = math.log(1e-15)
 _MAX_SUPPORT = 2_000_000
+_J_WINDOW = 12  # forward steps that settle a crude Bessel ratio seed
 
 
 @dataclass(frozen=True)
@@ -99,73 +100,146 @@ def _log_trunc_norm(params: GigpParams) -> float:
     return math.log(-math.expm1(-nu * math.log1p(-theta)))
 
 
+def _bessel_ratios(nu: float, alpha: float, j: np.ndarray) -> np.ndarray:
+    """r_j = K_(nu+j+1)(alpha) / K_(nu+j)(alpha) at the consecutive orders j.
+
+    The forward recurrence r_j = 2 (nu+j)/alpha + 1/r_(j-1) shrinks an
+    error in r_(j-1) by 1/r_(j-1)^2 <= 1/64 once nu + j >= 4 alpha, so
+    from _J_WINDOW steps past that order every r_j is reached, bit for bit
+    as the sequential loop gives it, from the crude seed 2 (nu+j-12)/alpha
+    at j - 12: one whole-array pass per window step. Below it the scalar
+    loop runs from r_0.
+    """
+    r = np.empty_like(j)
+    lo, hi = int(j[0]), int(j[-1]) + 1
+    j_star = max(math.ceil(4.0 * alpha - nu) + _J_WINDOW, lo)
+    if lo < j_star:
+        ratio = bessel_k_ratio(nu, alpha)
+        head = [ratio]
+        for k in range(1, min(hi, j_star)):
+            ratio = 2.0 * (nu + k) / alpha + 1.0 / ratio
+            head.append(ratio)
+        r[:len(head) - lo] = head[lo:]
+    tail, jt = r[j_star - lo:], j[j_star - lo:]
+    if tail.size:
+        step = np.empty_like(jt)
+        np.subtract(jt, _J_WINDOW - nu, out=tail)
+        tail *= 2.0 / alpha
+        for k in range(_J_WINDOW - 1, -1, -1):
+            np.subtract(jt, k, out=step)
+            step += nu
+            step *= 2.0
+            step /= alpha
+            np.reciprocal(tail, out=tail)
+            tail += step
+    return r
+
+
+def _log_steps(nu: float, alpha: float, lo: int, hi: int) -> np.ndarray:
+    """s_j = log(f_(j+1) / (theta f_j)) for lo <= j < hi.
+
+    This is the O(1/j) part of each log-pmf step: log((nu+j)/(j+1)) at
+    alpha = 0, log(alpha r_j / (2 (j+1))) with the Bessel ratio r_j
+    otherwise. Summing only these keeps the running sum small; the
+    linear j log(theta) part is added per index.
+    """
+    j = np.arange(lo, hi, dtype=float)
+    if alpha > 0.0:
+        s = _bessel_ratios(nu, alpha, j)
+        s *= 0.5 * alpha
+    else:
+        s = j + nu
+    j += 1.0
+    s /= j
+    return np.log(s, out=s)
+
+
+def _first_cut(logf: np.ndarray, j_first: int, cut_from: int, log_tail_const: float,
+               nu: float, theta: float) -> int | None:
+    """First j >= cut_from in this stretch (logf[k] is at j = j_first + k) with
+    log f_j < -40 and a tail asymptote below 1e-15, or None."""
+    k0 = max(cut_from - j_first, 0)
+    cand = np.flatnonzero(logf[k0:] < -40.0)
+    if cand.size == 0:
+        return None
+    j = cand + (j_first + k0)
+    log_tail = (log_tail_const + (nu - 1.0) * np.log(j)
+                + j * math.log(theta) - math.log1p(-theta))
+    hit = np.flatnonzero(log_tail < _LOG_TAIL_EPS)
+    return int(j[hit[0]]) if hit.size else None
+
+
 def _build_tables(params: GigpParams, need_j: int) -> _Tables:
     nu, alpha, theta = params.nu, params.alpha, params.theta
     log_theta = math.log(theta)
 
+    # each family's first supported index j0, log f_(j0) and tail constant
     if alpha > 0.0:
-        zsmall = alpha * math.sqrt(1.0 - theta)
-        logk_small = log_bessel_k(nu, zsmall)
-        logf = [0.5 * nu * math.log1p(-theta) + log_bessel_k(nu, alpha) - logk_small]
+        logk_small = log_bessel_k(nu, alpha * math.sqrt(1.0 - theta))
+        j0 = 0
+        log_f0 = 0.5 * nu * math.log1p(-theta) + log_bessel_k(nu, alpha) - logk_small
         log_tail_const = (0.5 * nu * math.log1p(-theta)
                           - nu * math.log(0.5 * alpha)
                           - math.log(2.0) - logk_small)
-        logbase = math.log(0.5 * alpha * theta)
-        ratio = bessel_k_ratio(nu, alpha)
-        j = 0
-        while True:
-            logf.append(logf[j] + logbase - math.log(j + 1.0) + math.log(ratio))
-            j += 1
-            ratio = 2.0 * (nu + j) / alpha + 1.0 / ratio
-            if j >= max(16, need_j) and logf[j] < -40.0:
-                log_tail = (log_tail_const + (nu - 1.0) * math.log(j)
-                            + j * log_theta - math.log1p(-theta))
-                if log_tail < _LOG_TAIL_EPS:
-                    break
-            if j >= _MAX_SUPPORT:
-                raise RuntimeError("pmf support cutoff not reached")
+    elif nu > 0.0:
+        log_norm = _log_trunc_norm(params) if params.zero_truncated else 0.0
+        log_tail_const = nu * math.log1p(-theta) - math.lgamma(nu) - log_norm
         if params.zero_truncated:
-            log_norm = math.log(-math.expm1(logf[0]))
-            logf = [v - log_norm for v in logf]
-            logf[0] = -math.inf
-            log_tail_const -= log_norm
-    else:
-        # alpha = 0 families; all share the ratio f_{j+1}/f_j = theta (nu+j)/(j+1)
-        if nu > 0.0:
-            log_norm = _log_trunc_norm(params) if params.zero_truncated else 0.0
-            log_tail_const = nu * math.log1p(-theta) - math.lgamma(nu) - log_norm
-            if params.zero_truncated:
-                logf = [-math.inf,
-                        math.log(nu) + nu * math.log1p(-theta) + log_theta - log_norm]
-            else:
-                logf = [nu * math.log1p(-theta)]
-        elif nu == 0.0:
-            log_l = math.log(-math.log1p(-theta))
-            log_tail_const = -log_l
-            logf = [-math.inf, log_theta - log_l]
+            j0 = 1
+            log_f0 = math.log(nu) + nu * math.log1p(-theta) + log_theta - log_norm
         else:
-            log_norm = _log_trunc_norm(params)
-            log_tail_const = math.log(-nu) - math.lgamma(nu + 1.0) - log_norm
-            logf = [-math.inf, math.log(-nu) + log_theta - log_norm]
-        j = len(logf) - 1
-        while True:
-            logf.append(logf[j] + log_theta + math.log(nu + j) - math.log(j + 1.0))
-            j += 1
-            if j >= max(16, need_j) and logf[j] < -40.0:
-                log_tail = (log_tail_const + (nu - 1.0) * math.log(j)
-                            + j * log_theta - math.log1p(-theta))
-                if log_tail < _LOG_TAIL_EPS:
-                    break
-            if j >= _MAX_SUPPORT:
-                raise RuntimeError("pmf support cutoff not reached")
+            j0 = 0
+            log_f0 = nu * math.log1p(-theta)
+    elif nu == 0.0:
+        log_l = math.log(-math.log1p(-theta))
+        j0, log_f0, log_tail_const = 1, log_theta - log_l, -log_l
+    else:
+        log_norm = _log_trunc_norm(params)
+        log_tail_const = math.log(-nu) - math.lgamma(nu + 1.0) - log_norm
+        j0, log_f0 = 1, math.log(-nu) + log_theta - log_norm
 
-    logf_arr = np.asarray(logf)
+    # log f_j = log f_(j0) + (j - j0) log(theta) + sum_(j0 <= i < j) s_i, in
+    # stretches that double until the cut rule fires
+    parts = [np.full(j0 + 1, -math.inf)]
+    parts[0][j0] = log_f0
+    cut_from = max(16, need_j)
+    lo, acc = j0, 0.0
+    while True:
+        hi = min(max(2 * lo, 1024), _MAX_SUPPORT)
+        logf = _log_steps(nu, alpha, lo, hi)
+        logf[0] += acc
+        np.cumsum(logf, out=logf)
+        acc = float(logf[-1])
+        # logf[k] is log f_j at j = lo + 1 + k
+        lin = np.arange(lo + 1 - j0, hi + 1 - j0, dtype=float)
+        lin *= log_theta
+        lin += log_f0
+        logf += lin
+        cut = _first_cut(logf, lo + 1, cut_from, log_tail_const, nu, theta)
+        if cut is not None:
+            parts.append(logf[:cut - lo])
+            break
+        parts.append(logf)
+        if hi >= _MAX_SUPPORT:
+            raise RuntimeError("pmf support cutoff not reached")
+        lo = hi
+    logf = np.concatenate(parts)
+    del parts
+    if alpha > 0.0 and params.zero_truncated:
+        log_norm = math.log(-math.expm1(logf[0]))
+        logf -= log_norm
+        logf[0] = -math.inf
+        log_tail_const -= log_norm
+
     with np.errstate(under="ignore"):
-        f = np.exp(logf_arr)
-    # suffix sums accumulate smallest terms first
-    sf = np.concatenate([np.cumsum(f[::-1])[::-1], [0.0]])
+        f = np.exp(logf)
+    # suffix sums accumulate smallest terms first; P(X >= 0) = 1 exactly
+    sf = np.empty(len(f) + 1)
+    sf[-1] = 0.0
+    np.cumsum(f[::-1], out=sf[-2::-1])
+    sf[0] = 1.0
     cum = np.cumsum(f)
-    return _Tables(f, logf_arr, sf, cum, len(f) - 1, log_tail_const)
+    return _Tables(f, logf, sf, cum, len(f) - 1, log_tail_const)
 
 
 def _tables(params: GigpParams, need_j: int = 0) -> _Tables:
@@ -201,18 +275,20 @@ def log_pmf(params: GigpParams, j: int) -> float:
     return float(_tables(params, j).logf[j])
 
 
-def ccdf(params: GigpParams, x: float) -> float:
-    """Upper tail F-bar(x) = P(X >= x) = 1 - sum_{j < x} f_j."""
+def ccdf(params: GigpParams, x):
+    """Upper tail F-bar(x) = P(X >= x) = 1 - sum_{j < x} f_j.
+
+    x is a number, which gives a float, or an array of them, which gives
+    an array of the same shape from one table lookup.
+    """
     validate(params)
-    if not math.isfinite(x):
+    xs = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(xs)):
         raise ValueError("x must be finite")
-    j0 = math.ceil(x)
-    if j0 <= 0:
-        return 1.0
     t = _tables(params)
-    if j0 > t.jmax + 1:
-        return 0.0
-    return float(t.sf[j0])
+    j = np.clip(np.ceil(xs), 0, t.jmax + 1).astype(np.intp)
+    out = t.sf[j]
+    return float(out) if out.ndim == 0 else out
 
 
 def cdf(params: GigpParams, x: float) -> float:

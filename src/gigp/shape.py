@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .diagram import FrequencyTable, young_y
 from .distribution import GigpParams, ccdf, validate
 from .specfun import upper_incomplete_gamma
@@ -40,8 +42,11 @@ class ShapeReport:
     pointwise: list[PointRecord]
 
 
-def limit_shape(nu: float, x: float) -> float:
-    """phi_nu(x), the upper incomplete gamma function as a shape curve."""
+def limit_shape(nu: float, x):
+    """phi_nu(x), the upper incomplete gamma function as a shape curve.
+
+    x may be a numpy array; the curve then comes back as one.
+    """
     return upper_incomplete_gamma(nu, x)
 
 
@@ -120,7 +125,8 @@ def sup_distance(table: FrequencyTable, pair: ScalingPair, nu: float, delta: flo
     the sup is exact, not a dense-grid approximation. When params and
     m_sources are given, the pointwise records also carry the
     fluctuation statistic and the mean squared deviation
-    Var(Y-tilde) + bias^2.
+    Var(Y-tilde) + bias^2, with the model mean M F-bar(j)/B read at the
+    same integer j as Y(j). Every column is one whole-array pass.
     """
     if not delta > 0.0:
         raise ValueError("delta must be positive")
@@ -129,43 +135,37 @@ def sup_distance(table: FrequencyTable, pair: ScalingPair, nu: float, delta: flo
     support = boundary.support
     suffix = boundary.suffix
 
-    xs = [delta]
-    # value of Y at delta and right after each jump at x_k = j/A
-    candidates = [(delta, float(boundary.at(a * delta)), float(boundary.at(a * delta)))]
-    for idx, j in enumerate(support):
-        if j < 1:
-            continue
-        x = j / a
-        if x < delta:
-            continue
-        upper = float(suffix[idx])      # Y at the jump, mass at j included
-        lower = float(suffix[idx + 1])  # right limit, mass at j gone
-        candidates.append((x, upper, lower))
-        xs.append(x)
+    # the point x = delta, then each jump x_k = j/A >= delta (so j >= 1)
+    # with Y at the jump (mass at j included) and its right limit
+    jump_x = support / a
+    k0 = int(np.searchsorted(jump_x, delta, side="left"))
+    y_delta = float(boundary.at(a * delta))
+    xs = np.concatenate(([delta], jump_x[k0:]))
+    upper = np.concatenate(([y_delta], suffix[k0:-1])).astype(float)
+    lower = np.concatenate(([y_delta], suffix[k0 + 1:])).astype(float)
 
-    sup = 0.0
-    pointwise = []
-    for x, upper, lower in candidates:
-        phi = upper_incomplete_gamma(nu, x)
-        dev = max(abs(upper / b - phi), abs(lower / b - phi))
-        sup = max(sup, dev)
-        ups = msd = None
-        if params is not None and m_sources is not None:
-            if phi > 0.0:
-                ups = math.sqrt(b / phi) * (upper / b - m_sources * ccdf(params, a * x) / b)
-            fbar = ccdf(params, a * x)
-            bias = m_sources * fbar / b - phi
-            msd = m_sources * fbar * (1.0 - fbar) / (b * b) + bias * bias
-        pointwise.append(PointRecord(x, upper / b, phi, ups, msd))
+    phi = upper_incomplete_gamma(nu, xs)
+    y_scaled = upper / b
+    dev = np.maximum(np.abs(y_scaled - phi), np.abs(lower / b - phi))
+    sup = max(0.0, float(dev.max()))
+    ups = msd = [None] * len(xs)
+    if params is not None and m_sources is not None:
+        fbar = ccdf(params, np.concatenate(([a * delta], support[k0:])))
+        mean_scaled = m_sources * fbar / b
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ups_arr = np.sqrt(b / phi) * (y_scaled - mean_scaled)
+        ups = [u if p > 0.0 else None for u, p in zip(ups_arr.tolist(), phi.tolist())]
+        bias = mean_scaled - phi
+        msd = (m_sources * fbar * (1.0 - fbar) / (b * b) + bias * bias).tolist()
+    pointwise = [PointRecord(*rec) for rec in
+                 zip(xs.tolist(), y_scaled.tolist(), phi.tolist(), ups, msd)]
     return ShapeReport(delta, sup, pointwise)
 
 
 def expected_shape_deviation(params: GigpParams, xs: Sequence[float]) -> float:
-    """max over xs of |M F-bar(A x)/B - phi_nu(x)|; M cancels, so none is needed."""
-    pair = scaling_b(params, 1_000_000)
-    m = 1_000_000
-    worst = 0.0
-    for x in xs:
-        mean_scaled = m * ccdf(params, pair.a * x) / pair.b
-        worst = max(worst, abs(mean_scaled - upper_incomplete_gamma(params.nu, x)))
-    return worst
+    """max over xs of |M F-bar(A x)/B - phi_nu(x)|; B/M does not depend on M."""
+    pair = scaling_b(params, 1)
+    xs = np.asarray(xs, dtype=float)
+    mean_scaled = ccdf(params, pair.a * xs) / pair.b
+    return float(np.max(np.abs(mean_scaled - upper_incomplete_gamma(params.nu, xs)),
+                        initial=0.0))

@@ -190,7 +190,7 @@ def test_output_dir_env(tmp_path, monkeypatch):
     assert (explicit / "x.json").exists()
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     assert main(["fit", "--data", str(tmp_path / "missing.csv"),
                  "--nu", "-0.5", "--alpha", "0"]) == 2
     bad = tmp_path / "bad.csv"
@@ -200,6 +200,12 @@ def test_exit_codes(tmp_path):
     assert main(["simulate", "--nu", "0.5", "--alpha", "2", "--theta", "1.5",
                  "--m", "10", "--seed", "1"]) == 1
     assert main(["simulate", "--bogus-flag", "1"]) == 1
+    # a kernel that gives up is an error line, not a traceback: at
+    # theta = 0.99999 the pmf table would pass its 2e6-entry cap
+    capsys.readouterr()
+    assert main(["simulate", "--nu", "0.5", "--alpha", "0", "--theta", "0.99999",
+                 "--m", "10", "--seed", "1"]) == 1
+    assert capsys.readouterr() == ("", "error: pmf support cutoff not reached\n")
     # argparse --help raises SystemExit(0), which main maps to success
     assert main(["--help"]) == 0
 

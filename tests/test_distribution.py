@@ -15,11 +15,12 @@ import pytest
 from scipy import integrate
 
 from gigp import diagram
-from gigp.distribution import (GigpParams, ccdf, cdf, gig_density, log_pmf,
-                               mean_asymptotic, mean_exact, pmf, sample,
-                               sample_values, tail_pmf_asymptotic,
+from gigp.distribution import (GigpParams, _bessel_ratios, _tables, ccdf, cdf,
+                               gig_density, log_pmf, mean_asymptotic, mean_exact,
+                               pmf, sample, sample_values, tail_pmf_asymptotic,
                                theta_from_mean, validate)
 from gigp.shape import expected_shape_deviation, scaling_a
+from gigp.specfun import bessel_k_ratio
 
 mpmath.mp.dps = 40
 
@@ -43,6 +44,67 @@ def test_pmf_against_mpmath():
         for j in [0, 1, 2, 5, 20, 80]:
             want = _pmf_oracle(nu, alpha, theta, j)
             assert pmf(p, j) == pytest.approx(want, rel=1e-10)
+
+
+def _bessel_sum_masses(nu, alpha, theta, jmax):
+    # f_0..f_jmax at 30 digits, K_(nu+j)(alpha) carried by its upward
+    # recurrence from two mpmath.besselk values
+    with mpmath.workdps(30):
+        th, al = mpmath.mpf(theta), mpmath.mpf(alpha)
+        norm = (1 - th) ** (mpmath.mpf(nu) / 2) / mpmath.besselk(nu, al * mpmath.sqrt(1 - th))
+        k0, k1 = mpmath.besselk(nu, al), mpmath.besselk(nu + 1, al)
+        weight, out = norm, []
+        for j in range(jmax + 1):
+            out.append(weight * k0)
+            weight = weight * al * th / (2 * (j + 1))
+            k0, k1 = k1, k0 + 2 * (nu + j + 1) / al * k1
+        return out
+
+
+def test_pmf_and_ccdf_against_bessel_sum_near_theta_one():
+    # the table sums only the O(1/j) part of each log step, so the pmf keeps
+    # its digits across tens of thousands of terms
+    for theta in (0.99, 0.999):
+        for nu in (0.5, -0.5):
+            p = GigpParams(nu, 2.0, theta)
+            jmax = int(20.0 / (1.0 - theta))
+            masses = _bessel_sum_masses(nu, 2.0, theta, jmax)
+            total = mpmath.mpf(0)
+            for j, want in enumerate(masses):
+                if j % 37 == 0 or j == jmax:
+                    assert pmf(p, j) == pytest.approx(float(want), rel=1e-12, abs=0.0)
+                    # the tail cut off past the table is < 1e-15, so the
+                    # relative check stops where the ccdf nears 1e-3
+                    if total < 0.999:
+                        assert ccdf(p, j) == pytest.approx(float(1 - total),
+                                                           rel=1e-12, abs=0.0)
+                total += want
+
+
+def test_bessel_ratios_match_the_sequential_recurrence():
+    # each window of _J_WINDOW forward steps from a crude seed must land on
+    # the value the one-at-a-time recurrence from K_(nu+1)/K_nu gives
+    for nu, alpha in [(0.5, 2.0), (-1.0, 1.5), (-0.25, 8.0), (1.0, 30.0), (0.5, 1e-6)]:
+        ratio = bessel_k_ratio(nu, alpha)
+        want = [ratio]
+        for k in range(1, 5000):
+            ratio = 2.0 * (nu + k) / alpha + 1.0 / ratio
+            want.append(ratio)
+        got = _bessel_ratios(nu, alpha, np.arange(0, 5000, dtype=float))
+        assert got.tolist() == want
+        later = _bessel_ratios(nu, alpha, np.arange(3000, 5000, dtype=float))
+        assert later.tolist() == want[3000:]
+
+
+def test_table_cut_and_support_cap():
+    # the cut is the first j >= 16 with log f_j < -40 and a tail asymptote
+    # below 1e-15; past _MAX_SUPPORT = 2e6 the build gives up
+    assert _tables(GigpParams(0.5, 2.0, 0.99)).jmax == 3311
+    assert _tables(GigpParams(0.5, 2.0, 0.9999)).jmax == 322481
+    assert _tables(GigpParams(-0.5, 0.0, 0.9999, True)).jmax == 239152
+    for p in (GigpParams(0.5, 0.0, 0.99999), GigpParams(0.5, 2.0, 0.99999)):
+        with pytest.raises(RuntimeError, match="pmf support cutoff not reached"):
+            ccdf(p, 1.0)
 
 
 def test_pmf_closed_form_families():
@@ -105,6 +167,19 @@ def test_ccdf_values_and_conventions():
         assert ccdf(p, j) - ccdf(p, j + 1) == pytest.approx(pmf(p, j), rel=1e-9)
     assert cdf(p, 2.0) == pytest.approx(pmf(p, 0) + pmf(p, 1), rel=1e-9)
     assert ccdf(p, 1e9) == 0.0
+
+
+def test_ccdf_array_matches_scalar():
+    p = GigpParams(-0.5, 2.0, 0.99)
+    xs = np.array([-3.0, 0.0, 0.5, 1.0, 1.5, 2.0001, 19.89983, 400.0, 1e9])
+    got = ccdf(p, xs)
+    assert isinstance(got, np.ndarray) and got.shape == xs.shape
+    assert got.tolist() == [ccdf(p, x) for x in xs.tolist()]
+    js = np.arange(0, 60, dtype=np.int64).reshape(6, 10)
+    assert ccdf(p, js).tolist() == [[ccdf(p, int(j)) for j in row] for row in js]
+    assert type(ccdf(p, 3)) is float and type(ccdf(p, np.float64(3.5))) is float
+    with pytest.raises(ValueError):
+        ccdf(p, np.array([1.0, math.nan]))
 
 
 def test_ccdf_truncated_sums_to_one_from_one():

@@ -57,6 +57,8 @@ def test_classify_regime():
 def test_limit_shape_is_incomplete_gamma():
     assert limit_shape(1.0, 0.5) == pytest.approx(math.exp(-0.5), rel=1e-12)
     assert limit_shape(0.5, 0.0) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+    xs = np.array([0.0, 0.5, 3.0])
+    assert limit_shape(0.5, xs).tolist() == [limit_shape(0.5, x) for x in xs.tolist()]
 
 
 def test_phi_tail_ratio_at_30():
@@ -109,6 +111,26 @@ def test_sup_distance_fills_upsilon_and_msd():
     assert all(r.msd is not None and r.msd >= 0.0 for r in rich.pointwise)
     r1 = rich.pointwise[0]
     assert r1.upsilon == pytest.approx(upsilon(table, p, 1000, pair, r1.x), rel=1e-12)
+
+
+def test_sup_distance_reads_model_mean_at_integer_jumps():
+    # a jump record compares Y(j) with the model mean M P(X >= j)/B at the
+    # same integer j; a*(j/a) can round above j, which once read P(X >= j+1)
+    p = GigpParams(0.5, 2.0, 0.99)
+    m = 1000
+    table = table_from_sample(sample_values(p, 1, m))
+    pair = scaling_b(p, m)
+    report = sup_distance(table, pair, p.nu, 0.2, params=p, m_sources=m)
+    # the first record sits at x = delta, where Y and the mean are read at
+    # ceil(A delta); here that is also the nearest integer
+    assert round(0.2 * pair.a) == math.ceil(0.2 * pair.a)
+    for r in report.pointwise:
+        fbar = ccdf(p, round(r.x * pair.a))
+        mean = m * fbar / pair.b
+        ups = math.sqrt(pair.b / r.phi) * (r.y_scaled - mean)
+        msd = m * fbar * (1.0 - fbar) / (pair.b * pair.b) + (mean - r.phi) ** 2
+        assert r.upsilon == pytest.approx(ups, rel=1e-12, abs=1e-12)
+        assert r.msd == pytest.approx(msd, rel=1e-12, abs=1e-12)
 
 
 def test_upsilon_centered_table_gives_zero():

@@ -1,13 +1,15 @@
-"""Oracle tests for the scalar special functions.
+"""Oracle tests for the special functions.
 
 mpmath at 40 digits is the independent reference for the Bessel and
 incomplete gamma grids; a handful of closed-form and frozen values pin
-the conventions.
+the conventions. The array form of the incomplete gamma is checked
+element by element against the scalar kernel.
 """
 
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from gigp import specfun
@@ -112,6 +114,40 @@ def test_upper_incomplete_gamma_domain_errors():
         specfun.upper_incomplete_gamma(0.0, 0.0)
     with pytest.raises(ValueError):
         specfun.upper_incomplete_gamma(-0.5, 0.0)
+    # the same domain holds element by element for an array x
+    good = np.array([0.5, 2.0])
+    with pytest.raises(ValueError):
+        specfun.upper_incomplete_gamma(-1.5, good)
+    with pytest.raises(ValueError):
+        specfun.upper_incomplete_gamma(math.inf, good)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            specfun.upper_incomplete_gamma(0.5, np.array([0.5, bad]))
+    for nu in [0.0, -0.5, -1.0]:
+        with pytest.raises(ValueError):
+            specfun.upper_incomplete_gamma(nu, np.array([1.0, 0.0]))
+
+
+ARRAY_INDICES = [2.5, 0.5, 0.0, -0.25, -0.5, -0.75, -1.0]
+
+
+def test_upper_incomplete_gamma_array_matches_scalar():
+    # the array kernel runs the scalar kernel's branches, recurrences and
+    # libm calls on every element, so it agrees bit for bit
+    base = np.concatenate([np.geomspace(1e-4, 60.0, 161), [0.2, 1.0, 30.0, 700.0]])
+    for nu in ARRAY_INDICES:
+        # straddle the branch switches at x = 1 and x = nu + 1
+        edges = [e for e in (1.0, nu + 1.0) if e > 0.0]
+        x = np.concatenate([base] + [[np.nextafter(e, 0.0), e, np.nextafter(e, 2.0 * e)]
+                                     for e in edges])
+        got = specfun.upper_incomplete_gamma(nu, x)
+        assert isinstance(got, np.ndarray) and got.shape == x.shape
+        want = np.array([specfun.upper_incomplete_gamma(nu, v) for v in x.tolist()])
+        np.testing.assert_array_equal(got, want)
+    grid = np.array([[0.0, 0.5], [2.0, 9.0]])
+    assert specfun.upper_incomplete_gamma(1.5, grid).shape == (2, 2)
+    assert specfun.upper_incomplete_gamma(1.5, np.array([], dtype=float)).size == 0
+    assert type(specfun.upper_incomplete_gamma(0.5, 1.0)) is float
 
 
 def test_normal_cdf_values():
