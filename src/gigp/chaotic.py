@@ -49,10 +49,8 @@ def increment_rates(params: GigpParams, m_sources: int, a_scale: float,
         raise ValueError("xs must be positive")
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise ValueError("xs must be strictly increasing")
-    fbars = [ccdf(params, a_scale * x) for x in xs]
-    out = [m_sources * (fbars[i] - fbars[i + 1]) for i in range(len(xs) - 1)]
-    out.append(m_sources * fbars[-1])
-    return out
+    fbars = ccdf(params, a_scale * np.asarray(xs, dtype=float))
+    return (m_sources * (fbars[:-1] - fbars[1:])).tolist() + [m_sources * float(fbars[-1])]
 
 
 def integrated_rate(params: GigpParams, m_sources: int, a_scale: float,

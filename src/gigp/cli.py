@@ -16,12 +16,15 @@ import os
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from .chaotic import poisson_gof_experiment, poisson_rate
 from .diagram import FrequencyTable
-from .distribution import GigpParams, ccdf, pmf, sample, validate
-from .fitgof import alpha_from_b, estimate_theta, fit_tail_line, pearson_chi2
+from .distribution import GigpParams, ccdf, pmf, resolve_truncation, sample, validate
+from .fitgof import (alpha_from_b, estimate_theta, fit_tail_line, pearson_chi2,
+                     tail_points)
 from .partition import calibrate, partition_shape, sample_partition
-from .shape import classify_regime, limit_shape, scaling_b, sup_distance, tail_transform
+from .shape import classify_regime, limit_shape, scaling_b, sup_distance
 
 OUTPUT_DIR_ENV = "GIGP_OUTPUT_DIR"
 
@@ -52,31 +55,21 @@ def read_frequency_csv(path: str) -> FrequencyTable:
         if j in counts:
             raise ValueError(f"line {i}: duplicate support point j={j}")
         counts[j] = c
-    return FrequencyTable(counts)
-
-
-def _resolve_out(out: str | None) -> str | None:
-    if out is None:
-        return None
-    base = os.environ.get(OUTPUT_DIR_ENV)
-    if base and not os.path.dirname(out):
-        return os.path.join(base, out)
-    return out
+    table = FrequencyTable(counts)
+    if table.M == 0:
+        raise ValueError("input CSV holds no sources")
+    return table
 
 
 def _emit(text: str, out: str | None) -> None:
-    path = _resolve_out(out)
-    if path is None:
+    if out is None:
         sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
-def _scaling_echo(params: GigpParams, m: int) -> dict:
-    pair = scaling_b(params, m)
-    return {"a": pair.a, "b": pair.b, "case_label": pair.case_label,
-            "regime": classify_regime(pair)}
+        return
+    base = os.environ.get(OUTPUT_DIR_ENV)
+    if base and not os.path.dirname(out):
+        out = os.path.join(base, out)
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def _json_doc(config: dict, result: dict) -> str:
@@ -93,29 +86,31 @@ def _csv_doc(config: dict, header: Sequence[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _params_from(args) -> GigpParams:
-    truncated = args.truncated
-    if truncated is None:
-        # the alpha = 0 boundary families with nu <= 0 only exist truncated
-        truncated = args.alpha == 0.0 and args.nu <= 0.0
-    p = GigpParams(args.nu, args.alpha, args.theta, truncated)
-    validate(p)
-    return p
+def _write(args, cfg: dict, result: dict, header: Sequence[str], rows) -> int:
+    """Emit the document --format asks for: cfg and result as JSON, or rows as CSV."""
+    if args.format == "json":
+        _emit(_json_doc(cfg, result), args.out)
+    else:
+        _emit(_csv_doc(cfg, header, rows), args.out)
+    return 0
 
 
-def _config_echo(args, keys, params: GigpParams | None = None,
-                 m: int | None = None) -> dict:
-    cfg = {"command": args.command}
-    for k in keys:
-        cfg[k] = getattr(args, k)
-    if params is not None:
-        cfg["nu"] = params.nu
-        cfg["alpha"] = params.alpha
-        cfg["theta"] = params.theta
-        cfg["truncated"] = params.zero_truncated
-        if m is not None:
-            cfg["scaling"] = _scaling_echo(params, m)
-    return cfg
+def _params_from(args, table: FrequencyTable | None = None) -> GigpParams:
+    """The model the flags name; without --theta, theta matches the table's mean."""
+    truncated = resolve_truncation(args.nu, args.alpha, args.truncated)
+    theta = args.theta
+    if theta is None:
+        theta = estimate_theta(args.nu, args.alpha, table, truncated)
+    return validate(GigpParams(args.nu, args.alpha, theta, truncated))
+
+
+def _config_echo(args, keys, params: GigpParams, m: int) -> dict:
+    pair = scaling_b(params, m)
+    return {"command": args.command, **{k: getattr(args, k) for k in keys},
+            "nu": params.nu, "alpha": params.alpha, "theta": params.theta,
+            "truncated": params.zero_truncated,
+            "scaling": {"a": pair.a, "b": pair.b, "case_label": pair.case_label,
+                        "regime": classify_regime(pair)}}
 
 
 # ---------------------------------------------------------------- commands
@@ -125,21 +120,9 @@ def _cmd_simulate(args) -> int:
     params = _params_from(args)
     table = sample(params, args.seed, args.m)
     cfg = _config_echo(args, ["m", "seed", "format"], params, args.m)
-    rows = sorted(table.counts.items())
-    if args.format == "json":
-        doc = _json_doc(cfg, {"m": table.M, "n": table.N,
-                              "table": [[j, c] for j, c in rows]})
-    elif args.format == "csv":
-        doc = _csv_doc(cfg, ["j", "count"], rows)
-    else:
-        raise ValueError("simulate supports csv or json output")
-    _emit(doc, args.out)
-    return 0
-
-
-def _point_rows(report):
-    for r in report.pointwise:
-        yield (r.x, r.y_scaled, r.phi, r.upsilon, r.msd)
+    rows = [list(r) for r in zip(table.support.tolist(), table.mult.tolist())]
+    return _write(args, cfg, {"m": table.M, "n": table.N, "table": rows},
+                  ["j", "count"], rows)
 
 
 def _cmd_shape(args) -> int:
@@ -151,34 +134,20 @@ def _cmd_shape(args) -> int:
     report = sup_distance(table, pair, params.nu, args.delta,
                           params=params, m_sources=args.m)
     cfg = _config_echo(args, ["m", "seed", "delta", "format"], params, args.m)
-    if args.format == "json":
-        result = {"delta": report.delta, "sup_distance": report.sup_distance,
-                  "pointwise": [{"x": r.x, "y_scaled": r.y_scaled,
-                                 "phi": r.phi, "upsilon": r.upsilon,
-                                 "msd": r.msd} for r in report.pointwise]}
-        doc = _json_doc(cfg, result)
-    elif args.format == "csv":
-        doc = _csv_doc(cfg, ["x", "y_scaled", "phi", "upsilon", "msd"],
-                       _point_rows(report))
-    elif args.format == "svg":
-        doc = _shape_svg(table, params, args.m, pair, cfg)
-    else:
-        raise ValueError("shape supports csv, json, or svg output")
-    _emit(doc, args.out)
-    return 0
+    if args.format == "svg":
+        _emit(_shape_svg(table, params, args.m, pair, cfg), args.out)
+        return 0
+    header = ["x", "y_scaled", "phi", "upsilon", "msd"]
+    rows = [(r.x, r.y_scaled, r.phi, r.upsilon, r.msd) for r in report.pointwise]
+    result = {"delta": report.delta, "sup_distance": report.sup_distance,
+              "pointwise": [dict(zip(header, r)) for r in rows]}
+    return _write(args, cfg, result, header, rows)
 
 
 def _cmd_fit(args) -> int:
     table = read_frequency_csv(args.data)
-    truncated = args.truncated
-    if truncated is None:
-        truncated = args.alpha == 0.0 and args.nu <= 0.0
-    if args.theta is not None:
-        theta, source = args.theta, "given"
-    else:
-        theta, source = estimate_theta(args.nu, args.alpha, table, truncated), "estimated"
-    params = GigpParams(args.nu, args.alpha, theta, truncated)
-    validate(params)
+    params = _params_from(args, table)
+    theta = params.theta
     pair = scaling_b(params, table.M)
     fit = fit_tail_line(table, pair.a, args.u_min, args.u_max)
     # the intercept determines alpha only in case (c); a declared alpha = 0
@@ -188,56 +157,38 @@ def _cmd_fit(args) -> int:
     cfg = _config_echo(args, ["data", "u_min", "u_max", "format"],
                        params, table.M)
     result = {"m": table.M, "n": table.N, "eta_hat": table.N / table.M,
-              "theta": theta, "theta_source": source,
+              "theta": theta,
+              "theta_source": "given" if args.theta is not None else "estimated",
               "slope": fit.slope, "intercept": fit.intercept,
               "nu_hat": fit.nu_hat, "logb_hat": fit.logB_hat,
               "r_squared": fit.r_squared,
               "fit_range": list(fit.fit_range), "alpha_hat": alpha_hat}
-    if args.format == "json":
-        doc = _json_doc(cfg, result)
-    elif args.format == "csv":
-        doc = _csv_doc(cfg, ["key", "value"],
-                       sorted((k, v) for k, v in result.items()
-                              if not isinstance(v, list)))
-    else:
-        raise ValueError("fit supports csv or json output")
-    _emit(doc, args.out)
-    return 0
+    return _write(args, cfg, result, ["key", "value"],
+                  sorted((k, v) for k, v in result.items() if not isinstance(v, list)))
 
 
 def _cmd_gof(args) -> int:
     table = read_frequency_csv(args.data)
-    truncated = args.truncated
-    if truncated is None:
-        truncated = args.alpha == 0.0 and args.nu <= 0.0
-    if args.theta is not None:
-        theta, fitted = args.theta, 0
-    else:
-        theta, fitted = estimate_theta(args.nu, args.alpha, table, truncated), 1
-    params = GigpParams(args.nu, args.alpha, theta, truncated)
-    validate(params)
-    j_lo = 1 if truncated else 0
-    j_hi = max(table.counts)
-    observed = [table.counts.get(j, 0) for j in range(j_lo, j_hi)]
-    observed.append(sum(c for j, c in table.counts.items() if j >= j_hi))
-    expected = [table.M * pmf(params, j) for j in range(j_lo, j_hi)]
-    expected.append(table.M * ccdf(params, j_hi))
+    params = _params_from(args, table)
+    fitted = int(args.theta is None)
+    # bins j_lo .. j_hi - 1, then the open bin from the largest value j_hi
+    support, mult = table.support, table.mult
+    j_lo = 1 if params.zero_truncated else 0
+    j_hi = int(support[-1])
+    closed = (support >= j_lo) & (support < j_hi)
+    observed = np.zeros(max(j_hi - j_lo, 0) + 1, dtype=np.int64)
+    observed[support[closed] - j_lo] = mult[closed]
+    observed[-1] = mult[-1]
+    expected = table.M * np.append(pmf(params, np.arange(j_lo, j_hi)), ccdf(params, j_hi))
     labels = [str(j) for j in range(j_lo, j_hi)] + [f"{j_hi}+"]
-    rep = pearson_chi2(observed, expected, n_fitted_params=fitted,
+    rep = pearson_chi2(observed.tolist(), expected.tolist(), n_fitted_params=fitted,
                        min_expected=args.min_expected, labels=labels)
     cfg = _config_echo(args, ["data", "min_expected", "format"],
                        params, table.M)
     result = {"statistic": rep.statistic, "df": rep.df, "p_value": rep.p_value,
-              "theta": theta, "fitted_params": fitted,
+              "theta": params.theta, "fitted_params": fitted,
               "bins": [[lab, o, e] for lab, o, e in rep.bins]}
-    if args.format == "json":
-        doc = _json_doc(cfg, result)
-    elif args.format == "csv":
-        doc = _csv_doc(cfg, ["bin", "observed", "expected"], rep.bins)
-    else:
-        raise ValueError("gof supports csv or json output")
-    _emit(doc, args.out)
-    return 0
+    return _write(args, cfg, result, ["bin", "observed", "expected"], rep.bins)
 
 
 def _cmd_chaotic(args) -> int:
@@ -252,36 +203,21 @@ def _cmd_chaotic(args) -> int:
     result = {"lambda": rate.lam, "tv_bound": rate.tv_bound,
               "statistic": rep.statistic, "df": rep.df, "p_value": rep.p_value,
               "bins": [[lab, o, e] for lab, o, e in rep.bins]}
-    if args.format == "json":
-        doc = _json_doc(cfg, result)
-    elif args.format == "csv":
-        doc = _csv_doc(cfg, ["bin", "observed", "expected"], rep.bins)
-    else:
-        raise ValueError("chaotic supports csv or json output")
-    _emit(doc, args.out)
-    return 0
+    return _write(args, cfg, result, ["bin", "observed", "expected"], rep.bins)
 
 
 def _cmd_partition(args) -> int:
     config = calibrate(args.n)
     table = sample_partition(config, args.seed)
     root = math.sqrt(args.n)
-    rows = []
-    for j in sorted(table.counts):
-        x = j / root
-        rows.append((x, table.boundary().at(j) / root, partition_shape(x)))
+    xs = (table.support / root).tolist()
+    ys = (table.boundary().suffix[:-1] / root).tolist()
+    rows = [[x, y, partition_shape(x)] for x, y in zip(xs, ys)]
     cfg = {"command": "partition", "n": args.n, "seed": args.seed,
            "format": args.format, "z": config.z, "kappa": config.kappa,
            "j_cutoff": config.j_cutoff}
-    if args.format == "json":
-        doc = _json_doc(cfg, {"parts": table.M, "weight": table.N,
-                              "series": [list(r) for r in rows]})
-    elif args.format == "csv":
-        doc = _csv_doc(cfg, ["x", "y_scaled", "shape"], rows)
-    else:
-        raise ValueError("partition supports csv or json output")
-    _emit(doc, args.out)
-    return 0
+    return _write(args, cfg, {"parts": table.M, "weight": table.N, "series": rows},
+                  ["x", "y_scaled", "shape"], rows)
 
 
 # ---------------------------------------------------------------- svg
@@ -319,27 +255,23 @@ def _shape_svg(table, params: GigpParams, m: int, pair, cfg: dict) -> str:
         steps.append((float(j), prev_y))
         steps.append((float(j), float(y)))
         prev_y = float(y)
-    model = [(t, m * ccdf(params, t))
-             for t in (j_max * k / 200.0 for k in range(1, 201))]
-    shape_curve = [(t, pair.b * limit_shape(params.nu, t / pair.a))
-                   for t in (j_max * k / 200.0 for k in range(1, 201))]
-    y_top = max(table.M, max(y for _, y in shape_curve)) * 1.05
+    ts = j_max * np.arange(1, 201) / 200.0
+    model = list(zip(ts.tolist(), (m * ccdf(params, ts)).tolist()))
+    shape_y = (pair.b * limit_shape(params.nu, ts / pair.a)).tolist()
+    shape_curve = list(zip(ts.tolist(), shape_y))
+    y_top = max(table.M, max(shape_y)) * 1.05
     left = _pane([(steps, "#1f77b4", None), (model, "#d62728", None),
                   (shape_curve, "#2ca02c", "4 3")],
                  (0.0, float(j_max)), (0.0, y_top), (40, 20), (360, 300))
     # right pane: transformed tail with the model line
-    pts = [(j / pair.a, float(y))
-           for j, y in zip(boundary.support, boundary.suffix)
-           if j >= 1 and y > 0]
-    uv = tail_transform(pts)
-    us = [u for u, _ in uv]
-    vs = [v for _, v in uv]
-    line = [(u, math.log(pair.b) + (params.nu - 1.0) * u)
-            for u in (min(us) + (max(us) - min(us)) * k / 100.0
-                      for k in range(101))]
-    lo_v = min(vs + [v for _, v in line])
-    hi_v = max(vs + [v for _, v in line])
-    right = _pane([(uv, "#1f77b4", None), (line, "#2ca02c", "4 3")],
+    uv = tail_points(table, pair.a)
+    us, vs = uv[:, 0].tolist(), uv[:, 1].tolist()
+    line_u = min(us) + (max(us) - min(us)) * np.arange(101) / 100.0
+    line_v = math.log(pair.b) + (params.nu - 1.0) * line_u
+    line = list(zip(line_u.tolist(), line_v.tolist()))
+    lo_v = min(vs + line_v.tolist())
+    hi_v = max(vs + line_v.tolist())
+    right = _pane([(uv.tolist(), "#1f77b4", None), (line, "#2ca02c", "4 3")],
                   (min(us), max(us) + 1e-9), (lo_v, hi_v + 1e-9),
                   (460, 20), (360, 300))
     title = ("data / model / limit shape; right: tail coordinates "

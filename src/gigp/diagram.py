@@ -8,7 +8,7 @@ N = sum j M_j (where j = 0 entries add sources but no area).
 
 from __future__ import annotations
 
-import math
+import operator
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -32,36 +32,72 @@ class YoungBoundary:
         return out
 
 
-class FrequencyTable:
-    """Immutable counts-of-counts {value j >= 0: multiplicity M_j >= 1}."""
+_INT64_MAX = 2 ** 63 - 1
 
-    __slots__ = ("counts", "M", "N", "_boundary")
+
+def _int64_column(values: list, what: str) -> np.ndarray:
+    """values as an int64 array; ValueError unless each is an integer in [0, 2**63)."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "f":
+        ok = np.all(np.isfinite(arr) & (arr == np.floor(arr)) & (arr < 2.0 ** 63))
+    else:
+        ok = arr.dtype.kind in "biu" and (arr.size == 0 or arr.max() <= _INT64_MAX)
+    if not ok or arr.ndim != 1 or np.any(arr < 0):
+        raise ValueError(f"table {what} must be nonnegative integers below 2**63")
+    return arr.astype(np.int64)
+
+
+class FrequencyTable:
+    """Immutable counts-of-counts {value j >= 0: multiplicity M_j >= 1}.
+
+    Held as two read-only int64 arrays in increasing j, `support` (the
+    values j) and `mult` (their multiplicities M_j), with the exact
+    integer totals M = sum M_j and N = sum j M_j. `counts` gives the
+    same table as a dict.
+    """
+
+    __slots__ = ("support", "mult", "M", "N", "_boundary")
 
     def __init__(self, counts: Mapping[int, int]):
-        cleaned = {}
-        for j, m in counts.items():
-            if int(j) != j or j < 0:
-                raise ValueError("table keys must be nonnegative integers")
-            if int(m) != m or m < 0:
-                raise ValueError("table counts must be nonnegative integers")
-            if m > 0:
-                cleaned[int(j)] = int(m)
-        self.counts = dict(sorted(cleaned.items()))
-        self.M = sum(self.counts.values())
-        self.N = sum(j * m for j, m in self.counts.items())
-        support = np.fromiter(self.counts.keys(), dtype=np.int64, count=len(self.counts))
-        mults = np.fromiter(self.counts.values(), dtype=np.int64, count=len(self.counts))
-        suffix = np.concatenate([np.cumsum(mults[::-1])[::-1], [0]])
+        support = _int64_column(list(counts.keys()), "keys")
+        mult = _int64_column(list(counts.values()), "counts")
+        keep = mult > 0
+        order = np.argsort(support[keep])
+        self._fill(support[keep][order], mult[keep][order])
+
+    @classmethod
+    def _from_sorted(cls, support: np.ndarray, mult: np.ndarray) -> "FrequencyTable":
+        """A table from int64 arrays already increasing in j, with every M_j >= 1."""
+        table = cls.__new__(cls)
+        table._fill(support, mult)
+        return table
+
+    def _fill(self, support: np.ndarray, mult: np.ndarray) -> None:
+        self.M = sum(mult.tolist())
+        if self.M > _INT64_MAX:
+            raise ValueError("table counts must sum below 2**63")
+        self.N = sum(map(operator.mul, support.tolist(), mult.tolist()))
+        suffix = np.concatenate([np.cumsum(mult[::-1])[::-1], [0]])
+        for arr in (support, mult, suffix):
+            arr.flags.writeable = False
+        self.support, self.mult = support, mult
         self._boundary = YoungBoundary(support, suffix)
+
+    @property
+    def counts(self) -> dict[int, int]:
+        """The table as a dict {j: M_j} in increasing j, built on each access."""
+        return dict(zip(self.support.tolist(), self.mult.tolist()))
 
     def boundary(self) -> YoungBoundary:
         return self._boundary
 
     def __eq__(self, other):
-        return isinstance(other, FrequencyTable) and self.counts == other.counts
+        return (isinstance(other, FrequencyTable)
+                and np.array_equal(self.support, other.support)
+                and np.array_equal(self.mult, other.mult))
 
     def __repr__(self):
-        return f"FrequencyTable(M={self.M}, N={self.N}, distinct={len(self.counts)})"
+        return f"FrequencyTable(M={self.M}, N={self.N}, distinct={len(self.support)})"
 
 
 def table_from_sample(values: Iterable[int]) -> FrequencyTable:
@@ -72,11 +108,10 @@ def table_from_sample(values: Iterable[int]) -> FrequencyTable:
     if not np.issubdtype(arr.dtype, np.integer):
         if not np.all(arr == np.floor(arr)):
             raise ValueError("values must be integers")
-        arr = arr.astype(np.int64)
     if arr.min() < 0:
         raise ValueError("values must be nonnegative")
-    uniq, counts = np.unique(arr, return_counts=True)
-    return FrequencyTable({int(j): int(m) for j, m in zip(uniq, counts)})
+    uniq, mult = np.unique(arr, return_counts=True)
+    return FrequencyTable._from_sorted(uniq.astype(np.int64), mult.astype(np.int64))
 
 
 def young_y(table: FrequencyTable, x: float) -> int:
@@ -105,8 +140,7 @@ def boundary_moments(params, m_sources: int, x: float,
         x2 = x
     if x2 < x:
         raise ValueError("x2 must be >= x")
-    p1 = ccdf(params, x)
-    p2 = ccdf(params, x2)
+    p1, p2 = ccdf(params, np.array([x, x2], dtype=float)).tolist()
     mean = m_sources * p1
     var = m_sources * p1 * (1.0 - p1)
     cov = m_sources * p2 * (1.0 - p1)

@@ -253,26 +253,35 @@ def _tables(params: GigpParams, need_j: int = 0) -> _Tables:
     return built
 
 
-def pmf(params: GigpParams, j: int) -> float:
-    """P(X = j)."""
+def _pmf_index(params: GigpParams, j) -> tuple[_Tables, np.ndarray]:
+    """The pmf table for params and j as indices into it, after the
+    argument check that pmf and log_pmf share."""
     validate(params)
-    if int(j) != j or j < 0:
+    js = np.asarray(j)
+    if js.dtype.kind == "f":
+        ok = np.all(np.isfinite(js) & (js == np.floor(js)) & (js >= 0))
+    else:
+        ok = js.dtype.kind in "iu" and np.all(js >= 0)
+    if not ok:
         raise ValueError("j must be a nonnegative integer")
-    j = int(j)
-    if j == 0 and (params.zero_truncated or (params.alpha == 0.0 and params.nu <= 0.0)):
+    if params.zero_truncated and np.any(js == 0):
         raise ValueError("j = 0 has no mass under zero truncation")
-    return float(_tables(params, j).f[j])
+    t = _tables(params, int(js.max(initial=0)))
+    return t, js.astype(np.intp)
 
 
-def log_pmf(params: GigpParams, j: int) -> float:
-    """log P(X = j), finite for every j in the support."""
-    validate(params)
-    if int(j) != j or j < 0:
-        raise ValueError("j must be a nonnegative integer")
-    j = int(j)
-    if j == 0 and (params.zero_truncated or (params.alpha == 0.0 and params.nu <= 0.0)):
-        raise ValueError("j = 0 has no mass under zero truncation")
-    return float(_tables(params, j).logf[j])
+def pmf(params: GigpParams, j):
+    """P(X = j) for an integer j, or an array of them from one table lookup."""
+    t, idx = _pmf_index(params, j)
+    out = t.f[idx]
+    return float(out) if out.ndim == 0 else out
+
+
+def log_pmf(params: GigpParams, j):
+    """log P(X = j), finite for every j in the support; j as in pmf."""
+    t, idx = _pmf_index(params, j)
+    out = t.logf[idx]
+    return float(out) if out.ndim == 0 else out
 
 
 def ccdf(params: GigpParams, x):
@@ -353,20 +362,26 @@ def _theta_seed(nu: float, alpha: float, eta: float) -> float:
     return math.exp(-4.0 * eta / (alpha * alpha))
 
 
+def resolve_truncation(nu: float, alpha: float, zero_truncated: bool | None) -> bool:
+    """zero_truncated, or when it is None the default: truncated exactly for
+    the alpha = 0 families with nu <= 0, which exist only zero-truncated."""
+    if zero_truncated is None:
+        return alpha == 0.0 and nu <= 0.0
+    return zero_truncated
+
+
 def theta_from_mean(nu: float, alpha: float, eta_target: float,
                     zero_truncated: bool | None = None) -> float:
     """Solve mean_exact = eta_target for theta at fixed nu, alpha.
 
     Bisection on u = 1 - theta, seeded by the closed-form asymptotic
-    inverse. zero_truncated = None picks truncation automatically: on
-    for the alpha = 0 families with nu <= 0, off otherwise.
+    inverse. zero_truncated = None leaves it to resolve_truncation.
     """
     if not (math.isfinite(eta_target) and eta_target > 0.0):
         raise ValueError("eta_target must be positive and finite")
     if nu < -1.0 or alpha < 0.0 or (nu == -1.0 and alpha == 0.0):
         raise ValueError("invalid (nu, alpha)")
-    if zero_truncated is None:
-        zero_truncated = alpha == 0.0 and nu <= 0.0
+    zero_truncated = resolve_truncation(nu, alpha, zero_truncated)
     if alpha == 0.0 and nu <= 0.0 and not zero_truncated:
         raise ValueError("alpha = 0 with nu <= 0 exists only zero-truncated")
     if zero_truncated and eta_target <= 1.0:

@@ -35,6 +35,16 @@ class GofReport:
     bins: list[tuple[str, int, float]]
 
 
+def tail_points(table: FrequencyTable, a_scale: float) -> np.ndarray:
+    """tail_transform of the boundary at its jumps j >= 1, (x, y) = (j/A, Y(j)),
+    as an (n, 2) array of (u, v) rows."""
+    boundary = table.boundary()
+    tail = boundary.support >= 1
+    pts = zip((boundary.support[tail] / a_scale).tolist(),
+              boundary.suffix[:-1][tail].astype(float).tolist())
+    return np.array(tail_transform(pts), dtype=float).reshape(-1, 2)
+
+
 def fit_tail_line(table: FrequencyTable, a_scale: float,
                   u_min: float | None = None,
                   u_max: float | None = None) -> TailFit:
@@ -48,25 +58,16 @@ def fit_tail_line(table: FrequencyTable, a_scale: float,
     """
     if not a_scale > 0.0:
         raise ValueError("a_scale must be positive")
-    boundary = table.boundary()
-    pts = []
-    for idx, j in enumerate(boundary.support):
-        if j < 1:
-            continue
-        y = float(boundary.suffix[idx])
-        if y > 0.0:
-            pts.append((j / a_scale, y))
-    uv = tail_transform(pts)
-    us = sorted(u for u, _ in uv)
+    uv = tail_points(table, a_scale)
+    us = np.sort(uv[:, 0])
     if u_min is None:
-        u_min = us[int(round(0.2 * (len(us) - 1)))] if us else 0.0
+        u_min = us[int(round(0.2 * (len(us) - 1)))] if len(us) else 0.0
     if u_max is None:
-        u_max = us[int(round(0.8 * (len(us) - 1)))] if us else 0.0
-    kept = [(u, v) for u, v in uv if u_min <= u <= u_max]
+        u_max = us[int(round(0.8 * (len(us) - 1)))] if len(us) else 0.0
+    kept = uv[(uv[:, 0] >= u_min) & (uv[:, 0] <= u_max)]
     if len(kept) < 3:
         raise ValueError("fewer than 3 tail points in the fit window")
-    u = np.array([p[0] for p in kept])
-    v = np.array([p[1] for p in kept])
+    u, v = kept.T.copy()
     slope, intercept = np.polyfit(u, v, 1)
     resid = v - (slope * u + intercept)
     ss_res = float(resid @ resid)
@@ -152,11 +153,15 @@ def pearson_chi2(observed: Sequence[int], expected: Sequence[float],
         _merge_two(bins, 0)
     while len(bins) >= 2 and bins[-1][2] < min_expected:
         _merge_two(bins, len(bins) - 2)
-    while len(bins) >= 2 and any(b[2] < min_expected for b in bins):
-        i = next(k for k, b in enumerate(bins) if b[2] < min_expected)
-        if i == 0:
-            _merge_two(bins, 0)
-        elif i == len(bins) - 1 or bins[i - 1][2] <= bins[i + 1][2]:
+    # every bin before the last straggler's index stays >= min_expected
+    # after either merge, since expected counts are positive, so each
+    # search resumes there
+    i = 0
+    while len(bins) >= 2:
+        i = next((k for k in range(i, len(bins)) if bins[k][2] < min_expected), None)
+        if i is None:
+            break
+        if i > 0 and (i == len(bins) - 1 or bins[i - 1][2] <= bins[i + 1][2]):
             _merge_two(bins, i - 1)
         else:
             _merge_two(bins, i)

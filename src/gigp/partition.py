@@ -44,7 +44,8 @@ def sample_partition(config: PartitionConfig, seed) -> FrequencyTable:
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     js = np.arange(1, config.j_cutoff + 1)
     mult = rng.geometric(1.0 - config.z ** js) - 1
-    return FrequencyTable({int(j): int(m) for j, m in zip(js, mult) if m > 0})
+    kept = mult > 0
+    return FrequencyTable._from_sorted(js[kept], mult[kept])
 
 
 def partition_shape(x: float) -> float:

@@ -41,6 +41,33 @@ def test_shape_outputs_are_deterministic(tmp_path):
     assert c.read_bytes() == d.read_bytes()
 
 
+MODEL = ["--nu", "-0.5", "--alpha", "2", "--theta", "0.99"]
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", *MODEL, "--m", "3000", "--seed", "3", "--format", "json"],
+    ["simulate", *MODEL, "--m", "3000", "--seed", "3", "--format", "csv"],
+    ["fit", "--nu", "-0.5", "--alpha", "2", "--format", "json"],
+    ["fit", "--nu", "-0.5", "--alpha", "2", "--format", "csv"],
+    ["gof", "--nu", "-0.5", "--alpha", "2", "--format", "json"],
+    ["gof", "--nu", "-0.5", "--alpha", "2", "--format", "csv"],
+    ["chaotic", *MODEL, "--m", "35", "--x0", "0.2", "--replicates", "200",
+     "--seed", "9", "--format", "json"],
+    ["chaotic", *MODEL, "--m", "35", "--x0", "0.2", "--replicates", "200",
+     "--seed", "9", "--format", "csv"],
+    ["partition", "--n", "10000", "--seed", "4", "--format", "json"],
+    ["partition", "--n", "10000", "--seed", "4", "--format", "csv"],
+], ids=lambda a: f"{a[0]}-{a[-1]}")
+def test_every_command_output_is_deterministic(tmp_path, args):
+    if args[0] in ("fit", "gof"):
+        table = sample(GigpParams(-0.5, 2.0, 0.99), 13, 5000)
+        data = _write_csv(tmp_path, "in.csv", table.counts.items())
+        args = [args[0], "--data", str(data)] + args[1:]
+    a = _run_to_file(tmp_path, "a.out", args)
+    b = _run_to_file(tmp_path, "b.out", args)
+    assert a.read_bytes() == b.read_bytes() and a.stat().st_size > 0
+
+
 def test_shape_svg_structure(tmp_path):
     out = _run_to_file(tmp_path, "plot.svg", SHAPE_ARGS + ["--format", "svg"])
     text = out.read_text()
@@ -206,6 +233,21 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["simulate", "--nu", "0.5", "--alpha", "0", "--theta", "0.99999",
                  "--m", "10", "--seed", "1"]) == 1
     assert capsys.readouterr() == ("", "error: pmf support cutoff not reached\n")
+    # a malformed table is one error line too: a value past 64 bits, and a
+    # header without rows, with theta given so nothing is fitted
+    huge = tmp_path / "huge.csv"
+    huge.write_text("j,count\n10000000000000000000,1\n")
+    header_only = tmp_path / "header.csv"
+    header_only.write_text("j,count\n")
+    zeros = tmp_path / "zeros.csv"
+    zeros.write_text("j,count\n3,0\n")
+    for data, line in ((huge, "error: table keys must be nonnegative integers below 2**63\n"),
+                       (header_only, "error: input CSV holds no sources\n"),
+                       (zeros, "error: input CSV holds no sources\n")):
+        for cmd in ("fit", "gof"):
+            assert main([cmd, "--data", str(data), "--nu", "-0.5", "--alpha", "2",
+                         "--theta", "0.99"]) == 1
+            assert capsys.readouterr() == ("", line)
     # argparse --help raises SystemExit(0), which main maps to success
     assert main(["--help"]) == 0
 

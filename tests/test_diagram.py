@@ -1,5 +1,7 @@
 """Frequency table / Young boundary tests, mostly exact small cases."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,32 @@ def test_frequency_table_validation():
         table_from_sample([])
     t = FrequencyTable({1: 2, 3: 0})
     assert t.counts == {1: 2}
+    for bad in ({2.5: 1}, {"2": 1}, {(1, 2): 1}, {2: 1.5}, {2: math.nan},
+                {10 ** 19: 1}, {10 ** 30: 1}, {1: 2 ** 63}):
+        with pytest.raises(ValueError):
+            FrequencyTable(bad)
+    with pytest.raises(ValueError):
+        FrequencyTable({1: 2 ** 62, 2: 2 ** 62})  # M past 64-bit counts
+
+
+def test_frequency_table_arrays():
+    t = FrequencyTable({7: 1, 2.0: 3, 0: 4, 5: 0})
+    assert t.support.tolist() == [0, 2, 7] and t.mult.tolist() == [4, 3, 1]
+    assert t.support.dtype == np.int64 and t.mult.dtype == np.int64
+    assert t.boundary().suffix.tolist() == [8, 4, 1, 0]
+    assert (t.M, t.N) == (8, 13)
+    assert t.counts == {0: 4, 2: 3, 7: 1}
+    with pytest.raises(ValueError):
+        t.support[0] = 1  # read-only
+    # the totals are exact integers past 64 bits
+    big = FrequencyTable({2 ** 62: 4, 1: 1})
+    assert big.N == 2 ** 64 + 1 and type(big.N) is int and type(big.M) is int
+    # the sampler's path and the dict path give equal tables
+    values = np.random.default_rng(3).poisson(4.0, size=500)
+    from_dict = FrequencyTable({int(j): int((values == j).sum()) for j in set(values.tolist())})
+    assert table_from_sample(values) == from_dict
+    assert table_from_sample(values.tolist()) == from_dict
+    assert FrequencyTable({}).M == 0 and FrequencyTable({}).support.size == 0
 
 
 def test_boundary_moments_binomial():

@@ -17,8 +17,8 @@ from scipy import integrate
 from gigp import diagram
 from gigp.distribution import (GigpParams, _bessel_ratios, _tables, ccdf, cdf,
                                gig_density, log_pmf, mean_asymptotic, mean_exact,
-                               pmf, sample, sample_values, tail_pmf_asymptotic,
-                               theta_from_mean, validate)
+                               pmf, resolve_truncation, sample, sample_values,
+                               tail_pmf_asymptotic, theta_from_mean, validate)
 from gigp.shape import expected_shape_deviation, scaling_a
 from gigp.specfun import bessel_k_ratio
 
@@ -153,6 +153,38 @@ def test_log_pmf_matches_pmf():
     p = GigpParams(-0.5, 2.0, 0.9)
     for j in [0, 3, 40]:
         assert math.exp(log_pmf(p, j)) == pytest.approx(pmf(p, j), rel=1e-12)
+
+
+def test_pmf_and_log_pmf_take_arrays():
+    for p in (GigpParams(-0.5, 2.0, 0.9), GigpParams(-0.5, 0.0, 0.9, True)):
+        js = np.arange(1, 400).reshape(-1, 7) - (0 if p.zero_truncated else 1)
+        got = pmf(p, js)
+        assert isinstance(got, np.ndarray) and got.shape == js.shape
+        assert got.tolist() == [[pmf(p, int(j)) for j in row] for row in js]
+        assert log_pmf(p, js.astype(float)).tolist() == [[log_pmf(p, int(j)) for j in row]
+                                                          for row in js]
+        assert type(pmf(p, 3)) is float and type(log_pmf(p, np.int64(3))) is float
+        assert pmf(p, np.arange(0)).size == 0
+    p = GigpParams(0.5, 2.0, 0.9)
+    # one check serves both, for a number and for an array
+    for fn in (pmf, log_pmf):
+        for bad in (-1, 2.5, math.nan, math.inf, "3", np.array([1, -1]), np.array([1.0, 0.5])):
+            with pytest.raises(ValueError, match="nonnegative integer"):
+                fn(p, bad)
+        with pytest.raises(ValueError, match="zero truncation"):
+            fn(GigpParams(0.5, 2.0, 0.9, True), np.array([3, 0]))
+    # a j past the default cut (jmax 342 here) extends the table
+    assert pmf(p, np.array([5000])).tolist() == [pmf(p, 5000)]
+    assert 0.0 < pmf(p, 5000) < 1e-200
+
+
+def test_resolve_truncation():
+    assert resolve_truncation(-0.5, 0.0, None) is True
+    assert resolve_truncation(0.0, 0.0, None) is True
+    assert resolve_truncation(0.5, 0.0, None) is False
+    assert resolve_truncation(-0.5, 2.0, None) is False
+    assert resolve_truncation(-0.5, 2.0, True) is True
+    assert resolve_truncation(-0.5, 0.0, False) is False
 
 
 def test_ccdf_values_and_conventions():

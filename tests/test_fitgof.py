@@ -193,6 +193,48 @@ def test_pearson_chi2_interior_merge():
     assert rep.bins[0][0] == "0-1"
 
 
+def _merged_bins_by_rescan(expected, min_expected):
+    # the merge order as first written: after every interior merge the
+    # search for a straggler starts again from bin 0
+    bins = [[str(i), 0, e, str(i)] for i, e in enumerate(expected)]
+
+    def merge(i):
+        bins[i][2] += bins[i + 1][2]
+        bins[i][3] = bins[i + 1][3]
+        del bins[i + 1]
+
+    while len(bins) >= 2 and bins[0][2] < min_expected:
+        merge(0)
+    while len(bins) >= 2 and bins[-1][2] < min_expected:
+        merge(len(bins) - 2)
+    while len(bins) >= 2 and any(b[2] < min_expected for b in bins):
+        i = next(k for k, b in enumerate(bins) if b[2] < min_expected)
+        if i == 0:
+            merge(0)
+        elif i == len(bins) - 1 or bins[i - 1][2] <= bins[i + 1][2]:
+            merge(i - 1)
+        else:
+            merge(i)
+    return [(lo, hi, e) for lo, _, e, hi in bins]
+
+
+def test_pearson_chi2_resumed_search_matches_rescan():
+    rng = np.random.default_rng(11)
+    layouts = [np.tile([9.0, 0.5, 0.3, 0.2, 6.0, 0.1], 400)]  # many stragglers
+    layouts += [rng.choice([0.05, 0.4, 1.5, 3.0, 6.0, 20.0], size=rng.integers(20, 300))
+                for _ in range(300)]
+    for expected in layouts:
+        observed = rng.poisson(expected)
+        # scale so the expected total meets the observed one exactly
+        expected = expected * observed.sum() / expected.sum()
+        want = _merged_bins_by_rescan(expected.tolist(), 5.0)
+        if len(want) < 2:
+            continue
+        rep = pearson_chi2(observed.tolist(), expected.tolist())
+        assert [(lab.split("-")[0], lab.split("-")[-1], e) for lab, _, e in rep.bins] == want
+        assert rep.df == len(want) - 1
+
+
 def test_pearson_chi2_errors():
     with pytest.raises(ValueError):
         pearson_chi2([1, 2], [1.0])
