@@ -233,10 +233,16 @@ def _build_tables(params: GigpParams, need_j: int) -> _Tables:
 
     with np.errstate(under="ignore"):
         f = np.exp(logf)
-    # suffix sums accumulate smallest terms first; P(X >= 0) = 1 exactly
+    # the mass past the cut, summed as a geometric series with the last
+    # step's ratio r = f_J / f_(J-1): T = f_J r / (1 - r)
+    r = f[-1] / f[-2] if 0.0 < f[-1] < f[-2] else 0.0
+    tail = f[-1] * r / (1.0 - r)
+    # suffix sums accumulate smallest terms first, then take T; P(X >= 0)
+    # = 1 exactly, and past the table the ccdf reads 0
     sf = np.empty(len(f) + 1)
     sf[-1] = 0.0
     np.cumsum(f[::-1], out=sf[-2::-1])
+    sf[1:-1] += tail
     sf[0] = 1.0
     cum = np.cumsum(f)
     return _Tables(f, logf, sf, cum, len(f) - 1, log_tail_const)

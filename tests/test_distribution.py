@@ -81,6 +81,26 @@ def test_pmf_and_ccdf_against_bessel_sum_near_theta_one():
                 total += want
 
 
+def test_ccdf_deep_tail_against_bessel_sum():
+    # sf carries the mass past the table cut (<= 1e-15 by the cut rule), so
+    # a ccdf near 1e-5 keeps 12 digits; without it the relative error is
+    # the cut mass over the ccdf, ~4e-11 here
+    for nu in (0.5, -0.5):
+        p = GigpParams(nu, 2.0, 0.99)
+        jmax = _tables(p).jmax
+        masses = _bessel_sum_masses(nu, 2.0, 0.99, 3 * jmax)
+        tail, checked = mpmath.mpf(0), 0
+        for j in range(3 * jmax, -1, -1):
+            tail += masses[j]
+            if 1e-5 <= tail <= 1e-4 and j % 5 == 0:
+                assert ccdf(p, j) == pytest.approx(float(tail), rel=1e-12, abs=0.0)
+                checked += 1
+            if j <= jmax and tail < 1e-10:
+                # up to the cut the error is what the geometric tail misses
+                assert abs(ccdf(p, j) - float(tail)) < 1e-17
+        assert checked > 10
+
+
 def test_bessel_ratios_match_the_sequential_recurrence():
     # each window of _J_WINDOW forward steps from a crude seed must land on
     # the value the one-at-a-time recurrence from K_(nu+1)/K_nu gives
