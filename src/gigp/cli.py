@@ -137,11 +137,12 @@ def _cmd_shape(args) -> int:
     if args.format == "svg":
         _emit(_shape_svg(table, params, args.m, pair, cfg), args.out)
         return 0
-    header = ["x", "y_scaled", "phi", "upsilon", "msd"]
-    rows = [(r.x, r.y_scaled, r.phi, r.upsilon, r.msd) for r in report.pointwise]
+    # the point keys are PointRecord's fields, in this order
+    points = [vars(r) for r in report.pointwise]
     result = {"delta": report.delta, "sup_distance": report.sup_distance,
-              "pointwise": [dict(zip(header, r)) for r in rows]}
-    return _write(args, cfg, result, header, rows)
+              "pointwise": points}
+    return _write(args, cfg, result, ["x", "y_scaled", "phi", "upsilon", "msd"],
+                  (p.values() for p in points))
 
 
 def _cmd_fit(args) -> int:
