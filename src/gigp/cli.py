@@ -120,7 +120,7 @@ def _cmd_simulate(args) -> int:
     params = _params_from(args)
     table = sample(params, args.seed, args.m)
     cfg = _config_echo(args, ["m", "seed", "format"], params, args.m)
-    rows = [list(r) for r in zip(table.support.tolist(), table.mult.tolist())]
+    rows = np.column_stack((table.support, table.mult)).tolist()
     return _write(args, cfg, {"m": table.M, "n": table.N, "table": rows},
                   ["j", "count"], rows)
 
