@@ -12,11 +12,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from gigp import diagram
-from gigp.distribution import (GigpParams, _bessel_ratios, _tables, ccdf, cdf,
-                               gig_density, log_pmf, mean_asymptotic, mean_exact,
+from gigp.distribution import (GigpParams, _bessel_ratios, _gig_envelope, _gig_rvs,
+                               _sample_values_rng, _tables, ccdf, cdf, gig_density, log_pmf, mean_asymptotic, mean_exact,
                                pmf, resolve_truncation, sample, sample_values,
                                tail_pmf_asymptotic, theta_from_mean, validate)
 from gigp.shape import expected_shape_deviation, scaling_a
@@ -385,7 +385,6 @@ def _gig_moment(p, a, b, r):
 
 
 def test_gig_sampler_moments():
-    from gigp.distribution import _gig_rvs
     rng = np.random.default_rng(7)
     for p, a, b in [(0.5, 0.2222, 1.8), (-0.5, 0.0202, 1.98), (-1.0, 0.1, 0.45),
                     (2.0, 1.0, 0.5)]:
@@ -396,6 +395,92 @@ def test_gig_sampler_moments():
         sd = math.sqrt((m2 - m1 * m1) / n)
         assert x.mean() == pytest.approx(m1, abs=5.0 * sd)
         assert x.min() > 0.0
+
+
+# (p, a, b) reaching each branch of the envelope set-up: t low, middle
+# and high; s middle, high, lam = 0 and the min of the two bounds; p < 0
+# taking the reciprocal
+GIG_BRANCH_TRIPLES = [(-0.5, 0.0202, 1.98), (0.0, 0.3, 0.7), (2.0, 1.0, 0.5),
+                      (-1.0, 0.1, 0.45), (5.0, 20.0, 30.0)]
+
+
+def test_gig_sampler_ks_against_scipy():
+    # scipy's geninvgauss(p, b) has density ~ x^(p-1) exp(-b (x + 1/x) / 2),
+    # so GIG(p, a, b) is geninvgauss(p, sqrt(a b)) at scale sqrt(b / a)
+    for k, (p, a, b) in enumerate(GIG_BRANCH_TRIPLES):
+        x = _gig_rvs(np.random.default_rng(500 + k), p, a, b, 4000)
+        law = stats.geninvgauss(p, math.sqrt(a * b), scale=math.sqrt(b / a))
+        assert stats.kstest(x, law.cdf).pvalue > 1e-3, (p, a, b)
+
+
+def _gig_cdf_mpmath(p, a, b, xs):
+    # P(X <= x) at increasing xs by quadrature in y = log x, where the
+    # density is the smooth bump exp(p y - (a e^y + b e^-y) / 2); below
+    # y = log(b / 2000) it is under exp(-1000)
+    p, a, b = mpmath.mpf(p), mpmath.mpf(a), mpmath.mpf(b)
+    norm = 2 * (b / a) ** (p / 2) * mpmath.besselk(p, mpmath.sqrt(a * b))
+    ys = [mpmath.log(b / 2000)] + [mpmath.log(x) for x in xs]
+    acc, out = mpmath.mpf(0), []
+    for y0, y1 in zip(ys, ys[1:]):
+        acc += mpmath.quad(lambda y: mpmath.exp(p * y - (a * mpmath.exp(y) + b * mpmath.exp(-y)) / 2),
+                           mpmath.linspace(y0, y1, 4))
+        out.append(float(acc / norm))
+    return out
+
+
+def test_gig_sampler_against_mpmath_cdf_where_scipy_fails():
+    # at (0.2, 0.001, 0.002) the law spans ~8 decades and scipy's cdf
+    # quadrature does not converge; compare 25 sample quantiles with an
+    # mpmath cdf instead, as binomial z-scores of the counts below them
+    n = 200_000
+    x = np.sort(_gig_rvs(np.random.default_rng(11), 0.2, 0.001, 0.002, n))
+    qs = [float(x[n * k // 26]) for k in range(1, 26)]
+    with mpmath.workdps(20):
+        cdf_at = _gig_cdf_mpmath(0.2, 0.001, 0.002, qs)
+    below = np.searchsorted(x, qs, side="right")
+    z = [(c - n * f) / math.sqrt(n * f * (1.0 - f)) for c, f in zip(below.tolist(), cdf_at)]
+    assert max(map(abs, z)) < 4.0
+
+
+def test_gig_sampler_sizes_and_envelope_cache():
+    for size in (1, 2, 35, 100_000):
+        for p, a, b in GIG_BRANCH_TRIPLES[:2]:
+            x = _gig_rvs(np.random.default_rng(size), p, a, b, size)
+            assert x.shape == (size,) and np.all(np.isfinite(x) & (x > 0.0))
+    # the envelope is set up once per triple, and a warm cache gives the
+    # same draws as a cold one
+    p, a, b = GIG_BRANCH_TRIPLES[0]
+    _gig_envelope.cache_clear()
+    cold = _gig_rvs(np.random.default_rng(3), p, a, b, 500)
+    warm = _gig_rvs(np.random.default_rng(3), p, a, b, 500)
+    assert _gig_envelope.cache_info().hits >= 1
+    np.testing.assert_array_equal(cold, warm)
+
+
+class _CountingRng:
+    """A Generator stand-in that counts calls of random(), one per rejection round."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.rounds = 0
+
+    def random(self, size):
+        self.rounds += 1
+        return self.rng.random(size)
+
+    def poisson(self, lam):
+        return self.rng.poisson(lam)
+
+
+def test_gig_batch_takes_one_rejection_round():
+    # each round draws a quarter more candidates than it needs, so at
+    # chaotic's triple a batch of 35 is nearly always filled in one round;
+    # resampling only the rejects took ~2.7 rounds per batch
+    rng = _CountingRng(17)
+    p = GigpParams(-0.5, 2.0, 0.99)
+    for _ in range(1000):
+        assert _sample_values_rng(p, rng, 35).shape == (35,)
+    assert rng.rounds <= 1010
 
 
 def test_sample_matches_pmf():
@@ -422,6 +507,12 @@ def test_sample_alpha_zero_matches_pmf():
 
 
 def test_sample_truncated_has_no_zeros():
+    # at theta = 0.3 most untruncated draws are 0, so the redraw loop runs
+    heavy = GigpParams(0.5, 2.0, 0.3, zero_truncated=True)
+    assert pmf(GigpParams(0.5, 2.0, 0.3), 0) > 0.5
+    for count in (1, 2, 35, 20_000):
+        values = sample_values(heavy, count, count)
+        assert values.shape == (count,) and values.min() >= 1
     p = GigpParams(-0.5, 1.0, 0.9, zero_truncated=True)
     values = sample_values(p, 11, 5000)
     assert values.min() >= 1
