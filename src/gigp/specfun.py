@@ -16,10 +16,18 @@ import numpy as np
 
 _EULER_GAMMA = 0.57721566490153286060
 _MAXIT = 20000
-# Taylor coefficients of 1/Gamma(1+x) around 0 (c1, c2, c3).
-_RGAMMA_C1 = 0.57721566490153286060
-_RGAMMA_C2 = -0.65587807152025388108
-_RGAMMA_C3 = -0.04200263503409523553
+# Taylor coefficients c1..c20 of 1/Gamma(1+x) = 1 + sum_k c_k x^k; the
+# series through c20 reaches 1e-18 relative at |x| = 1/2.
+_RGAMMA_TAYLOR = (
+    0.5772156649015329, -0.6558780715202539, -0.04200263503409524,
+    0.16653861138229148, -0.04219773455554433, -0.009621971527876973,
+    0.0072189432466631, -0.0011651675918590652, -0.00021524167411495098,
+    0.0001280502823881162, -2.013485478078824e-05, -1.2504934821426706e-06,
+    1.133027231981696e-06, -2.056338416977607e-07, 6.116095104481416e-09,
+    5.002007644469223e-09, -1.18127457048702e-09, 1.0434267116911005e-10,
+    7.782263439905071e-12, -3.696805618642206e-12,
+)
+_RGAMMA_C1, _RGAMMA_C2, _RGAMMA_C3 = _RGAMMA_TAYLOR[:3]
 
 
 def _rgamma_pair(mu: float) -> tuple[float, float]:
@@ -33,6 +41,19 @@ def _rgamma_pair(mu: float) -> tuple[float, float]:
     gam1 = -(_RGAMMA_C1 + _RGAMMA_C3 * mu2)
     gam2 = 1.0 + _RGAMMA_C2 * mu2
     return gam1, gam2
+
+
+def _gamma_m1_over(nu: float) -> float:
+    """(Gamma(1+nu) - 1) / nu for 0 < |nu| <= 1/2.
+
+    From the Taylor series of 1/Gamma(1+nu), so 1 + nu is never formed:
+    rounding it would cost 1e-16 / |nu| relative.
+    """
+    s = 0.0
+    for c in reversed(_RGAMMA_TAYLOR):
+        s = s * nu + c
+    # s = (1/Gamma(1+nu) - 1) / nu
+    return -s / (1.0 + nu * s)
 
 
 def _temme_k(mu: float, z: float) -> tuple[float, float]:
@@ -199,6 +220,9 @@ def regularized_gamma_q(nu: float, x: float) -> float:
     if x == 0.0:
         return 1.0
     if x < nu + 1.0:
+        if nu < 0.5:
+            # 1 - P cancels as nu -> 0, where Q -> nu E1(x)
+            return _upper_small_nu(nu, x) / math.gamma(nu)
         return 1.0 - _lower_p_series(nu, x)
     h = _upper_cf_factor(nu, x)
     arg = -x + nu * math.log(x) - math.lgamma(nu)
@@ -220,15 +244,15 @@ def _e1(x: float) -> float:
     raise RuntimeError("E1 series did not converge")
 
 
-def _upper_small_x_neg_nu(nu: float, x: float) -> float:
-    """Gamma(nu, x) for -1/2 < nu < 0 and 0 < x < 1.
+def _upper_small_nu(nu: float, x: float) -> float:
+    """Gamma(nu, x) for 0 < |nu| < 1/2 and 0 < x < max(1, nu + 1).
 
     Pairs the Gamma(nu) pole with the k = 0 series term so the
     cancellation near nu = 0 happens analytically:
     Gamma(nu,x) = [ (Gamma(1+nu)-1) - (x^nu - 1) ] / nu - x^nu * S,
     S = sum_{k>=1} (-x)^k / (k! (nu+k)).
     """
-    g = (math.expm1(math.lgamma(1.0 + nu)) - math.expm1(nu * math.log(x))) / nu
+    g = _gamma_m1_over(nu) - math.expm1(nu * math.log(x)) / nu
     xs = math.pow(x, nu)
     term = 1.0
     s = 0.0
@@ -247,7 +271,8 @@ def upper_incomplete_gamma(nu: float, x):
     At x = 0 this is Gamma(nu) and requires nu > 0. Negative indices are
     reached by one step of the downward recurrence
     Gamma(nu, x) = (Gamma(nu+1, x) - x^nu e^(-x)) / nu, which is benign
-    for nu <= -1/2; nearer zero a paired series avoids the 0/0.
+    for nu <= -1/2; for 0 < |nu| < 1/2 and small x a paired series avoids
+    the 0/0 on both sides of zero.
 
     A numpy array x is evaluated by the same branches in whole-array
     passes (see _upper_gamma_array) and gives an array; a number gives a
@@ -268,15 +293,17 @@ def upper_incomplete_gamma(nu: float, x):
             raise ValueError("upper_incomplete_gamma: x = 0 needs nu > 0")
         return math.gamma(nu)
     if nu > 0.0:
-        if x < nu + 1.0:
-            return math.gamma(nu) * (1.0 - _lower_p_series(nu, x))
-        return _upper_cf(nu, x)
+        if x >= nu + 1.0:
+            return _upper_cf(nu, x)
+        if nu < 0.5:
+            return _upper_small_nu(nu, x)
+        return math.gamma(nu) * (1.0 - _lower_p_series(nu, x))
     if nu == 0.0:
         return _e1(x)
     if x >= 1.0:
         return _upper_cf(nu, x)
     if nu > -0.5:
-        return _upper_small_x_neg_nu(nu, x)
+        return _upper_small_nu(nu, x)
     up1 = _e1(x) if nu == -1.0 else math.gamma(nu + 1.0) * (1.0 - _lower_p_series(nu + 1.0, x))
     return (up1 - math.pow(x, nu) * math.exp(-x)) / nu
 
@@ -368,8 +395,8 @@ def _e1_series_array(x: np.ndarray) -> np.ndarray:
     return _iterate(x, [-_EULER_GAMMA - _libm(math.log, x), np.ones_like(x)], step, "E1 series")
 
 
-def _upper_small_x_neg_nu_array(nu: float, x: np.ndarray) -> np.ndarray:
-    """Array _upper_small_x_neg_nu: Gamma(nu, x) for -1/2 < nu < 0, 0 < x < 1."""
+def _upper_small_nu_array(nu: float, x: np.ndarray) -> np.ndarray:
+    """Array _upper_small_nu: Gamma(nu, x) for 0 < |nu| < 1/2, 0 < x < max(1, nu + 1)."""
     def step(k, x, s, term):
         term *= -x / k
         delta = term / (nu + k)
@@ -378,7 +405,7 @@ def _upper_small_x_neg_nu_array(nu: float, x: np.ndarray) -> np.ndarray:
 
     s = _iterate(x, [np.zeros_like(x), np.ones_like(x)], step,
                  "incomplete gamma small-x series")
-    g = (math.expm1(math.lgamma(1.0 + nu)) - _libm(math.expm1, nu * _libm(math.log, x))) / nu
+    g = _gamma_m1_over(nu) - _libm(math.expm1, nu * _libm(math.log, x)) / nu
     return g - _libm(lambda v: math.pow(v, nu), x) * s
 
 
@@ -404,12 +431,12 @@ def _upper_gamma_array(nu: float, x: np.ndarray) -> np.ndarray:
     out[cf] = _upper_cf_array(nu, x[cf])
     near = ~cf & ~zero
     xs = x[near]
-    if nu > 0.0:
+    if 0.0 < abs(nu) < 0.5:
+        out[near] = _upper_small_nu_array(nu, xs)
+    elif nu > 0.0:
         out[near] = math.gamma(nu) * (1.0 - _lower_p_series_array(nu, xs))
     elif nu == 0.0:
         out[near] = _e1_series_array(xs)
-    elif nu > -0.5:
-        out[near] = _upper_small_x_neg_nu_array(nu, xs)
     else:
         up1 = (_e1_series_array(xs) if nu == -1.0 else
                math.gamma(nu + 1.0) * (1.0 - _lower_p_series_array(nu + 1.0, xs)))

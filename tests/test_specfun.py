@@ -97,6 +97,25 @@ def test_upper_incomplete_gamma_against_mpmath_grid():
     assert worst <= 1e-12
 
 
+def test_incomplete_gamma_near_nu_zero_against_mpmath():
+    # 0 < |nu| < 1/2 at small x pairs the Gamma(nu) pole with the first
+    # series term and takes (Gamma(1+nu) - 1)/nu from a Taylor series, so
+    # nothing cancels on either side of nu = 0
+    for nu in (1e-10, -1e-10, 1e-8, -1e-8, 1e-4, -1e-4, 0.1, -0.1, 0.3, 0.49):
+        for x in (0.001, 0.5, 0.999, 1.0, 1.0 + abs(nu) / 2.0):
+            want = mpmath.gammainc(mpmath.mpf(nu), x)
+            assert specfun.upper_incomplete_gamma(nu, x) == pytest.approx(
+                float(want), rel=1e-12, abs=0.0)
+            if nu > 0.0:
+                want_q = mpmath.gammainc(mpmath.mpf(nu), x, regularized=True)
+                assert specfun.regularized_gamma_q(nu, x) == pytest.approx(
+                    float(want_q), rel=1e-12, abs=0.0)
+    for nu in np.concatenate([np.geomspace(1e-12, 0.5, 40), -np.geomspace(1e-12, 0.5, 40)]):
+        nu = float(nu)
+        want = (mpmath.gamma(1 + mpmath.mpf(nu)) - 1) / nu
+        assert specfun._gamma_m1_over(nu) == pytest.approx(float(want), rel=1e-14, abs=0.0)
+
+
 def test_upper_incomplete_gamma_closed_forms():
     # Gamma(1, x) = exp(-x); Gamma(1/2, 0) = sqrt(pi)
     assert specfun.upper_incomplete_gamma(1.0, 0.5) == pytest.approx(math.exp(-0.5), rel=1e-13)
@@ -128,7 +147,7 @@ def test_upper_incomplete_gamma_domain_errors():
             specfun.upper_incomplete_gamma(nu, np.array([1.0, 0.0]))
 
 
-ARRAY_INDICES = [2.5, 0.5, 0.0, -0.25, -0.5, -0.75, -1.0]
+ARRAY_INDICES = [2.5, 0.5, 0.25, 0.0, -0.25, -0.5, -0.75, -1.0]
 
 
 def test_upper_incomplete_gamma_array_matches_scalar():
