@@ -170,6 +170,10 @@ def _cmd_fit(args) -> int:
 
 def _cmd_gof(args) -> int:
     table = read_frequency_csv(args.data)
+    if resolve_truncation(args.nu, args.alpha, args.truncated) and table.support[0] == 0:
+        # the expected column is scaled by M, which would count these sources
+        raise ValueError(f"a zero-truncated model gives j = 0 no mass, but the data has "
+                         f"{int(table.mult[0])} sources in its j = 0 row")
     params = _params_from(args, table)
     fitted = int(args.theta is None)
     # bins j_lo .. j_hi - 1, then the open bin from the largest value j_hi

@@ -248,6 +248,16 @@ def test_exit_codes(tmp_path, capsys):
             assert main([cmd, "--data", str(data), "--nu", "-0.5", "--alpha", "2",
                          "--theta", "0.99"]) == 1
             assert capsys.readouterr() == ("", line)
+    # a zero-truncated model cannot be tested on data with a j = 0 row,
+    # whether truncation is automatic (alpha = 0, nu <= 0) or asked for
+    with_zeros = tmp_path / "with_zeros.csv"
+    with_zeros.write_text("j,count\n0,7\n1,10\n2,4\n5,1\n")
+    for flags in (["--nu", "-0.5", "--alpha", "0"],
+                  ["--nu", "0.5", "--alpha", "2", "--truncated"],
+                  ["--nu", "0.5", "--alpha", "2", "--truncated", "--theta", "0.9"]):
+        assert main(["gof", "--data", str(with_zeros)] + flags) == 1
+        assert capsys.readouterr() == ("", "error: a zero-truncated model gives j = 0 no "
+                                           "mass, but the data has 7 sources in its j = 0 row\n")
     # argparse --help raises SystemExit(0), which main maps to success
     assert main(["--help"]) == 0
 
