@@ -27,8 +27,8 @@ from .specfun import bessel_k_ratio, log_bessel_k
 _LOG_TAIL_EPS = math.log(1e-15)
 _MAX_SUPPORT = 2_000_000
 _J_WINDOW = 12  # forward steps that settle a crude Bessel ratio seed
-# a GIG rejection round draws need + need // _GIG_SPARE_DIV + _GIG_SPARE_MIN
-# candidates for the need values still missing
+# a GIG rejection round draws need // 4 + 8 spare candidates beyond the
+# need values still missing
 _GIG_SPARE_DIV, _GIG_SPARE_MIN = 4, 8
 
 
@@ -527,11 +527,11 @@ def _gig_rvs(rng: np.random.Generator, p: float, a: float, b: float,
     """GIG(p, a, b) variates, density ~ x^(p-1) exp(-(a x + b / x) / 2).
 
     Devroye's rejection scheme for the two-parameter version, a, b > 0.
-    Each round draws need + need // 4 + 8 candidates for the need values
-    still missing and keeps the first need accepted ones, in order:
-    accepted candidates are iid from the target whatever their count, so
-    stopping at need does not bias them, and at acceptance rates of
-    0.85-0.90 one round nearly always fills the batch.
+    Each round oversamples the need values still missing and keeps the
+    first need accepted candidates, in order: accepted candidates are iid
+    from the target whatever their count, so stopping at need does not
+    bias them, and at acceptance rates of 0.85-0.90 one round nearly
+    always fills the batch.
     """
     lam, alpha_d, q, td, sd, rr, pp, u_mid, u_right, sign, scale = _gig_envelope(p, a, b)
     out = np.empty(size)
