@@ -3,8 +3,9 @@
 The alpha > 0 pmf is checked against a direct mpmath evaluation of the
 Bessel formula, the mixing density against the pmf by numerical
 integration (two independent routes), the ccdf against an mpmath GIG
-mixture of Poisson tails, and the closed-form families against their
-textbook expressions.
+mixture of Poisson tails, the GIG sampler against scipy's geninvgauss
+and an mpmath cdf, and the closed-form families against their textbook
+expressions.
 """
 
 import math
