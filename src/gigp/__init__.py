@@ -19,10 +19,9 @@ from .fitgof import (GofReport, TailFit, alpha_from_b, estimate_theta,
                      pointwise_z_test)
 from .partition import (KAPPA, PartitionConfig, calibrate, partition_shape,
                         sample_partition)
-from .shape import (PointRecord, ScalingPair, ShapeReport, classify_regime,
-                    expected_shape_deviation, limit_cov, limit_shape,
-                    scaling_a, scaling_b, sup_distance, tail_transform,
-                    upsilon)
+from .shape import (ScalingPair, ShapeReport, classify_regime, expected_shape_deviation,
+                    limit_cov, limit_shape, scaling_a, scaling_b, sup_distance,
+                    tail_transform, upsilon)
 from .specfun import (bessel_k_ratio, chi2_sf, log_bessel_k, normal_cdf,
                       regularized_gamma_q, upper_incomplete_gamma)
 
@@ -34,7 +33,7 @@ __all__ = [
     "tail_pmf_asymptotic", "sample", "sample_values",
     "FrequencyTable", "YoungBoundary", "table_from_sample", "young_y",
     "scaled_y", "boundary_moments", "martingale_w",
-    "ScalingPair", "PointRecord", "ShapeReport", "scaling_a", "scaling_b",
+    "ScalingPair", "ShapeReport", "scaling_a", "scaling_b",
     "classify_regime", "limit_shape", "upsilon", "limit_cov",
     "tail_transform", "sup_distance", "expected_shape_deviation",
     "PoissonApprox", "poisson_rate", "increment_rates", "integrated_rate",

@@ -21,8 +21,8 @@ import numpy as np
 from .chaotic import poisson_gof_experiment, poisson_rate
 from .diagram import FrequencyTable
 from .distribution import GigpParams, ccdf, pmf, resolve_truncation, sample, validate
-from .fitgof import (alpha_from_b, estimate_theta, fit_tail_line, pearson_chi2,
-                     tail_points)
+from .fitgof import (_check_zero_row, alpha_from_b, estimate_theta, fit_tail_line,
+                     pearson_chi2, tail_points)
 from .partition import calibrate, partition_shape, sample_partition
 from .shape import classify_regime, limit_shape, scaling_b, sup_distance
 
@@ -98,6 +98,7 @@ def _write(args, cfg: dict, result: dict, header: Sequence[str], rows) -> int:
 def _params_from(args, table: FrequencyTable | None = None) -> GigpParams:
     """The model the flags name; without --theta, theta matches the table's mean."""
     truncated = resolve_truncation(args.nu, args.alpha, args.truncated)
+    _check_zero_row(table, truncated)
     theta = args.theta
     if theta is None:
         theta = estimate_theta(args.nu, args.alpha, table, truncated)
@@ -130,15 +131,12 @@ def _cmd_shape(args) -> int:
     if not args.delta > 0.0:
         raise ValueError("--delta must be positive")
     table = sample(params, args.seed, args.m)
-    pair = scaling_b(params, args.m)
-    report = sup_distance(table, pair, params.nu, args.delta,
-                          params=params, m_sources=args.m)
     cfg = _config_echo(args, ["m", "seed", "delta", "format"], params, args.m)
     if args.format == "svg":
-        _emit(_shape_svg(table, params, args.m, pair, cfg), args.out)
+        _emit(_shape_svg(table, params, cfg), args.out)
         return 0
-    # the point keys are PointRecord's fields, in this order
-    points = [vars(r) for r in report.pointwise]
+    report = sup_distance(table, params, args.delta)
+    points = report.pointwise
     result = {"delta": report.delta, "sup_distance": report.sup_distance,
               "pointwise": points}
     return _write(args, cfg, result, ["x", "y_scaled", "phi", "upsilon", "msd"],
@@ -170,10 +168,6 @@ def _cmd_fit(args) -> int:
 
 def _cmd_gof(args) -> int:
     table = read_frequency_csv(args.data)
-    if resolve_truncation(args.nu, args.alpha, args.truncated) and table.support[0] == 0:
-        # the expected column is scaled by M, which would count these sources
-        raise ValueError(f"a zero-truncated model gives j = 0 no mass, but the data has "
-                         f"{int(table.mult[0])} sources in its j = 0 row")
     params = _params_from(args, table)
     fitted = int(args.theta is None)
     # bins j_lo .. j_hi - 1, then the open bin from the largest value j_hi
@@ -250,7 +244,8 @@ def _pane(points_sets, x_rng, y_rng, origin, size):
     return frame + "".join(paths)
 
 
-def _shape_svg(table, params: GigpParams, m: int, pair, cfg: dict) -> str:
+def _shape_svg(table, params: GigpParams, cfg: dict) -> str:
+    pair = scaling_b(params, table.M)
     boundary = table.boundary()
     j_max = int(boundary.support[-1]) if len(boundary.support) else 1
     # left pane: data step, model ccdf, scaled-back limit shape
@@ -261,7 +256,7 @@ def _shape_svg(table, params: GigpParams, m: int, pair, cfg: dict) -> str:
         steps.append((float(j), float(y)))
         prev_y = float(y)
     ts = j_max * np.arange(1, 201) / 200.0
-    model = list(zip(ts.tolist(), (m * ccdf(params, ts)).tolist()))
+    model = list(zip(ts.tolist(), (table.M * ccdf(params, ts)).tolist()))
     shape_y = (pair.b * limit_shape(params.nu, ts / pair.a)).tolist()
     shape_curve = list(zip(ts.tolist(), shape_y))
     y_top = max(table.M, max(shape_y)) * 1.05

@@ -35,7 +35,7 @@ class YoungBoundary:
 _INT64_MAX = 2 ** 63 - 1
 
 
-def _int64_column(values: list, what: str) -> np.ndarray:
+def _int64_column(values, what: str) -> np.ndarray:
     """values as an int64 array; ValueError unless each is an integer in [0, 2**63)."""
     arr = np.asarray(values)
     if arr.dtype.kind == "f":
@@ -102,16 +102,11 @@ class FrequencyTable:
 
 def table_from_sample(values: Iterable[int]) -> FrequencyTable:
     """Aggregate raw draws into a frequency table."""
-    arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values)
+    arr = _int64_column(values if isinstance(values, np.ndarray) else list(values), "values")
     if arr.size == 0:
         raise ValueError("values must be nonempty")
-    if not np.issubdtype(arr.dtype, np.integer):
-        if not np.all(arr == np.floor(arr)):
-            raise ValueError("values must be integers")
-    if arr.min() < 0:
-        raise ValueError("values must be nonnegative")
     uniq, mult = np.unique(arr, return_counts=True)
-    return FrequencyTable._from_sorted(uniq.astype(np.int64), mult.astype(np.int64))
+    return FrequencyTable._from_sorted(uniq, mult.astype(np.int64))
 
 
 def young_y(table: FrequencyTable, x: float) -> int:

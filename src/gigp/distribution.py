@@ -298,15 +298,21 @@ def ccdf(params: GigpParams, x):
     """Upper tail F-bar(x) = P(X >= x) = 1 - sum_{j < x} f_j.
 
     x is a number, which gives a float, or an array of them, which gives
-    an array of the same shape from one table lookup.
+    an array of the same shape from one table lookup. Like pmf, ccdf grows
+    the table past the largest x, so its value does not depend on earlier
+    calls; where f_j underflows it reads 0 and grows nothing.
     """
     validate(params)
     xs = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xs)):
         raise ValueError("x must be finite")
+    j = np.maximum(np.ceil(xs), 0.0)
     t = _tables(params)
-    j = np.clip(np.ceil(xs), 0, t.jmax + 1).astype(np.intp)
-    out = t.sf[j]
+    # 16 A past x the tail estimate is ~e^-16 of P(X >= x); f_j falls ~theta per step
+    need = float(j.max(initial=0.0)) - 16.0 / math.log(params.theta)
+    if need > t.jmax and t.logf[-1] + (need - t.jmax) * math.log(params.theta) > -745.0:
+        t = _tables(params, math.ceil(need))
+    out = t.sf[np.minimum(j, t.jmax + 1).astype(np.intp)]
     return float(out) if out.ndim == 0 else out
 
 

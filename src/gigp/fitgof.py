@@ -12,8 +12,8 @@ from typing import Sequence
 import numpy as np
 
 from .diagram import FrequencyTable
-from .distribution import GigpParams, theta_from_mean
-from .shape import ScalingPair, classify_regime, tail_transform, upsilon
+from .distribution import GigpParams, resolve_truncation, theta_from_mean
+from .shape import classify_regime, scaling_b, tail_transform, upsilon
 from .specfun import chi2_sf, normal_cdf
 
 
@@ -105,13 +105,21 @@ def alpha_from_b(nu: float, theta: float, m_sources: int, b_hat: float) -> float
     return 2.0 * math.pow(base, -1.0 / (2.0 * nu))
 
 
+def _check_zero_row(table: FrequencyTable | None, zero_truncated: bool) -> None:
+    """ValueError when a zero-truncated model meets a table with a j = 0 row."""
+    if zero_truncated and table is not None and table.support[0] == 0:
+        raise ValueError(f"a zero-truncated model gives j = 0 no mass, but the data has "
+                         f"{int(table.mult[0])} sources in its j = 0 row")
+
+
 def estimate_theta(nu: float, alpha: float, table: FrequencyTable,
                    zero_truncated: bool | None = None) -> float:
     """theta matching the sample mean N/M at fixed nu, alpha."""
     if table.M < 1:
         raise ValueError("table has no sources")
-    eta_hat = table.N / table.M
-    return theta_from_mean(nu, alpha, eta_hat, zero_truncated)
+    zero_truncated = resolve_truncation(nu, alpha, zero_truncated)
+    _check_zero_row(table, zero_truncated)
+    return theta_from_mean(nu, alpha, table.N / table.M, zero_truncated)
 
 
 def _merge_two(bins: list[list], i: int) -> None:
@@ -175,17 +183,17 @@ def pearson_chi2(observed: Sequence[int], expected: Sequence[float],
     return GofReport(stat, df, chi2_sf(stat, df), out)
 
 
-def pointwise_z_test(table: FrequencyTable, params: GigpParams, m_sources: int,
-                     pair: ScalingPair, x: float) -> tuple[float, float, float]:
+def pointwise_z_test(table: FrequencyTable, params: GigpParams,
+                     x: float) -> tuple[float, float, float]:
     """(z, two_sided_p, one_sided_p) for the deviation of Y-tilde(x) from the model.
 
-    z is the fluctuation statistic, asymptotically standard normal in
-    the regular regime; the one-sided p is the lower tail P(Z <= z).
+    z is upsilon(table, params, x), asymptotically standard normal in the
+    regular regime; the one-sided p is the lower tail P(Z <= z).
     """
-    if classify_regime(pair) == "chaotic":
+    if classify_regime(scaling_b(params, table.M)) == "chaotic":
         warnings.warn("B is below the regular-regime threshold; "
                       "the normal approximation may be poor", stacklevel=2)
-    z = upsilon(table, params, m_sources, pair, x)
+    z = upsilon(table, params, x)
     return z, 2.0 * normal_cdf(-abs(z)), normal_cdf(z)
 
 

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .diagram import FrequencyTable, young_y
+from .diagram import FrequencyTable
 from .distribution import GigpParams, ccdf, validate
 from .specfun import upper_incomplete_gamma
 
@@ -26,20 +26,23 @@ class ScalingPair:
     case_label: str  # one of a (nu>0), b (nu=0), c (nu<0, alpha>0), d (nu<0, alpha=0)
 
 
-@dataclass(frozen=True)
-class PointRecord:
-    x: float
-    y_scaled: float
-    phi: float
-    upsilon: float | None = None
-    msd: float | None = None
-
-
-@dataclass
+@dataclass(eq=False)
 class ShapeReport:
+    """sup_distance's result: the sup and one float64 column per point, in increasing x."""
     delta: float
     sup_distance: float
-    pointwise: list[PointRecord]
+    x: np.ndarray
+    y_scaled: np.ndarray
+    phi: np.ndarray
+    upsilon: np.ndarray  # NaN where phi underflows to 0
+    msd: np.ndarray
+
+    @property
+    def pointwise(self) -> list[dict]:
+        """One dict per point, keys x, y_scaled, phi, upsilon, msd, None for a NaN."""
+        cols = (self.x, self.y_scaled, self.phi, self.upsilon, self.msd)
+        return [{"x": x, "y_scaled": y, "phi": p, "upsilon": None if math.isnan(u) else u,
+                 "msd": s} for x, y, p, u, s in zip(*(c.tolist() for c in cols))]
 
 
 def limit_shape(nu: float, x):
@@ -84,17 +87,26 @@ def classify_regime(pair: ScalingPair, threshold: float = 50.0) -> str:
     return "regular" if pair.b >= threshold else "chaotic"
 
 
-def upsilon(table: FrequencyTable, params: GigpParams, m_sources: int,
-            pair: ScalingPair, x: float) -> float:
-    """The fluctuation statistic sqrt(B/phi) (Y-tilde(x) - M F-bar(A x)/B)."""
+def _fluctuation(table: FrequencyTable, params: GigpParams, x, j):
+    """(phi, Y-tilde, F-bar, Upsilon = sqrt(B/phi) (Y-tilde - M F-bar/B)) at x,
+    Y and F-bar read at j = A x (the integer at a jump); Upsilon NaN where phi is 0."""
+    b = scaling_b(params, table.M).b
+    phi = upper_incomplete_gamma(params.nu, x)
+    y_scaled = table.boundary().at(j) / b
+    fbar = ccdf(params, j)
+    ups = np.sqrt(b / np.where(phi > 0.0, phi, np.nan)) * (y_scaled - table.M * fbar / b)
+    return phi, y_scaled, fbar, ups
+
+
+def upsilon(table: FrequencyTable, params: GigpParams, x: float) -> float:
+    """The fluctuation statistic sqrt(B/phi) (Y-tilde(x) - M F-bar(A x)/B),
+    with M = table.M and (A, B) = scaling_b(params, M)."""
     if not x > 0.0:
         raise ValueError("x must be positive")
-    phi = upper_incomplete_gamma(params.nu, x)
+    phi, _, _, ups = _fluctuation(table, params, x, scaling_a(params.theta) * x)
     if phi <= 0.0:
         raise ValueError("phi_nu(x) underflowed; x is too deep in the tail")
-    y_scaled = young_y(table, pair.a * x) / pair.b
-    mean_scaled = m_sources * ccdf(params, pair.a * x) / pair.b
-    return math.sqrt(pair.b / phi) * (y_scaled - mean_scaled)
+    return float(ups)
 
 
 def limit_cov(nu: float, x: float, x2: float) -> float:
@@ -116,50 +128,35 @@ def tail_transform(points: Sequence[tuple[float, float]]) -> list[tuple[float, f
     return out
 
 
-def sup_distance(table: FrequencyTable, pair: ScalingPair, nu: float, delta: float,
-                 params: GigpParams | None = None,
-                 m_sources: int | None = None) -> ShapeReport:
+def sup_distance(table: FrequencyTable, params: GigpParams, delta: float) -> ShapeReport:
     """sup over x >= delta of |Y-tilde(x) - phi_nu(x)| on the exact jump grid.
 
-    Both one-sided limits of the step function enter at each jump, so
-    the sup is exact, not a dense-grid approximation. When params and
-    m_sources are given, the pointwise records also carry the
-    fluctuation statistic and the mean squared deviation
+    M = table.M, (A, B) = scaling_b(params, M) and nu = params.nu. Both
+    one-sided limits of the step function enter at each jump, so the sup
+    is exact, not a dense-grid approximation. The report also carries,
+    per point, the fluctuation statistic and the mean squared deviation
     Var(Y-tilde) + bias^2, with the model mean M F-bar(j)/B read at the
     same integer j as Y(j). Every column is one whole-array pass.
     """
     if not delta > 0.0:
         raise ValueError("delta must be positive")
-    a, b = pair.a, pair.b
-    boundary = table.boundary()
-    support = boundary.support
-    suffix = boundary.suffix
+    pair = scaling_b(params, table.M)
+    a, b, m = pair.a, pair.b, table.M
+    support, suffix = table.boundary().support, table.boundary().suffix
 
     # the point x = delta, then each jump x_k = j/A >= delta (so j >= 1)
     # with Y at the jump (mass at j included) and its right limit
     jump_x = support / a
     k0 = int(np.searchsorted(jump_x, delta, side="left"))
-    y_delta = float(boundary.at(a * delta))
     xs = np.concatenate(([delta], jump_x[k0:]))
-    upper = np.concatenate(([y_delta], suffix[k0:-1])).astype(float)
-    lower = np.concatenate(([y_delta], suffix[k0 + 1:])).astype(float)
-
-    phi = upper_incomplete_gamma(nu, xs)
-    y_scaled = upper / b
-    dev = np.maximum(np.abs(y_scaled - phi), np.abs(lower / b - phi))
+    phi, y_scaled, fbar, ups = _fluctuation(
+        table, params, xs, np.concatenate(([a * delta], support[k0:])))
+    lower = np.concatenate(([y_scaled[0]], suffix[k0 + 1:] / b))
+    dev = np.maximum(np.abs(y_scaled - phi), np.abs(lower - phi))
     sup = max(0.0, float(dev.max()))
-    ups = msd = [None] * len(xs)
-    if params is not None and m_sources is not None:
-        fbar = ccdf(params, np.concatenate(([a * delta], support[k0:])))
-        mean_scaled = m_sources * fbar / b
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ups_arr = np.sqrt(b / phi) * (y_scaled - mean_scaled)
-        ups = [u if p > 0.0 else None for u, p in zip(ups_arr.tolist(), phi.tolist())]
-        bias = mean_scaled - phi
-        msd = (m_sources * fbar * (1.0 - fbar) / (b * b) + bias * bias).tolist()
-    pointwise = [PointRecord(*rec) for rec in
-                 zip(xs.tolist(), y_scaled.tolist(), phi.tolist(), ups, msd)]
-    return ShapeReport(delta, sup, pointwise)
+    bias = m * fbar / b - phi
+    msd = m * fbar * (1.0 - fbar) / (b * b) + bias * bias
+    return ShapeReport(delta, sup, xs, y_scaled, phi, ups, msd)
 
 
 def expected_shape_deviation(params: GigpParams, xs: Sequence[float]) -> float:

@@ -175,10 +175,9 @@ def test_criterion_07_monte_carlo_sup_distance():
         table = sample(params, 20260814 + s, m)
         hits_mean += _mean_sup_dev(table, params, m, pair, delta) < 0.15
     params = GigpParams(0.5, 2.0, 0.999)
-    pair = scaling_b(params, m)
     for s in range(100):
         table = sample(params, 20260814 + s, m)
-        rep = sup_distance(table, pair, params.nu, delta)
+        rep = sup_distance(table, params, delta)
         hits_shape += rep.sup_distance < 0.15
     assert time.perf_counter() - t0 < 120.0
     assert hits_mean >= 90, f"sup |Y-tilde - mean| < 0.15 in only {hits_mean}/100 seeds"
@@ -189,13 +188,12 @@ def test_criterion_08_fluctuation_normality_and_covariance():
     t0 = time.perf_counter()
     params = GigpParams(0.5, 2.0, 0.99)
     m = 5000
-    pair = scaling_b(params, m)
     rng = np.random.default_rng(20260814)
     u1, u2 = [], []
     for _ in range(500):
         table = sample(params, rng, m)
-        u1.append(upsilon(table, params, m, pair, 1.0))
-        u2.append(upsilon(table, params, m, pair, 2.0))
+        u1.append(upsilon(table, params, 1.0))
+        u2.append(upsilon(table, params, 2.0))
     _, p_value = ks_normality(u1)
     assert p_value > 0.01
     corr = float(np.corrcoef(u1, u2)[0, 1])
@@ -295,5 +293,5 @@ def test_criterion_11_chen_pointwise_z():
     x = 100.0 / scaling_a(0.99369)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # B ~ 27 sits in the chaotic range
-        z, _, _ = pointwise_z_test(table, params, 138, x)
+        z, _, _ = pointwise_z_test(table, params, x)
     assert z == pytest.approx(-3.413073, abs=1e-3)

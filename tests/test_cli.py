@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line surface."""
 
+import hashlib
 import json
 import math
 
@@ -39,6 +40,19 @@ def test_shape_outputs_are_deterministic(tmp_path):
     c = _run_to_file(tmp_path, "c.svg", SHAPE_ARGS + ["--format", "svg"])
     d = _run_to_file(tmp_path, "d.svg", SHAPE_ARGS + ["--format", "svg"])
     assert c.read_bytes() == d.read_bytes()
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("json", "41324ef6aac7d4752b40f4ccb30a31bffbfa3573898c15c3e2334ec14a167cc5"),
+    ("csv", "1b08d750f279f09cf6da7ae20eef92c86dd463bf435f2b15e9bacf7b01e78b8c"),
+])
+def test_shape_output_bytes_are_pinned(tmp_path, fmt, digest):
+    # alpha = 0 draws come from the pmf table, so this stream is stable and
+    # the document's bytes can be pinned
+    args = ["shape", "--nu", "-0.5", "--alpha", "0", "--theta", "0.99",
+            "--m", "1000", "--seed", "1", "--format", fmt]
+    out = _run_to_file(tmp_path, "pinned." + fmt, args)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 MODEL = ["--nu", "-0.5", "--alpha", "2", "--theta", "0.99"]
@@ -248,16 +262,20 @@ def test_exit_codes(tmp_path, capsys):
             assert main([cmd, "--data", str(data), "--nu", "-0.5", "--alpha", "2",
                          "--theta", "0.99"]) == 1
             assert capsys.readouterr() == ("", line)
-    # a zero-truncated model cannot be tested on data with a j = 0 row,
-    # whether truncation is automatic (alpha = 0, nu <= 0) or asked for
+    # a zero-truncated model cannot be fitted or tested on data with a
+    # j = 0 row, whether truncation is automatic (alpha = 0, nu <= 0) or
+    # asked for, and whether theta is given or estimated
     with_zeros = tmp_path / "with_zeros.csv"
     with_zeros.write_text("j,count\n0,7\n1,10\n2,4\n5,1\n")
-    for flags in (["--nu", "-0.5", "--alpha", "0"],
-                  ["--nu", "0.5", "--alpha", "2", "--truncated"],
-                  ["--nu", "0.5", "--alpha", "2", "--truncated", "--theta", "0.9"]):
-        assert main(["gof", "--data", str(with_zeros)] + flags) == 1
-        assert capsys.readouterr() == ("", "error: a zero-truncated model gives j = 0 no "
-                                           "mass, but the data has 7 sources in its j = 0 row\n")
+    for cmd in ("gof", "fit"):
+        for flags in (["--nu", "-0.5", "--alpha", "0"],
+                      ["--nu", "-0.5", "--alpha", "0", "--theta", "0.9"],
+                      ["--nu", "0.5", "--alpha", "2", "--truncated"],
+                      ["--nu", "0.5", "--alpha", "2", "--truncated", "--theta", "0.9"]):
+            assert main([cmd, "--data", str(with_zeros)] + flags) == 1
+            assert capsys.readouterr() == ("", "error: a zero-truncated model gives j = 0 no "
+                                               "mass, but the data has 7 sources in its j = 0 "
+                                               "row\n")
     # argparse --help raises SystemExit(0), which main maps to success
     assert main(["--help"]) == 0
 

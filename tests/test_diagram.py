@@ -57,8 +57,9 @@ def test_frequency_table_validation():
         FrequencyTable({1: -2})
     with pytest.raises(ValueError):
         table_from_sample([1, -2])
-    with pytest.raises(ValueError):
-        table_from_sample([1.5])
+    for bad in ([1.5], [1.0, math.inf], [1.0, math.nan], [1.0, 2.0 ** 64], [2 ** 64]):
+        with pytest.raises(ValueError):
+            table_from_sample(bad)
     with pytest.raises(ValueError):
         table_from_sample([])
     t = FrequencyTable({1: 2, 3: 0})

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from gigp import diagram
+from gigp import diagram, distribution
 from gigp.distribution import (GigpParams, _bessel_ratios, _gig_envelope, _gig_rvs,
                                _sample_values_rng, _tables, ccdf, cdf, gig_density, log_pmf, mean_asymptotic, mean_exact,
                                pmf, resolve_truncation, sample, sample_values,
@@ -100,6 +100,24 @@ def test_ccdf_deep_tail_against_bessel_sum():
                 # up to the cut the error is what the geometric tail misses
                 assert abs(ccdf(p, j) - float(tail)) < 1e-17
         assert checked > 10
+
+
+def test_ccdf_does_not_depend_on_earlier_calls():
+    # at gof's estimated theta on a 1e5-source table the fresh table stops
+    # at j = 3023; ccdf past it read 0 until a pmf call had grown the table
+    theta = 0.98908835
+    p = GigpParams(0.5, 0.0, theta)
+    want = stats.nbinom.sf(5999, 0.5, 1.0 - theta)
+    distribution._CACHE.clear()
+    before = ccdf(p, 6000)
+    pmf(p, np.arange(8331))
+    after = ccdf(p, 6000)
+    for got in (before, after):
+        assert got > 0.0 and got == pytest.approx(want, rel=1e-10, abs=0.0)
+    assert ccdf(p, 8331) == pytest.approx(stats.nbinom.sf(8330, 0.5, 1.0 - theta),
+                                          rel=1e-10, abs=0.0)
+    # where P(X >= x) underflows the table is not grown, and reads 0
+    assert ccdf(p, 1e9) == 0.0
 
 
 def test_bessel_ratios_match_the_sequential_recurrence():

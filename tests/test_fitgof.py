@@ -150,6 +150,13 @@ def test_estimate_theta_consistency():
 def test_estimate_theta_degenerate():
     with pytest.raises(ValueError):
         estimate_theta(0.5, 0.0, FrequencyTable({}))
+    # a zero-truncated model has no mass at j = 0, so a j = 0 row would
+    # pull the matched mean down; truncation auto (alpha = 0, nu <= 0) or asked
+    with_zeros = FrequencyTable({0: 7, 1: 10, 2: 4, 5: 1})
+    for nu, alpha, truncated in ((-0.5, 0.0, None), (0.5, 2.0, True)):
+        with pytest.raises(ValueError, match="7 sources in its j = 0 row"):
+            estimate_theta(nu, alpha, with_zeros, truncated)
+    assert 0.0 < estimate_theta(0.5, 2.0, with_zeros) < 1.0
 
 
 def test_pearson_chi2_exact_match():
@@ -255,7 +262,7 @@ def test_pointwise_z_test_centered():
     pair = scaling_b(p, 60)
     t = FrequencyTable({1: 40, 2: 12, 3: 8})
     with pytest.warns(UserWarning):  # tiny M keeps B in the chaotic range
-        z, p2, p1 = pointwise_z_test(t, p, 60, pair, 0.5 / pair.a)
+        z, p2, p1 = pointwise_z_test(t, p, 0.5 / pair.a)
     assert z == pytest.approx(0.0, abs=1e-12)
     assert p2 == pytest.approx(1.0, abs=1e-12)
     assert p1 == pytest.approx(0.5, abs=1e-12)
@@ -264,13 +271,12 @@ def test_pointwise_z_test_centered():
 def test_pointwise_z_test_null_coverage():
     p = GigpParams(0.5, 2.0, 0.99)
     m = 2000
-    pair = scaling_b(p, m)
     rng = np.random.default_rng(99)
     p2s = []
     zs = []
     for _ in range(200):
         t = table_from_sample(sample_values(p, rng, m))
-        z, p2, _ = pointwise_z_test(t, p, m, pair, 1.0)
+        z, p2, _ = pointwise_z_test(t, p, 1.0)
         zs.append(z)
         p2s.append(p2)
     zs = np.array(zs)
@@ -283,10 +289,9 @@ def test_pointwise_z_test_null_coverage():
 
 def test_pointwise_z_test_warns_in_chaotic_regime():
     p = GigpParams(-0.5, 2.0, 0.99)
-    pair = scaling_b(p, 35)
-    t = FrequencyTable({1: 20, 2: 5})
+    t = FrequencyTable({1: 20, 2: 5, 3: 10})
     with pytest.warns(UserWarning):
-        pointwise_z_test(t, p, 35, pair, 0.2)
+        pointwise_z_test(t, p, 0.2)
 
 
 def test_ks_normality_self_consistency():

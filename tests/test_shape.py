@@ -85,32 +85,58 @@ def test_expected_shape_converges_all_cases():
 
 
 def test_sup_distance_synthetic_exact_curve():
-    # table built so Y(j) = round(B phi_1(j/A)): deviation is discreteness only
-    nu, a, b = 1.0, 20.0, 2000.0
+    # table built so Y(j) = round(B phi_1(j/A)): deviation is discreteness
+    # only; at nu = 1 (case a, alpha = 0) B = M, and the last row holds the
+    # rounded rest of the curve so that M = B
+    nu, a, b = 1.0, 20.0, 2000
+    p = GigpParams(nu, 0.0, math.exp(-1.0 / a))
     heights = [round(b * math.exp(-j / a)) for j in range(0, 140)]
     counts = {j: heights[j] - heights[j + 1] for j in range(139) if heights[j] > heights[j + 1]}
+    counts[139] = heights[139]
     table = FrequencyTable(counts)
-    report = sup_distance(table, ScalingPair(a, b, "a"), nu, delta=0.05)
+    assert table.M == b and scaling_b(p, table.M).b == b
+    report = sup_distance(table, p, delta=0.05)
     # rounding merges sub-unit rungs deep in the tail, so allow a few ulps of B
-    worst_point = max(abs(r.y_scaled - r.phi) for r in report.pointwise)
+    worst_point = float(np.max(np.abs(report.y_scaled - report.phi)))
     assert worst_point <= 3.0 / b
     max_step = max(counts.values())
     assert report.sup_distance <= max_step / b + 3.0 / b
     with pytest.raises(ValueError):
-        sup_distance(table, ScalingPair(a, b, "a"), nu, delta=0.0)
+        sup_distance(table, p, delta=0.0)
 
 
 def test_sup_distance_fills_upsilon_and_msd():
     p = GigpParams(0.5, 2.0, 0.99)
     table = table_from_sample(sample_values(p, 3, 1000))
-    pair = scaling_b(p, 1000)
-    plain = sup_distance(table, pair, p.nu, 0.2)
-    assert all(r.upsilon is None and r.msd is None for r in plain.pointwise)
-    rich = sup_distance(table, pair, p.nu, 0.2, params=p, m_sources=1000)
-    assert rich.sup_distance == plain.sup_distance
-    assert all(r.msd is not None and r.msd >= 0.0 for r in rich.pointwise)
-    r1 = rich.pointwise[0]
-    assert r1.upsilon == pytest.approx(upsilon(table, p, 1000, pair, r1.x), rel=1e-12)
+    rich = sup_distance(table, p, 0.2)
+    assert np.all(rich.msd >= 0.0)
+    assert rich.upsilon[0] == pytest.approx(upsilon(table, p, rich.x[0]), rel=1e-12)
+
+
+def test_shape_report_columns():
+    p = GigpParams(0.5, 2.0, 0.99)
+    report = sup_distance(table_from_sample(sample_values(p, 3, 1000)), p, 0.2)
+    cols = [report.x, report.y_scaled, report.phi, report.upsilon, report.msd]
+    assert all(isinstance(c, np.ndarray) and c.dtype == np.float64 and c.ndim == 1
+               for c in cols)
+    n = len(report.x)
+    assert n > 1 and all(len(c) == n for c in cols)
+    assert len(report.pointwise) == n
+    assert list(report.pointwise[1]) == ["x", "y_scaled", "phi", "upsilon", "msd"]
+    assert list(report.pointwise[1].values()) == [c[1] for c in cols]
+
+
+def test_sup_distance_phi_underflow():
+    # x = 2000/A = 1386.29 is so deep that phi_nu(x) is 0.0: upsilon has
+    # no value there, NaN in its column and None in the per-point view
+    p = GigpParams(0.5, 2.0, 0.5)
+    report = sup_distance(FrequencyTable({0: 99, 2000: 1}), p, 0.2)
+    assert len(report.x) == 2
+    assert report.x[1] == pytest.approx(1386.29, abs=0.01)
+    assert report.phi[1] == 0.0
+    assert math.isnan(report.upsilon[1]) and not math.isnan(report.upsilon[0])
+    assert report.pointwise[1]["upsilon"] is None
+    assert report.pointwise[0]["upsilon"] == report.upsilon[0]
 
 
 def test_sup_distance_reads_model_mean_at_integer_jumps():
@@ -120,17 +146,17 @@ def test_sup_distance_reads_model_mean_at_integer_jumps():
     m = 1000
     table = table_from_sample(sample_values(p, 1, m))
     pair = scaling_b(p, m)
-    report = sup_distance(table, pair, p.nu, 0.2, params=p, m_sources=m)
+    report = sup_distance(table, p, 0.2)
     # the first record sits at x = delta, where Y and the mean are read at
     # ceil(A delta); here that is also the nearest integer
     assert round(0.2 * pair.a) == math.ceil(0.2 * pair.a)
     for r in report.pointwise:
-        fbar = ccdf(p, round(r.x * pair.a))
+        fbar = ccdf(p, round(r["x"] * pair.a))
         mean = m * fbar / pair.b
-        ups = math.sqrt(pair.b / r.phi) * (r.y_scaled - mean)
-        msd = m * fbar * (1.0 - fbar) / (pair.b * pair.b) + (mean - r.phi) ** 2
-        assert r.upsilon == pytest.approx(ups, rel=1e-12, abs=1e-12)
-        assert r.msd == pytest.approx(msd, rel=1e-12, abs=1e-12)
+        ups = math.sqrt(pair.b / r["phi"]) * (r["y_scaled"] - mean)
+        msd = m * fbar * (1.0 - fbar) / (pair.b * pair.b) + (mean - r["phi"]) ** 2
+        assert r["upsilon"] == pytest.approx(ups, rel=1e-12, abs=1e-12)
+        assert r["msd"] == pytest.approx(msd, rel=1e-12, abs=1e-12)
 
 
 def test_upsilon_centered_table_gives_zero():
@@ -140,17 +166,16 @@ def test_upsilon_centered_table_gives_zero():
     pair = scaling_b(p, 60)
     table = FrequencyTable({3: 60})
     x = 0.5 / pair.a
-    assert upsilon(table, p, 60, pair, x) == pytest.approx(0.0, abs=1e-12)
+    assert upsilon(table, p, x) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_upsilon_errors():
     p = GigpParams(0.5, 2.0, 0.9)
-    pair = scaling_b(p, 100)
     table = FrequencyTable({1: 100})
     with pytest.raises(ValueError):
-        upsilon(table, p, 100, pair, 0.0)
+        upsilon(table, p, 0.0)
     with pytest.raises(ValueError):
-        upsilon(table, p, 100, pair, 800.0)  # phi underflows
+        upsilon(table, p, 800.0)  # phi underflows
 
 
 def test_limit_cov_values():
@@ -184,12 +209,11 @@ MC_REPS = 500
 @pytest.fixture(scope="module")
 def upsilon_mc():
     """500 replicate draws of (Upsilon(0.5), Upsilon(1), Upsilon(2))."""
-    pair = scaling_b(MC_PARAMS, MC_M)
     rng = np.random.default_rng(20260814)
     out = np.empty((MC_REPS, 3))
     for r in range(MC_REPS):
         table = table_from_sample(sample_values(MC_PARAMS, rng, MC_M))
-        out[r] = [upsilon(table, MC_PARAMS, MC_M, pair, x) for x in (0.5, 1.0, 2.0)]
+        out[r] = [upsilon(table, MC_PARAMS, x) for x in (0.5, 1.0, 2.0)]
     return out
 
 
