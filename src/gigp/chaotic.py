@@ -18,7 +18,7 @@ import numpy as np
 from .distribution import GigpParams, _sample_values_rng, ccdf, validate
 from .fitgof import GofReport, pearson_chi2
 from .shape import scaling_b, classify_regime
-from .specfun import regularized_gamma_q, upper_incomplete_gamma
+from .specfun import regularized_gamma_q
 
 
 @dataclass(frozen=True)

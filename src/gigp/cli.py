@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from typing import Sequence
 
 import numpy as np
 
@@ -72,26 +71,72 @@ def _emit(text: str, out: str | None) -> None:
         fh.write(text)
 
 
-def _json_doc(config: dict, result: dict) -> str:
-    return json.dumps({"config": config, "result": result},
-                      sort_keys=True, indent=2) + "\n"
+# json's spelling of the floats that float.__repr__ writes as nan, inf, -inf
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _csv_doc(config: dict, header: Sequence[str], rows) -> str:
-    lines = ["# config: " + json.dumps(config, sort_keys=True)]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join("" if v is None else repr(v) if isinstance(v, float)
-                              else str(v) for v in row))
+def _cells(col, csv: bool, null_nan: bool) -> list[str]:
+    """A column as text, by json's rules or, for CSV, repr of a float, str of
+    any other value and "" for None; with null_nan a NaN is written as None.
+
+    col is a float or int ndarray, taken a column at a time, or a sequence
+    of Python values, taken one value at a time.
+    """
+    if isinstance(col, np.ndarray) and col.dtype.kind in "iu":
+        return list(map(int.__repr__, col.tolist()))
+    if isinstance(col, np.ndarray):
+        cells = list(map(float.__repr__, col.tolist()))
+        for i in np.flatnonzero(~np.isfinite(col)).tolist():
+            if null_nan and cells[i] == "nan":
+                cells[i] = "" if csv else "null"
+            elif not csv:
+                cells[i] = _JSON_NONFINITE[cells[i]]
+        return cells
+    if csv:
+        return ["" if v is None else repr(v) if isinstance(v, float) else str(v)
+                for v in col]
+    return [json.dumps(v) for v in col]
+
+
+def _json_doc(config: dict, result: dict, columns: dict, key: str | None = None,
+              objects: bool = False, nulls=()) -> str:
+    """json.dumps(sort_keys=True, indent=2) of config and result, with the
+    columns as result[key]: one list per row, or with objects one dict."""
+    doc = {"config": config, "result": result if key is None else {**result, key: []}}
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    if key is None or not len(next(iter(columns.values()))):
+        return text
+    # records sit at depth 3 of the document and their fields at depth 4,
+    # one template per record with the fields in json's order
+    names = sorted(columns) if objects else list(columns)
+    cells = [_cells(columns[c], False, c in nulls) for c in names]
+    fields = (f"\n        {json.dumps(c)}: %s" if objects else "\n        %s" for c in names)
+    brackets = "{}" if objects else "[]"
+    record = brackets[0] + ",".join(fields) + "\n      " + brackets[1]
+    records = ",\n      ".join(map(record.__mod__, zip(*cells)))
+    # result follows config, and a quoted key cannot occur inside a string
+    head, _, tail = text.rpartition(f"{json.dumps(key)}: []")
+    return f"{head}{json.dumps(key)}: [\n      {records}\n    ]{tail}"
+
+
+def _csv_doc(config: dict, columns: dict, nulls=()) -> str:
+    """The config echo comment, the column names, then one line per row."""
+    cells = [_cells(col, True, c in nulls) for c, col in columns.items()]
+    lines = ["# config: " + json.dumps(config, sort_keys=True), ",".join(columns)]
+    lines += map(",".join, zip(*cells))
     return "\n".join(lines) + "\n"
 
 
-def _write(args, cfg: dict, result: dict, header: Sequence[str], rows) -> int:
-    """Emit the document --format asks for: cfg and result as JSON, or rows as CSV."""
+def _write(args, cfg: dict, result: dict, columns: dict, key: str | None = None,
+           objects: bool = False, nulls=()) -> int:
+    """Emit the document --format asks for, both from one set of columns:
+    JSON of cfg and result with the columns as result[key] (left out when
+    key is None), or CSV of the columns. A NaN in a column named in nulls
+    is written as null, or as an empty CSV field."""
     if args.format == "json":
-        _emit(_json_doc(cfg, result), args.out)
+        _emit(_json_doc(cfg, result, columns, key, objects, nulls), args.out)
     else:
-        _emit(_csv_doc(cfg, header, rows), args.out)
+        _emit(_csv_doc(cfg, columns, nulls), args.out)
     return 0
 
 
@@ -121,9 +166,8 @@ def _cmd_simulate(args) -> int:
     params = _params_from(args)
     table = sample(params, args.seed, args.m)
     cfg = _config_echo(args, ["m", "seed", "format"], params, args.m)
-    rows = np.column_stack((table.support, table.mult)).tolist()
-    return _write(args, cfg, {"m": table.M, "n": table.N, "table": rows},
-                  ["j", "count"], rows)
+    return _write(args, cfg, {"m": table.M, "n": table.N},
+                  {"j": table.support, "count": table.mult}, "table")
 
 
 def _cmd_shape(args) -> int:
@@ -136,11 +180,11 @@ def _cmd_shape(args) -> int:
         _emit(_shape_svg(table, params, cfg), args.out)
         return 0
     report = sup_distance(table, params, args.delta)
-    points = report.pointwise
-    result = {"delta": report.delta, "sup_distance": report.sup_distance,
-              "pointwise": points}
-    return _write(args, cfg, result, ["x", "y_scaled", "phi", "upsilon", "msd"],
-                  (p.values() for p in points))
+    result = {"delta": report.delta, "sup_distance": report.sup_distance}
+    columns = {"x": report.x, "y_scaled": report.y_scaled, "phi": report.phi,
+               "upsilon": report.upsilon, "msd": report.msd}
+    return _write(args, cfg, result, columns, "pointwise", objects=True,
+                  nulls=("upsilon",))
 
 
 def _cmd_fit(args) -> int:
@@ -162,8 +206,14 @@ def _cmd_fit(args) -> int:
               "nu_hat": fit.nu_hat, "logb_hat": fit.logB_hat,
               "r_squared": fit.r_squared,
               "fit_range": list(fit.fit_range), "alpha_hat": alpha_hat}
-    return _write(args, cfg, result, ["key", "value"],
-                  sorted((k, v) for k, v in result.items() if not isinstance(v, list)))
+    keys = sorted(k for k, v in result.items() if not isinstance(v, list))
+    return _write(args, cfg, result, {"key": keys, "value": [result[k] for k in keys]})
+
+
+def _bin_columns(rep) -> dict:
+    labels, observed, expected = zip(*rep.bins)  # pearson_chi2 leaves >= 2 bins
+    return {"bin": labels, "observed": np.array(observed, dtype=np.int64),
+            "expected": np.array(expected, dtype=float)}
 
 
 def _cmd_gof(args) -> int:
@@ -185,9 +235,8 @@ def _cmd_gof(args) -> int:
     cfg = _config_echo(args, ["data", "min_expected", "format"],
                        params, table.M)
     result = {"statistic": rep.statistic, "df": rep.df, "p_value": rep.p_value,
-              "theta": params.theta, "fitted_params": fitted,
-              "bins": [[lab, o, e] for lab, o, e in rep.bins]}
-    return _write(args, cfg, result, ["bin", "observed", "expected"], rep.bins)
+              "theta": params.theta, "fitted_params": fitted}
+    return _write(args, cfg, result, _bin_columns(rep), "bins")
 
 
 def _cmd_chaotic(args) -> int:
@@ -200,23 +249,23 @@ def _cmd_chaotic(args) -> int:
     cfg = _config_echo(args, ["m", "x0", "replicates", "seed", "fit_lambda",
                               "min_expected", "format"], params, args.m)
     result = {"lambda": rate.lam, "tv_bound": rate.tv_bound,
-              "statistic": rep.statistic, "df": rep.df, "p_value": rep.p_value,
-              "bins": [[lab, o, e] for lab, o, e in rep.bins]}
-    return _write(args, cfg, result, ["bin", "observed", "expected"], rep.bins)
+              "statistic": rep.statistic, "df": rep.df, "p_value": rep.p_value}
+    return _write(args, cfg, result, _bin_columns(rep), "bins")
 
 
 def _cmd_partition(args) -> int:
     config = calibrate(args.n)
     table = sample_partition(config, args.seed)
     root = math.sqrt(args.n)
-    xs = (table.support / root).tolist()
-    ys = (table.boundary().suffix[:-1] / root).tolist()
-    rows = [[x, y, partition_shape(x)] for x, y in zip(xs, ys)]
+    xs = table.support / root
+    ys = table.boundary().suffix[:-1] / root
+    # point by point with libm: numpy's exp can differ from it in the last bit
+    shape = np.array([partition_shape(x) for x in xs.tolist()])
     cfg = {"command": "partition", "n": args.n, "seed": args.seed,
            "format": args.format, "z": config.z, "kappa": config.kappa,
            "j_cutoff": config.j_cutoff}
-    return _write(args, cfg, {"parts": table.M, "weight": table.N, "series": rows},
-                  ["x", "y_scaled", "shape"], rows)
+    return _write(args, cfg, {"parts": table.M, "weight": table.N},
+                  {"x": xs, "y_scaled": ys, "shape": shape}, "series")
 
 
 # ---------------------------------------------------------------- svg
@@ -263,17 +312,21 @@ def _shape_svg(table, params: GigpParams, cfg: dict) -> str:
     left = _pane([(steps, "#1f77b4", None), (model, "#d62728", None),
                   (shape_curve, "#2ca02c", "4 3")],
                  (0.0, float(j_max)), (0.0, y_top), (40, 20), (360, 300))
-    # right pane: transformed tail with the model line
+    # right pane: transformed tail with the model line; only its frame
+    # when no source sits at j >= 1
     uv = tail_points(table, pair.a)
-    us, vs = uv[:, 0].tolist(), uv[:, 1].tolist()
-    line_u = min(us) + (max(us) - min(us)) * np.arange(101) / 100.0
-    line_v = math.log(pair.b) + (params.nu - 1.0) * line_u
-    line = list(zip(line_u.tolist(), line_v.tolist()))
-    lo_v = min(vs + line_v.tolist())
-    hi_v = max(vs + line_v.tolist())
-    right = _pane([(uv.tolist(), "#1f77b4", None), (line, "#2ca02c", "4 3")],
-                  (min(us), max(us) + 1e-9), (lo_v, hi_v + 1e-9),
-                  (460, 20), (360, 300))
+    if not len(uv):
+        right = _pane([], (0.0, 1.0), (0.0, 1.0), (460, 20), (360, 300))
+    else:
+        us, vs = uv[:, 0].tolist(), uv[:, 1].tolist()
+        line_u = min(us) + (max(us) - min(us)) * np.arange(101) / 100.0
+        line_v = math.log(pair.b) + (params.nu - 1.0) * line_u
+        line = list(zip(line_u.tolist(), line_v.tolist()))
+        lo_v = min(vs + line_v.tolist())
+        hi_v = max(vs + line_v.tolist())
+        right = _pane([(uv.tolist(), "#1f77b4", None), (line, "#2ca02c", "4 3")],
+                      (min(us), max(us) + 1e-9), (lo_v, hi_v + 1e-9),
+                      (460, 20), (360, 300))
     title = ("data / model / limit shape; right: tail coordinates "
              "(u, v) with slope nu-1")
     return ("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n"

@@ -3,11 +3,21 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from gigp.cli import main, read_frequency_csv
+from gigp.cli import _csv_doc, _json_doc, main, read_frequency_csv
+from gigp.diagram import FrequencyTable
 from gigp.distribution import GigpParams, sample
+from gigp.shape import ShapeReport, sup_distance
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SHAPE_ARGS = ["shape", "--nu", "0.5", "--alpha", "2", "--theta", "0.99",
               "--m", "1000", "--seed", "7", "--delta", "0.2"]
@@ -42,16 +52,44 @@ def test_shape_outputs_are_deterministic(tmp_path):
     assert c.read_bytes() == d.read_bytes()
 
 
-@pytest.mark.parametrize("fmt, digest", [
-    ("json", "41324ef6aac7d4752b40f4ccb30a31bffbfa3573898c15c3e2334ec14a167cc5"),
-    ("csv", "1b08d750f279f09cf6da7ae20eef92c86dd463bf435f2b15e9bacf7b01e78b8c"),
-])
-def test_shape_output_bytes_are_pinned(tmp_path, fmt, digest):
-    # alpha = 0 draws come from the pmf table, so this stream is stable and
-    # the document's bytes can be pinned
-    args = ["shape", "--nu", "-0.5", "--alpha", "0", "--theta", "0.99",
-            "--m", "1000", "--seed", "1", "--format", fmt]
-    out = _run_to_file(tmp_path, "pinned." + fmt, args)
+# the fixed input of the pinned gof documents: 500 sources drawn at
+# (0.5, 0, 0.9), written out as literal rows
+GOF_ROWS = [(0, 163), (1, 80), (2, 54), (3, 31), (4, 23), (5, 18), (6, 14), (7, 14),
+            (8, 18), (9, 11), (10, 7), (11, 8), (12, 11), (13, 3), (14, 3), (15, 5),
+            (16, 6), (17, 5), (18, 5), (19, 5), (20, 3), (23, 1), (24, 1), (26, 1),
+            (30, 3), (32, 1), (33, 2), (38, 1), (41, 1), (53, 1), (55, 1)]
+
+# alpha = 0 draws come from the pmf table, the partition sampler is its
+# own, and gof draws nothing, so these documents' bytes can be pinned
+PINNED_ARGS = {
+    "shape": ["shape", "--nu", "-0.5", "--alpha", "0", "--theta", "0.99",
+              "--m", "1000", "--seed", "1"],
+    "simulate": ["simulate", "--nu", "-0.5", "--alpha", "0", "--theta", "0.99",
+                 "--m", "1000", "--seed", "1"],
+    "partition": ["partition", "--n", "10000", "--seed", "4"],
+    "gof": ["gof", "--data", "fixed.csv", "--nu", "0.5", "--alpha", "0"],
+}
+PINNED = [
+    ("shape", "json", "41324ef6aac7d4752b40f4ccb30a31bffbfa3573898c15c3e2334ec14a167cc5"),
+    ("shape", "csv", "1b08d750f279f09cf6da7ae20eef92c86dd463bf435f2b15e9bacf7b01e78b8c"),
+    ("simulate", "json", "a5f9fdaef9373def4af579bdbad9e6ae959ff9009c731d0b8359bf99fd03c82e"),
+    ("simulate", "csv", "8da6cfd6b6b34ae03f01889e65c8c51c3d406249dd9b9655e7b55fa0a6345588"),
+    ("partition", "json", "5030cd894bdb4ecf68e8c26bd7e3c00b0655bdabaac74a0679cf0d866050685b"),
+    ("partition", "csv", "91bb23bf3d56eacfd94dd43005e006fac0baa2d0725ed33eece9cd09fc05f990"),
+    ("gof", "json", "0e44816d5f954f404639a116e82043cf669a24fc5d2822ee2bc2d62a5cefee60"),
+    ("gof", "csv", "1bef38174cb4d4793e14e30e9aa06d5b84f8dbee6d9f945b469501d4b52c1057"),
+]
+
+
+# the shape cases keep the ids they had before the other commands joined
+@pytest.mark.parametrize("command, fmt, digest", PINNED, ids=[
+    f"{fmt}-{digest}" if command == "shape" else f"{command}-{fmt}-{digest}"
+    for command, fmt, digest in PINNED])
+def test_shape_output_bytes_are_pinned(tmp_path, monkeypatch, command, fmt, digest):
+    # gof echoes its --data path into the document, so it runs from tmp_path
+    monkeypatch.chdir(tmp_path)
+    _write_csv(tmp_path, "fixed.csv", GOF_ROWS)
+    out = _run_to_file(tmp_path, "pinned." + fmt, PINNED_ARGS[command] + ["--format", fmt])
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
@@ -80,6 +118,19 @@ def test_every_command_output_is_deterministic(tmp_path, args):
     a = _run_to_file(tmp_path, "a.out", args)
     b = _run_to_file(tmp_path, "b.out", args)
     assert a.read_bytes() == b.read_bytes() and a.stat().st_size > 0
+
+
+def test_shape_svg_without_tail_points(tmp_path):
+    # every source sits at j = 0, so the tail pane has no point to draw:
+    # it keeps its frame and no polyline, and the run succeeds as JSON does
+    args = ["shape", "--nu", "0.5", "--alpha", "2", "--theta", "0.01",
+            "--m", "5", "--seed", "1"]
+    assert sample(GigpParams(0.5, 2.0, 0.01), 1, 5).support.tolist() == [0]
+    text = _run_to_file(tmp_path, "flat.svg", args + ["--format", "svg"]).read_text()
+    right = text[text.index('<rect x="460"'):]
+    assert "<polyline" not in right and right.rstrip().endswith("</svg>")
+    for fmt in ("json", "csv"):
+        _run_to_file(tmp_path, "flat." + fmt, args + ["--format", fmt])
 
 
 def test_shape_svg_structure(tmp_path):
@@ -300,3 +351,125 @@ def test_read_frequency_csv_validation(tmp_path):
     empty.write_text("")
     with pytest.raises(ValueError):
         read_frequency_csv(str(empty))
+
+
+# ---------------------------------------------------------------- writer
+
+SHAPE_COLUMNS = ("x", "y_scaled", "phi", "upsilon", "msd")
+
+
+def _shape_columns(report):
+    return {name: getattr(report, name) for name in SHAPE_COLUMNS}
+
+
+def _row_json_doc(config, result):
+    # the writer the columnar one replaced: json of the whole document
+    return json.dumps({"config": config, "result": result}, sort_keys=True, indent=2) + "\n"
+
+
+def _row_csv_doc(config, header, rows):
+    # and its CSV rule, applied value by value
+    lines = ["# config: " + json.dumps(config, sort_keys=True), ",".join(header)]
+    lines += [",".join("" if v is None else repr(v) if isinstance(v, float) else str(v)
+                       for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-5, 1e-4, 0.1, 1e15, 1e16, 1e22,
+               1.7976931348623157e308, 123456789.12345678]
+FINITE = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+# config echoes that name a record key, inside a string and as a key
+CONFIGS = st.one_of(
+    st.dictionaries(st.text(max_size=8), st.one_of(st.none(), st.integers(), FINITE,
+                                                   st.text(max_size=8)), max_size=4),
+    st.sampled_from([{"pointwise": [], "data": '"pointwise": []'},
+                     {"x\"bins": [], "table": '"table": []', "series": []}]))
+
+
+@st.composite
+def shape_reports(draw):
+    n = draw(st.integers(1, 25))
+
+    def column(values):
+        return np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=float)
+
+    return ShapeReport(draw(FINITE), draw(FINITE), column(FINITE), column(FINITE),
+                       column(FINITE), column(st.one_of(FINITE, st.just(math.nan))),
+                       column(FINITE))
+
+
+ONE_POINT = ShapeReport(0.2, 5e-324, np.array([0.2]), np.array([-0.0]), np.array([1e22]),
+                        np.array([math.nan]), np.array([1e-5]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape_reports(), CONFIGS)
+@example(ONE_POINT, {})
+def test_columnar_writer_matches_the_row_writer_on_shape_reports(report, config):
+    result = {"delta": report.delta, "sup_distance": report.sup_distance}
+    columns = _shape_columns(report)
+    assert (_json_doc(config, result, columns, "pointwise", True, ("upsilon",))
+            == _row_json_doc(config, {**result, "pointwise": report.pointwise}))
+    assert (_csv_doc(config, columns, ("upsilon",))
+            == _row_csv_doc(config, SHAPE_COLUMNS, (p.values() for p in report.pointwise)))
+
+
+@st.composite
+def record_columns(draw):
+    # simulate's int columns, partition's and the bins' float columns
+    # (where NaN and infinity are json's NaN and Infinity), the bins'
+    # labels, and fit's column of mixed values
+    n = draw(st.integers(1, 20))
+
+    def column(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    return {"j": np.array(column(st.integers(-2 ** 63, 2 ** 63 - 1)), dtype=np.int64),
+            "expected": np.array(column(st.one_of(FINITE, st.floats())), dtype=float),
+            "bin": column(st.text(max_size=6)),
+            "value": column(st.one_of(st.none(), st.booleans(), st.integers(),
+                                      st.floats(), st.text(max_size=6)))}
+
+
+@settings(max_examples=150, deadline=None)
+@given(record_columns(), CONFIGS, st.sampled_from(["table", "series", "bins", None]))
+def test_columnar_writer_matches_the_row_writer_on_record_arrays(columns, config, key):
+    result = {"m": 3, "statistic": 0.5, "fit_range": [1.0, 2.0]}
+    rows = [list(r) for r in zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                                   for c in columns.values()))]
+    whole = result if key is None else {**result, key: rows}
+    assert _json_doc(config, result, columns, key) == _row_json_doc(config, whole)
+    assert _csv_doc(config, columns) == _row_csv_doc(config, list(columns), rows)
+
+
+def test_writer_writes_an_underflowed_upsilon_as_null():
+    # test_sup_distance_phi_underflow's report: phi is 0.0 at its second point
+    report = sup_distance(FrequencyTable({0: 99, 2000: 1}), GigpParams(0.5, 2.0, 0.5), 0.2)
+    columns = _shape_columns(report)
+    points = json.loads(_json_doc({}, {}, columns, "pointwise", True, ("upsilon",))
+                        )["result"]["pointwise"]
+    assert points[1]["upsilon"] is None and points[0]["upsilon"] == report.upsilon[0]
+    header, *rows = _csv_doc({}, columns, ("upsilon",)).splitlines()[1:]
+    at = header.split(",").index("upsilon")
+    assert rows[1].split(",")[at] == "" and float(rows[0].split(",")[at]) == report.upsilon[0]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_traced_shape_serializes_once_and_counts_every_row(tmp_path, fmt):
+    # bench/tracing.py times the writer through the names _json_doc and
+    # _csv_doc and counts points with len(report.pointwise); a writer that
+    # moved out of those names, or a report of another length, shows here
+    spans = tmp_path / "spans.json"
+    argv = [sys.executable, os.path.join(ROOT, "bench", "tracing.py"), str(spans),
+            repr(time.perf_counter()), "--", *SHAPE_ARGS, "--format", fmt]
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    done = subprocess.run(argv, env=env, cwd=ROOT, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    trace = json.loads(spans.read_text())
+    assert trace["stats"]["cli.serialize"][0] == 1
+    if fmt == "json":
+        n_rows = len(json.loads(done.stdout)["result"]["pointwise"])
+    else:
+        n_rows = len(done.stdout.splitlines()) - 2
+    assert n_rows > 1 and trace["counts"]["shape.sup_distance.points"] == n_rows
