@@ -296,7 +296,8 @@ def _pane(points_sets, x_rng, y_rng, origin, size):
 def _shape_svg(table, params: GigpParams, cfg: dict) -> str:
     pair = scaling_b(params, table.M)
     boundary = table.boundary()
-    j_max = int(boundary.support[-1]) if len(boundary.support) else 1
+    # at least 1, so a sample with every source at j = 0 keeps a wide pane
+    j_max = int(boundary.support.max(initial=1))
     # left pane: data step, model ccdf, scaled-back limit shape
     steps = []
     prev_y = float(table.M)

@@ -86,6 +86,9 @@ class _Tables:
 
 
 _CACHE: dict[GigpParams, _Tables] = {}
+# per params, the smallest need_j whose build passed the support cap; a
+# build to a larger need_j passes it too, so it is not tried again
+_PAST_CAP: dict[GigpParams, int] = {}
 
 
 def _log_trunc_norm(params: GigpParams) -> float:
@@ -256,7 +259,15 @@ def _tables(params: GigpParams, need_j: int = 0) -> _Tables:
     cached = _CACHE.get(params)
     if cached is not None and cached.jmax >= need_j:
         return cached
-    built = _build_tables(params, need_j)
+    if need_j >= _PAST_CAP.get(params, math.inf):
+        raise RuntimeError("pmf support cutoff not reached")
+    try:
+        built = _build_tables(params, need_j)
+    except RuntimeError:
+        if len(_PAST_CAP) > 64:
+            _PAST_CAP.clear()
+        _PAST_CAP[params] = need_j
+        raise
     if len(_CACHE) > 64:
         _CACHE.clear()
     _CACHE[params] = built
@@ -564,11 +575,24 @@ def _gig_rvs(rng: np.random.Generator, p: float, a: float, b: float,
 
 def _sample_values_rng(params: GigpParams, rng: np.random.Generator,
                        count: int) -> np.ndarray:
-    nu, alpha, theta = params.nu, params.alpha, params.theta
-    if alpha == 0.0:
+    """count draws by inverse cdf on the cached pmf table; zero truncation
+    is already in the table, whose f_0 is 0. For alpha > 0 past the
+    table's support cap they come from the GIG mixture of Poissons."""
+    try:
         t = _tables(params)
-        u = rng.random(count)
-        return np.minimum(np.searchsorted(t.cum, u, side="right"), t.jmax)
+    except RuntimeError:
+        if params.alpha == 0.0:
+            raise
+        return _sample_mixture(params, rng, count)
+    u = rng.random(count)
+    # the ndarray method skips np.searchsorted's dispatch, ~2 us a call
+    return np.minimum(t.cum.searchsorted(u, side="right"), t.jmax)
+
+
+def _sample_mixture(params: GigpParams, rng: np.random.Generator,
+                    count: int) -> np.ndarray:
+    """count draws X ~ Poisson(Lambda), Lambda ~ GIG, for alpha > 0."""
+    nu, alpha, theta = params.nu, params.alpha, params.theta
     a = 2.0 * (1.0 - theta) / theta
     b = 0.5 * alpha * alpha * theta
     lam = _gig_rvs(rng, nu, a, b, count)

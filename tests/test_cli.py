@@ -12,10 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gigp import distribution
+from gigp.chaotic import poisson_gof_experiment
 from gigp.cli import _csv_doc, _json_doc, main, read_frequency_csv
 from gigp.diagram import FrequencyTable
 from gigp.distribution import GigpParams, sample
 from gigp.shape import ShapeReport, sup_distance
+from gigp.specfun import chi2_sf
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -59,8 +62,9 @@ GOF_ROWS = [(0, 163), (1, 80), (2, 54), (3, 31), (4, 23), (5, 18), (6, 14), (7, 
             (16, 6), (17, 5), (18, 5), (19, 5), (20, 3), (23, 1), (24, 1), (26, 1),
             (30, 3), (32, 1), (33, 2), (38, 1), (41, 1), (53, 1), (55, 1)]
 
-# alpha = 0 draws come from the pmf table, the partition sampler is its
-# own, and gof draws nothing, so these documents' bytes can be pinned
+# below the table cap every draw comes from the pmf table by inverse cdf,
+# the partition sampler is its own, and gof draws nothing, so these
+# documents' bytes can be pinned
 PINNED_ARGS = {
     "shape": ["shape", "--nu", "-0.5", "--alpha", "0", "--theta", "0.99",
               "--m", "1000", "--seed", "1"],
@@ -68,6 +72,12 @@ PINNED_ARGS = {
                  "--m", "1000", "--seed", "1"],
     "partition": ["partition", "--n", "10000", "--seed", "4"],
     "gof": ["gof", "--data", "fixed.csv", "--nu", "0.5", "--alpha", "0"],
+    "shape-alpha2": ["shape", "--nu", "0.5", "--alpha", "2", "--theta", "0.99",
+                     "--m", "1000", "--seed", "1"],
+    "simulate-alpha2": ["simulate", "--nu", "0.5", "--alpha", "2", "--theta", "0.99",
+                        "--m", "1000", "--seed", "1"],
+    "chaotic-alpha2": ["chaotic", "--nu", "-0.5", "--alpha", "2", "--theta", "0.99",
+                       "--m", "35", "--x0", "0.2", "--replicates", "200", "--seed", "9"],
 }
 PINNED = [
     ("shape", "json", "41324ef6aac7d4752b40f4ccb30a31bffbfa3573898c15c3e2334ec14a167cc5"),
@@ -78,6 +88,9 @@ PINNED = [
     ("partition", "csv", "91bb23bf3d56eacfd94dd43005e006fac0baa2d0725ed33eece9cd09fc05f990"),
     ("gof", "json", "0e44816d5f954f404639a116e82043cf669a24fc5d2822ee2bc2d62a5cefee60"),
     ("gof", "csv", "1bef38174cb4d4793e14e30e9aa06d5b84f8dbee6d9f945b469501d4b52c1057"),
+    ("shape-alpha2", "json", "deaabe02553a78c355ecedb49bc59393e9e34cebcc800cc107e7905e897b6b27"),
+    ("simulate-alpha2", "json", "64575f54a34d61d187f6f767be5cb654b13247f2c2a3078321c36f91b60c92a7"),
+    ("chaotic-alpha2", "json", "e4db374a97b5765e1f9e0a69b494c838feee806b81c96e76604b97d23b4bb882"),
 ]
 
 
@@ -131,6 +144,19 @@ def test_shape_svg_without_tail_points(tmp_path):
     assert "<polyline" not in right and right.rstrip().endswith("</svg>")
     for fmt in ("json", "csv"):
         _run_to_file(tmp_path, "flat." + fmt, args + ["--format", fmt])
+
+
+def test_shape_svg_left_pane_spans_its_width_when_every_source_is_at_zero(tmp_path):
+    # the pane's j range is at least [0, 1], so the 200-point model curve
+    # runs across the pane's 360 units instead of collapsing on its corner
+    args = ["shape", "--nu", "0.5", "--alpha", "2", "--theta", "0.01",
+            "--m", "5", "--seed", "1", "--format", "svg"]
+    text = _run_to_file(tmp_path, "flat.svg", args).read_text()
+    model = text[text.index('stroke="#d62728"'):]
+    points = model[model.index('points="') + 8:model.index('"/>')].split()
+    xs = [float(p.split(",")[0]) for p in points]
+    assert len(xs) == 200
+    assert xs[0] == pytest.approx(40.0 + 360.0 / 200.0) and xs[-1] == pytest.approx(400.0)
 
 
 def test_shape_svg_structure(tmp_path):
@@ -244,8 +270,25 @@ def test_chaotic_command(tmp_path):
     res = json.loads(out.read_text())["result"]
     assert res["lambda"] == pytest.approx(4.342498, abs=1e-3)
     assert res["tv_bound"] == pytest.approx(res["lambda"] ** 2 / 35, rel=1e-12)
-    assert res["p_value"] > 0.05
+    # a single seed's p-value is a 5% lottery (test_criterion_09 holds the
+    # rate over 200 seeds); the document must carry the report's own numbers
+    assert res["p_value"] == chi2_sf(res["statistic"], res["df"])
+    assert res["df"] == len(res["bins"]) - 1
     assert sum(o for _, o, _ in res["bins"]) == 100
+    assert sum(e for _, _, e in res["bins"]) == pytest.approx(100.0, rel=1e-12)
+
+
+def test_alpha_positive_draws_below_the_cap_skip_the_gig_sampler(tmp_path, monkeypatch):
+    # below the table cap alpha > 0 draws come from the pmf table; the GIG
+    # rejection sampler runs only past it
+    def no_gig(*args):
+        raise AssertionError("the GIG sampler ran below the table cap")
+
+    monkeypatch.setattr(distribution, "_gig_rvs", no_gig)
+    rep = poisson_gof_experiment(GigpParams(-0.5, 2.0, 0.99), 35, 0.2, 100, seed=1)
+    assert sum(o for _, o, _ in rep.bins) == 100
+    _run_to_file(tmp_path, "fast.json", ["shape", "--nu", "0.5", "--alpha", "2",
+                                         "--theta", "0.9999", "--m", "1000", "--seed", "1"])
 
 
 def test_partition_command(tmp_path):
@@ -298,6 +341,10 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["simulate", "--nu", "0.5", "--alpha", "0", "--theta", "0.99999",
                  "--m", "10", "--seed", "1"]) == 1
     assert capsys.readouterr() == ("", "error: pmf support cutoff not reached\n")
+    # at alpha > 0 the draws there come from the GIG mixture of Poissons
+    assert main(["simulate", "--nu", "0.5", "--alpha", "2", "--theta", "0.99999",
+                 "--m", "10", "--seed", "1"]) == 0
+    capsys.readouterr()
     # a malformed table is one error line too: a value past 64 bits, and a
     # header without rows, with theta given so nothing is fitted
     huge = tmp_path / "huge.csv"

@@ -17,7 +17,7 @@ from scipy import integrate, stats
 
 from gigp import diagram, distribution
 from gigp.distribution import (GigpParams, _bessel_ratios, _gig_envelope, _gig_rvs,
-                               _sample_values_rng, _tables, ccdf, cdf, gig_density, log_pmf, mean_asymptotic, mean_exact,
+                               _tables, ccdf, cdf, gig_density, log_pmf, mean_asymptotic, mean_exact,
                                pmf, resolve_truncation, sample, sample_values,
                                tail_pmf_asymptotic, theta_from_mean, validate)
 from gigp.shape import expected_shape_deviation, scaling_a
@@ -487,18 +487,16 @@ class _CountingRng:
         self.rounds += 1
         return self.rng.random(size)
 
-    def poisson(self, lam):
-        return self.rng.poisson(lam)
-
 
 def test_gig_batch_takes_one_rejection_round():
-    # each round draws a quarter more candidates than it needs, so at
-    # chaotic's triple a batch of 35 is nearly always filled in one round;
-    # resampling only the rejects took ~2.7 rounds per batch
+    # each round draws a quarter more candidates than it needs, so at the
+    # GIG triple of chaotic's model (-0.5, 2, 0.99) a batch of 35 is nearly
+    # always filled in one round; resampling only the rejects took ~2.7
+    # rounds per batch
     rng = _CountingRng(17)
-    p = GigpParams(-0.5, 2.0, 0.99)
+    p, a, b = GIG_BRANCH_TRIPLES[0]
     for _ in range(1000):
-        assert _sample_values_rng(p, rng, 35).shape == (35,)
+        assert _gig_rvs(rng, p, a, b, 35).shape == (35,)
     assert rng.rounds <= 1010
 
 
@@ -526,7 +524,8 @@ def test_sample_alpha_zero_matches_pmf():
 
 
 def test_sample_truncated_has_no_zeros():
-    # at theta = 0.3 most untruncated draws are 0, so the redraw loop runs
+    # at theta = 0.3 most untruncated draws are 0; the truncated table
+    # gives j = 0 no mass, so no draw lands there
     heavy = GigpParams(0.5, 2.0, 0.3, zero_truncated=True)
     assert pmf(GigpParams(0.5, 2.0, 0.3), 0) > 0.5
     for count in (1, 2, 35, 20_000):
@@ -538,6 +537,42 @@ def test_sample_truncated_has_no_zeros():
     q1 = pmf(p, 1)
     sd = math.sqrt(q1 * (1.0 - q1) / 5000)
     assert np.mean(values == 1) == pytest.approx(q1, abs=5.0 * sd)
+
+
+def test_mixture_sampler_matches_pmf():
+    # the GIG mixture of Poissons, which serves alpha > 0 past the table
+    # cap, against the pmf; at theta = 0.3 its zero-truncation redraw loop
+    # replaces more than half of the draws
+    rng = np.random.default_rng(5)
+    n = 20000
+    for p in (GigpParams(0.5, 2.0, 0.9), GigpParams(0.5, 2.0, 0.3, zero_truncated=True)):
+        values = distribution._sample_mixture(p, rng, n)
+        assert values.shape == (n,)
+        assert values.min() >= (1 if p.zero_truncated else 0)
+        for j in (1, 2, 5):
+            q = pmf(p, j)
+            sd = math.sqrt(q * (1.0 - q) / n)
+            assert np.mean(values == j) == pytest.approx(q, abs=5.0 * sd)
+
+
+def test_sample_past_the_table_cap(monkeypatch):
+    # at theta = 0.99999 no pmf table fits under the cap: alpha > 0 draws
+    # come from the mixture, alpha = 0 ones raise the cap's error
+    for p in (GigpParams(0.5, 2.0, 0.99999), GigpParams(0.5, 2.0, 0.99999, True)):
+        values = sample_values(p, 1, 1000)
+        assert values.shape == (1000,) and values.min() >= (1 if p.zero_truncated else 0)
+        assert values.mean() == pytest.approx(mean_exact(p), rel=0.2)
+    with pytest.raises(RuntimeError, match="pmf support cutoff not reached"):
+        sample_values(GigpParams(0.5, 0.0, 0.99999), 1, 10)
+
+    # a failed build is remembered: the next call does not retry it
+    def no_build(params, need_j):
+        raise AssertionError("the table build was tried again")
+
+    monkeypatch.setattr(distribution, "_build_tables", no_build)
+    assert sample_values(GigpParams(0.5, 2.0, 0.99999), 2, 10).shape == (10,)
+    with pytest.raises(RuntimeError, match="pmf support cutoff not reached"):
+        sample_values(GigpParams(0.5, 0.0, 0.99999), 2, 10)
 
 
 def test_sample_returns_table_and_is_deterministic():
