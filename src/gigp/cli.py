@@ -3,12 +3,14 @@
 Every output document embeds the resolved run configuration (including
 the scaling pair and regime when a model is involved), and rerunning the
 same command reproduces the file byte for byte. Exit codes: 0 success,
-1 validation error or a numerical kernel that gave up, 2 I/O error.
+1 validation error or a numerical kernel that gave up or left
+floating-point range, 2 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -60,19 +62,23 @@ def read_frequency_csv(path: str) -> FrequencyTable:
     return table
 
 
-def _emit(text: str, out: str | None) -> None:
+def _destination(out: str | None):
+    """The text stream a document goes to, as a context: stdout, or the
+    --out file. Callers take it once every value of the document is
+    computed, so a command that fails creates no file."""
     if out is None:
-        sys.stdout.write(text)
-        return
+        return contextlib.nullcontext(sys.stdout)
     base = os.environ.get(OUTPUT_DIR_ENV)
     if base and not os.path.dirname(out):
         out = os.path.join(base, out)
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    return open(out, "w", encoding="utf-8", newline="")
 
 
 # json's spelling of the floats that float.__repr__ writes as nan, inf, -inf
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# record arrays are formatted and written this many rows at a time, so the
+# writer's memory does not grow with the document
+_CHUNK_ROWS = 1024
 
 
 def _cells(col, csv: bool, null_nan: bool) -> list[str]:
@@ -98,45 +104,56 @@ def _cells(col, csv: bool, null_nan: bool) -> list[str]:
     return [json.dumps(v) for v in col]
 
 
-def _json_doc(config: dict, result: dict, columns: dict, key: str | None = None,
-              objects: bool = False, nulls=()) -> str:
-    """json.dumps(sort_keys=True, indent=2) of config and result, with the
-    columns as result[key]: one list per row, or with objects one dict."""
+def _row_chunks(columns: dict, names, csv: bool, nulls):
+    """The rows as tuples of cells in names' order, _CHUNK_ROWS rows at a time."""
+    n = len(columns[names[0]])
+    for lo in range(0, n, _CHUNK_ROWS):
+        yield zip(*(_cells(columns[c][lo:lo + _CHUNK_ROWS], csv, c in nulls)
+                    for c in names))
+
+
+def _json_doc(fh, config: dict, result: dict, columns: dict, key: str | None = None,
+              objects: bool = False, nulls=()) -> None:
+    """Write json.dumps(sort_keys=True, indent=2) of config and result to fh,
+    with the columns as result[key]: one list per row, or with objects one dict."""
     doc = {"config": config, "result": result if key is None else {**result, key: []}}
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if key is None or not len(next(iter(columns.values()))):
-        return text
+        fh.write(text)
+        return
     # records sit at depth 3 of the document and their fields at depth 4,
     # one template per record with the fields in json's order
     names = sorted(columns) if objects else list(columns)
-    cells = [_cells(columns[c], False, c in nulls) for c in names]
     fields = (f"\n        {json.dumps(c)}: %s" if objects else "\n        %s" for c in names)
     brackets = "{}" if objects else "[]"
     record = brackets[0] + ",".join(fields) + "\n      " + brackets[1]
-    records = ",\n      ".join(map(record.__mod__, zip(*cells)))
     # result follows config, and a quoted key cannot occur inside a string
     head, _, tail = text.rpartition(f"{json.dumps(key)}: []")
-    return f"{head}{json.dumps(key)}: [\n      {records}\n    ]{tail}"
+    sep = f"{head}{json.dumps(key)}: [\n      "
+    for rows in _row_chunks(columns, names, False, nulls):
+        fh.write(sep + ",\n      ".join(map(record.__mod__, rows)))
+        sep = ",\n      "
+    fh.write(f"\n    ]{tail}")
 
 
-def _csv_doc(config: dict, columns: dict, nulls=()) -> str:
-    """The config echo comment, the column names, then one line per row."""
-    cells = [_cells(col, True, c in nulls) for c, col in columns.items()]
-    lines = ["# config: " + json.dumps(config, sort_keys=True), ",".join(columns)]
-    lines += map(",".join, zip(*cells))
-    return "\n".join(lines) + "\n"
+def _csv_doc(fh, config: dict, columns: dict, nulls=()) -> None:
+    """Write the config echo comment, the column names, then one line per row to fh."""
+    fh.write(f"# config: {json.dumps(config, sort_keys=True)}\n{','.join(columns)}\n")
+    for rows in _row_chunks(columns, list(columns), True, nulls):
+        fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def _write(args, cfg: dict, result: dict, columns: dict, key: str | None = None,
            objects: bool = False, nulls=()) -> int:
-    """Emit the document --format asks for, both from one set of columns:
+    """Write the document --format asks for, both from one set of columns:
     JSON of cfg and result with the columns as result[key] (left out when
     key is None), or CSV of the columns. A NaN in a column named in nulls
     is written as null, or as an empty CSV field."""
-    if args.format == "json":
-        _emit(_json_doc(cfg, result, columns, key, objects, nulls), args.out)
-    else:
-        _emit(_csv_doc(cfg, columns, nulls), args.out)
+    with _destination(args.out) as fh:
+        if args.format == "json":
+            _json_doc(fh, cfg, result, columns, key, objects, nulls)
+        else:
+            _csv_doc(fh, cfg, columns, nulls)
     return 0
 
 
@@ -177,7 +194,9 @@ def _cmd_shape(args) -> int:
     table = sample(params, args.seed, args.m)
     cfg = _config_echo(args, ["m", "seed", "delta", "format"], params, args.m)
     if args.format == "svg":
-        _emit(_shape_svg(table, params, cfg), args.out)
+        svg = _shape_svg(table, params, cfg)
+        with _destination(args.out) as fh:
+            fh.write(svg)
         return 0
     report = sup_distance(table, params, args.delta)
     result = {"delta": report.delta, "sup_distance": report.sup_distance}
@@ -430,8 +449,9 @@ def main(argv=None) -> int:
         return 0 if code == 0 else 1  # argparse usage errors are validation
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, RuntimeError) as exc:
-        # RuntimeError: a kernel gave up, e.g. the pmf table hit its size cap
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
+        # RuntimeError: a kernel gave up, e.g. the pmf table hit its size cap;
+        # ArithmeticError: a value left floating-point range
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

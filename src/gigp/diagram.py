@@ -44,7 +44,7 @@ def _int64_column(values, what: str) -> np.ndarray:
         ok = arr.dtype.kind in "biu" and (arr.size == 0 or arr.max() <= _INT64_MAX)
     if not ok or arr.ndim != 1 or np.any(arr < 0):
         raise ValueError(f"table {what} must be nonnegative integers below 2**63")
-    return arr.astype(np.int64)
+    return arr.astype(np.int64, copy=False)
 
 
 class FrequencyTable:

@@ -26,6 +26,7 @@ from .specfun import bessel_k_ratio, log_bessel_k
 
 _LOG_TAIL_EPS = math.log(1e-15)
 _MAX_SUPPORT = 2_000_000
+_MAX_STRETCH = 65_536  # the table is built this many entries at a time, at most
 _J_WINDOW = 12  # forward steps that settle a crude Bessel ratio seed
 # a GIG rejection round draws need // 4 + 8 spare candidates beyond the
 # need values still missing
@@ -72,17 +73,28 @@ def _check_mean_domain(params: GigpParams) -> None:
 
 
 class _Tables:
-    """Cached pmf arrays for one parameter triple (post truncation)."""
+    """Cached pmf arrays for one parameter triple (post truncation).
 
-    __slots__ = ("f", "logf", "sf", "cum", "jmax", "log_tail_const")
+    Only logf, sf and cum are built; f is exp(logf), made the first time
+    pmf reads it. cum ends in +inf, so an inverse-cdf search stops at jmax.
+    """
 
-    def __init__(self, f, logf, sf, cum, jmax, log_tail_const):
-        self.f = f
+    __slots__ = ("logf", "sf", "cum", "jmax", "log_tail_const", "_f")
+
+    def __init__(self, logf, sf, cum, log_tail_const):
         self.logf = logf
         self.sf = sf
         self.cum = cum
-        self.jmax = jmax
+        self.jmax = len(logf) - 1
         self.log_tail_const = log_tail_const
+        self._f = None
+
+    @property
+    def f(self) -> np.ndarray:
+        if self._f is None:
+            with np.errstate(under="ignore"):
+                self._f = np.exp(self.logf)
+        return self._f
 
 
 _CACHE: dict[GigpParams, _Tables] = {}
@@ -161,6 +173,14 @@ def _log_steps(nu: float, alpha: float, lo: int, hi: int) -> np.ndarray:
     return np.log(s, out=s)
 
 
+def _log_tail(j: np.ndarray, log_tail_const: float, nu: float, theta: float) -> np.ndarray:
+    """log of the tail asymptote sum_(i >= j) c i^(nu-1) theta^i ~ c j^(nu-1) theta^j
+    / (1 - theta) at the integers j: convex and decreasing in j for nu <= 1,
+    concave for nu > 1."""
+    return (log_tail_const + (nu - 1.0) * np.log(j)
+            + j * math.log(theta) - math.log1p(-theta))
+
+
 def _first_cut(logf: np.ndarray, j_first: int, cut_from: int, log_tail_const: float,
                nu: float, theta: float) -> int | None:
     """First j >= cut_from in this stretch (logf[k] is at j = j_first + k) with
@@ -170,9 +190,7 @@ def _first_cut(logf: np.ndarray, j_first: int, cut_from: int, log_tail_const: fl
     if cand.size == 0:
         return None
     j = cand + (j_first + k0)
-    log_tail = (log_tail_const + (nu - 1.0) * np.log(j)
-                + j * math.log(theta) - math.log1p(-theta))
-    hit = np.flatnonzero(log_tail < _LOG_TAIL_EPS)
+    hit = np.flatnonzero(_log_tail(j, log_tail_const, nu, theta) < _LOG_TAIL_EPS)
     return int(j[hit[0]]) if hit.size else None
 
 
@@ -205,33 +223,48 @@ def _build_tables(params: GigpParams, need_j: int) -> _Tables:
         log_tail_const = math.log(-nu) - math.lgamma(nu + 1.0) - log_norm
         j0, log_f0 = 1, math.log(-nu) + log_theta - log_norm
 
-    # log f_j = log f_(j0) + (j - j0) log(theta) + sum_(j0 <= i < j) s_i, in
-    # stretches that double until the cut rule fires
-    parts = [np.full(j0 + 1, -math.inf)]
-    parts[0][j0] = log_f0
+    # the cut needs j >= cut_from with the tail asymptote below 1e-15; give
+    # up before building when no j up to the cap can have it: the asymptote
+    # is decreasing (nu <= 1) or concave (nu > 1) in j, so its least value
+    # on [cut_from, cap] is at an end
     cut_from = max(16, need_j)
+    ends = np.array([cut_from, _MAX_SUPPORT])
+    if (need_j > _MAX_SUPPORT
+            or _log_tail(ends, log_tail_const, nu, theta).min() >= _LOG_TAIL_EPS):
+        raise RuntimeError("pmf support cutoff not reached")
+
+    # log f_j = log f_(j0) + (j - j0) log(theta) + sum_(j0 <= i < j) s_i, in
+    # stretches that double up to _MAX_STRETCH entries until the cut rule
+    # fires, each written into one buffer that doubles when it is full
+    logf = np.empty(2048)
+    logf[:j0] = -math.inf
+    logf[j0] = log_f0
     lo, acc = j0, 0.0
     while True:
-        hi = min(max(2 * lo, 1024), _MAX_SUPPORT)
-        logf = _log_steps(nu, alpha, lo, hi)
-        logf[0] += acc
-        np.cumsum(logf, out=logf)
-        acc = float(logf[-1])
-        # logf[k] is log f_j at j = lo + 1 + k
+        hi = min(max(2 * lo, 1024), lo + _MAX_STRETCH, _MAX_SUPPORT)
+        if hi >= len(logf):
+            grown = np.empty(min(2 * len(logf), _MAX_SUPPORT + 1))
+            grown[:lo + 1] = logf[:lo + 1]
+            logf = grown
+        # stretch[k] is log f_j at j = lo + 1 + k
+        stretch = logf[lo + 1:hi + 1]
+        steps = _log_steps(nu, alpha, lo, hi)
+        steps[0] += acc
+        np.cumsum(steps, out=stretch)
+        acc = float(stretch[-1])
         lin = np.arange(lo + 1 - j0, hi + 1 - j0, dtype=float)
         lin *= log_theta
         lin += log_f0
-        logf += lin
-        cut = _first_cut(logf, lo + 1, cut_from, log_tail_const, nu, theta)
+        stretch += lin
+        cut = _first_cut(stretch, lo + 1, cut_from, log_tail_const, nu, theta)
         if cut is not None:
-            parts.append(logf[:cut - lo])
             break
-        parts.append(logf)
         if hi >= _MAX_SUPPORT:
             raise RuntimeError("pmf support cutoff not reached")
         lo = hi
-    logf = np.concatenate(parts)
-    del parts
+    # keep only the table, and let the buffer go before f, sf and cum are made
+    del stretch, steps, lin
+    logf = logf[:cut + 1].copy()
     if alpha > 0.0 and params.zero_truncated:
         log_norm = math.log(-math.expm1(logf[0]))
         logf -= log_norm
@@ -251,8 +284,10 @@ def _build_tables(params: GigpParams, need_j: int) -> _Tables:
     np.cumsum(f[::-1], out=sf[-2::-1])
     sf[1:-1] += tail
     sf[0] = 1.0
-    cum = np.cumsum(f)
-    return _Tables(f, logf, sf, cum, len(f) - 1, log_tail_const)
+    # cum is accumulated in f's own buffer
+    cum = np.cumsum(f, out=f)
+    cum[-1] = math.inf
+    return _Tables(logf, sf, cum, log_tail_const)
 
 
 def _tables(params: GigpParams, need_j: int = 0) -> _Tables:
@@ -585,8 +620,9 @@ def _sample_values_rng(params: GigpParams, rng: np.random.Generator,
             raise
         return _sample_mixture(params, rng, count)
     u = rng.random(count)
-    # the ndarray method skips np.searchsorted's dispatch, ~2 us a call
-    return np.minimum(t.cum.searchsorted(u, side="right"), t.jmax)
+    # the ndarray method skips np.searchsorted's dispatch, ~2 us a call;
+    # cum[jmax] = +inf, so no u < 1 maps past jmax
+    return t.cum.searchsorted(u, side="right")
 
 
 def _sample_mixture(params: GigpParams, rng: np.random.Generator,
@@ -595,6 +631,9 @@ def _sample_mixture(params: GigpParams, rng: np.random.Generator,
     nu, alpha, theta = params.nu, params.alpha, params.theta
     a = 2.0 * (1.0 - theta) / theta
     b = 0.5 * alpha * alpha * theta
+    if not math.isfinite(b):
+        raise ValueError("alpha is too large to sample: the GIG parameter "
+                         "alpha^2 theta / 2 overflows")
     lam = _gig_rvs(rng, nu, a, b, count)
     values = rng.poisson(lam)
     if params.zero_truncated:

@@ -67,16 +67,22 @@ def scaling_b(params: GigpParams, m_sources: int) -> ScalingPair:
         raise ValueError("m_sources must be a positive integer")
     nu, alpha, theta = params.nu, params.alpha, params.theta
     u = 1.0 - theta
-    if nu > 0.0:
-        label, b = "a", m_sources / math.gamma(nu)
-    elif nu == 0.0:
-        label, b = "b", m_sources / (-math.log(u))
-    elif alpha > 0.0:
-        label = "c"
-        b = m_sources * math.pow(0.5 * alpha, -2.0 * nu) * math.pow(u, -nu) / math.gamma(-nu)
-    else:
-        label = "d"
-        b = m_sources * (-nu) * math.pow(u, -nu) / math.gamma(nu + 1.0)
+    try:
+        if nu > 0.0:
+            label, b = "a", m_sources / math.gamma(nu)
+        elif nu == 0.0:
+            label, b = "b", m_sources / (-math.log(u))
+        elif alpha > 0.0:
+            label = "c"
+            b = (m_sources * math.pow(0.5 * alpha, -2.0 * nu) * math.pow(u, -nu)
+                 / math.gamma(-nu))
+        else:
+            label = "d"
+            b = m_sources * (-nu) * math.pow(u, -nu) / math.gamma(nu + 1.0)
+    except OverflowError:
+        # Gamma(nu) past nu ~ 171.6, or (alpha/2)^(-2 nu) for a huge alpha
+        raise ValueError("the scale B is out of floating-point range at "
+                         "these parameters") from None
     return ScalingPair(scaling_a(theta), b, label)
 
 

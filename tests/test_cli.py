@@ -1,18 +1,21 @@
 """End-to-end checks of the command-line surface."""
 
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gigp import distribution
+from gigp import cli, distribution
 from gigp.chaotic import poisson_gof_experiment
 from gigp.cli import _csv_doc, _json_doc, main, read_frequency_csv
 from gigp.diagram import FrequencyTable
@@ -378,6 +381,25 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["--help"]) == 0
 
 
+@pytest.mark.parametrize("args, line", [
+    # alpha^2 theta / 2 overflows in the GIG mixture that samples past the cap
+    (["shape", "--nu", "0.5", "--alpha", "1e200", "--theta", "0.5", "--m", "10", "--seed", "1"],
+     "error: alpha is too large to sample: the GIG parameter alpha^2 theta / 2 overflows\n"),
+    # B = M / Gamma(nu), and Gamma(1e6) overflows
+    (["shape", "--nu", "1e6", "--alpha", "2", "--theta", "0.5", "--m", "10", "--seed", "1"],
+     "error: the scale B is out of floating-point range at these parameters\n"),
+    # the theta seed (c / eta)^(1 / (nu + 1)) overflows as nu -> -1; main's
+    # ArithmeticError handler turns it into an error line
+    (["fit", "--data", "small.csv", "--nu", "-0.999999", "--alpha", "2"],
+     "error: math range error\n"),
+], ids=["huge-alpha", "huge-nu", "theta-seed"])
+def test_arithmetic_failures_are_one_error_line(tmp_path, monkeypatch, capsys, args, line):
+    monkeypatch.chdir(tmp_path)
+    _write_csv(tmp_path, "small.csv", [(1, 50), (2, 20), (5, 10), (30, 3)])
+    assert main(args) == 1
+    assert capsys.readouterr() == ("", line)
+
+
 def test_read_frequency_csv_validation(tmp_path):
     ok = tmp_path / "ok.csv"
     ok.write_text("j,count\n2,5\n7,1\n")
@@ -407,6 +429,14 @@ SHAPE_COLUMNS = ("x", "y_scaled", "phi", "upsilon", "msd")
 
 def _shape_columns(report):
     return {name: getattr(report, name) for name in SHAPE_COLUMNS}
+
+
+def _written(writer, *args, chunk_rows=cli._CHUNK_ROWS):
+    # what a streaming writer writes, as one string, in chunks of chunk_rows rows
+    sink = io.StringIO()
+    with mock.patch.object(cli, "_CHUNK_ROWS", chunk_rows):
+        writer(sink, *args)
+    return sink.getvalue()
 
 
 def _row_json_doc(config, result):
@@ -445,19 +475,24 @@ def shape_reports(draw):
                        column(FINITE))
 
 
+# rows per written chunk: the shipped size, and sizes that split the
+# drawn record arrays at every kind of boundary
+CHUNK_ROWS = st.sampled_from([cli._CHUNK_ROWS, 1, 2, 3, 7])
+
 ONE_POINT = ShapeReport(0.2, 5e-324, np.array([0.2]), np.array([-0.0]), np.array([1e22]),
                         np.array([math.nan]), np.array([1e-5]))
 
 
 @settings(max_examples=150, deadline=None)
-@given(shape_reports(), CONFIGS)
-@example(ONE_POINT, {})
-def test_columnar_writer_matches_the_row_writer_on_shape_reports(report, config):
+@given(shape_reports(), CONFIGS, CHUNK_ROWS)
+@example(ONE_POINT, {}, cli._CHUNK_ROWS)
+def test_columnar_writer_matches_the_row_writer_on_shape_reports(report, config, chunk):
     result = {"delta": report.delta, "sup_distance": report.sup_distance}
     columns = _shape_columns(report)
-    assert (_json_doc(config, result, columns, "pointwise", True, ("upsilon",))
+    assert (_written(_json_doc, config, result, columns, "pointwise", True, ("upsilon",),
+                     chunk_rows=chunk)
             == _row_json_doc(config, {**result, "pointwise": report.pointwise}))
-    assert (_csv_doc(config, columns, ("upsilon",))
+    assert (_written(_csv_doc, config, columns, ("upsilon",), chunk_rows=chunk)
             == _row_csv_doc(config, SHAPE_COLUMNS, (p.values() for p in report.pointwise)))
 
 
@@ -479,26 +514,86 @@ def record_columns(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(record_columns(), CONFIGS, st.sampled_from(["table", "series", "bins", None]))
-def test_columnar_writer_matches_the_row_writer_on_record_arrays(columns, config, key):
+@given(record_columns(), CONFIGS, st.sampled_from(["table", "series", "bins", None]),
+       CHUNK_ROWS)
+def test_columnar_writer_matches_the_row_writer_on_record_arrays(columns, config, key, chunk):
     result = {"m": 3, "statistic": 0.5, "fit_range": [1.0, 2.0]}
     rows = [list(r) for r in zip(*(c.tolist() if isinstance(c, np.ndarray) else c
                                    for c in columns.values()))]
     whole = result if key is None else {**result, key: rows}
-    assert _json_doc(config, result, columns, key) == _row_json_doc(config, whole)
-    assert _csv_doc(config, columns) == _row_csv_doc(config, list(columns), rows)
+    assert (_written(_json_doc, config, result, columns, key, chunk_rows=chunk)
+            == _row_json_doc(config, whole))
+    assert (_written(_csv_doc, config, columns, chunk_rows=chunk)
+            == _row_csv_doc(config, list(columns), rows))
 
 
 def test_writer_writes_an_underflowed_upsilon_as_null():
     # test_sup_distance_phi_underflow's report: phi is 0.0 at its second point
     report = sup_distance(FrequencyTable({0: 99, 2000: 1}), GigpParams(0.5, 2.0, 0.5), 0.2)
     columns = _shape_columns(report)
-    points = json.loads(_json_doc({}, {}, columns, "pointwise", True, ("upsilon",))
+    points = json.loads(_written(_json_doc, {}, {}, columns, "pointwise", True, ("upsilon",))
                         )["result"]["pointwise"]
     assert points[1]["upsilon"] is None and points[0]["upsilon"] == report.upsilon[0]
-    header, *rows = _csv_doc({}, columns, ("upsilon",)).splitlines()[1:]
+    header, *rows = _written(_csv_doc, {}, columns, ("upsilon",)).splitlines()[1:]
     at = header.split(",").index("upsilon")
     assert rows[1].split(",")[at] == "" and float(rows[0].split(",")[at]) == report.upsilon[0]
+
+
+class _CountingSink:
+    """A text sink that keeps only the number of characters written to it."""
+
+    chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_writer_memory_does_not_grow_with_the_document(fmt):
+    # 200,000 rows of five float columns are ~38 MB of JSON and ~19 MB of
+    # CSV; written a chunk of rows at a time, the writer allocates under 4 MB
+    rng = np.random.default_rng(3)
+    columns = {name: rng.random(200_000) for name in SHAPE_COLUMNS}
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        if fmt == "json":
+            _json_doc(sink, {}, {}, columns, "pointwise", True, ("upsilon",))
+        else:
+            _csv_doc(sink, {}, columns, ("upsilon",))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.chars > (30e6 if fmt == "json" else 15e6)
+    assert peak < 4 * 2 ** 20
+
+
+# more rows than one written chunk
+LONG_SHAPE_ARGS = ["shape", "--nu", "0.5", "--alpha", "2", "--theta", "0.999",
+                   "--m", "20000", "--seed", "7"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_out_file_gets_the_bytes_stdout_gets(tmp_path, fmt):
+    args = LONG_SHAPE_ARGS + ["--format", fmt]
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    done = subprocess.run([sys.executable, "-m", "gigp", *args], env=env, cwd=ROOT,
+                          capture_output=True, timeout=60)
+    assert done.returncode == 0 and done.stderr == b""
+    assert done.stdout.count(b"\n") > cli._CHUNK_ROWS + 2
+    assert _run_to_file(tmp_path, "report." + fmt, args).read_bytes() == done.stdout
+
+
+@pytest.mark.parametrize("args", [
+    LONG_SHAPE_ARGS + ["--delta", "-1"],
+    ["shape", "--nu", "0.5", "--alpha", "0", "--theta", "0.99999", "--m", "10", "--seed", "1"],
+    ["simulate", "--nu", "0.5", "--alpha", "2", "--theta", "1.5", "--m", "10", "--seed", "1"],
+], ids=["bad-delta", "past-the-cap", "bad-theta"])
+def test_a_failed_command_creates_no_out_file(tmp_path, capsys, args):
+    out = tmp_path / "never.json"
+    assert main(args + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

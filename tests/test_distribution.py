@@ -9,6 +9,7 @@ expressions.
 """
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -144,6 +145,44 @@ def test_table_cut_and_support_cap():
     for p in (GigpParams(0.5, 0.0, 0.99999), GigpParams(0.5, 2.0, 0.99999)):
         with pytest.raises(RuntimeError, match="pmf support cutoff not reached"):
             ccdf(p, 1.0)
+
+
+def test_build_past_the_cap_gives_up_before_it_allocates():
+    # at theta = 0.99999 the tail asymptote is still above 1e-15 at the
+    # 2e6-entry cap, so no cut can fire there: the build raises before it
+    # fills any of the 2e6 entries, as it does when asked for a j past the cap
+    cases = [(GigpParams(0.5, 2.0, 0.99999), 0), (GigpParams(0.5, 0.0, 0.99999), 0),
+             (GigpParams(-0.5, 2.0, 0.99999), 0),
+             (GigpParams(-0.5, 0.0, 0.99999, True), 0),
+             (GigpParams(0.5, 2.0, 0.5), distribution._MAX_SUPPORT + 1)]
+    for p, need_j in cases:
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuntimeError, match="pmf support cutoff not reached"):
+                distribution._build_tables(p, need_j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+
+def test_table_makes_f_on_first_use_and_ends_cum_at_infinity():
+    # a ccdf and a sample read only sf and cum; f = exp(logf) is made when
+    # pmf first asks for it. cum[jmax] = +inf sends every u >= cum[jmax - 1]
+    # to jmax, where a clip to jmax used to
+    p = GigpParams(-0.5, 2.0, 0.95)
+    distribution._CACHE.pop(p, None)
+    ccdf(p, 3.0)
+    t = _tables(p)
+    sample_values(p, 1, 100)
+    assert t._f is None and t.cum[-1] == math.inf
+    assert pmf(p, 7) == math.exp(log_pmf(p, 7)) and t._f is not None
+
+    class EdgeRng:
+        def random(self, count):
+            return np.array([0.0, t.cum[-2], np.nextafter(1.0, 0.0)])
+
+    assert distribution._sample_values_rng(p, EdgeRng(), 3).tolist() == [0, t.jmax, t.jmax]
 
 
 def test_pmf_closed_form_families():
