@@ -8,8 +8,8 @@ goodness of fit, and a Boltzmann integer-partition demo.
 
 from .chaotic import (PoissonApprox, increment_rates, integrated_rate,
                       poisson_gof_experiment, poisson_rate)
-from .diagram import (FrequencyTable, YoungBoundary, boundary_moments,
-                      martingale_w, scaled_y, table_from_sample, young_y)
+from .diagram import (FrequencyTable, martingale_w, scaled_y, table_from_sample,
+                      young_y)
 from .distribution import (GigpParams, ccdf, cdf, gig_density, log_pmf,
                            mean_asymptotic, mean_exact, pmf, sample,
                            sample_values, tail_pmf_asymptotic,
@@ -19,9 +19,9 @@ from .fitgof import (GofReport, TailFit, alpha_from_b, estimate_theta,
                      pointwise_z_test)
 from .partition import (KAPPA, PartitionConfig, calibrate, partition_shape,
                         sample_partition)
-from .shape import (ScalingPair, ShapeReport, classify_regime, expected_shape_deviation,
-                    limit_cov, limit_shape, scaling_a, scaling_b, sup_distance,
-                    tail_transform, upsilon)
+from .shape import (ScalingPair, ShapeReport, boundary_moments, classify_regime,
+                    expected_shape_deviation, limit_cov, limit_shape, scaling_a,
+                    scaling_b, sup_distance, tail_transform, upsilon)
 from .specfun import (bessel_k_ratio, chi2_sf, log_bessel_k, normal_cdf,
                       regularized_gamma_q, upper_incomplete_gamma)
 
@@ -31,7 +31,7 @@ __all__ = [
     "GigpParams", "validate", "pmf", "log_pmf", "cdf", "ccdf",
     "mean_exact", "mean_asymptotic", "theta_from_mean", "gig_density",
     "tail_pmf_asymptotic", "sample", "sample_values",
-    "FrequencyTable", "YoungBoundary", "table_from_sample", "young_y",
+    "FrequencyTable", "table_from_sample", "young_y",
     "scaled_y", "boundary_moments", "martingale_w",
     "ScalingPair", "ShapeReport", "scaling_a", "scaling_b",
     "classify_regime", "limit_shape", "upsilon", "limit_cov",

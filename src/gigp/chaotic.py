@@ -17,8 +17,8 @@ import numpy as np
 
 from .distribution import GigpParams, _sample_values_rng, ccdf, validate
 from .fitgof import GofReport, pearson_chi2
-from .shape import scaling_b, classify_regime
-from .specfun import regularized_gamma_q
+from .shape import classify_regime, scaling_a, scaling_b
+from .specfun import _lower_p_series, regularized_gamma_q
 
 
 @dataclass(frozen=True)
@@ -28,18 +28,18 @@ class PoissonApprox:
     x: float
 
 
-def poisson_rate(params: GigpParams, m_sources: int, a_scale: float,
-                 x: float) -> PoissonApprox:
-    """Poisson(lambda) approximation of Y(A x): lambda = M F-bar(A x)."""
+def poisson_rate(params: GigpParams, m_sources: int, x: float) -> PoissonApprox:
+    """Poisson(lambda) approximation of Y(A x): lambda = M F-bar(A x),
+    A = scaling_a(theta)."""
     validate(params)
-    if not (a_scale > 0.0 and x > 0.0):
-        raise ValueError("a_scale and x must be positive")
-    fbar = ccdf(params, a_scale * x)
+    if not x > 0.0:
+        raise ValueError("x must be positive")
+    fbar = ccdf(params, scaling_a(params.theta) * x)
     lam = m_sources * fbar
     return PoissonApprox(lam, lam * fbar, x)
 
 
-def increment_rates(params: GigpParams, m_sources: int, a_scale: float,
+def increment_rates(params: GigpParams, m_sources: int,
                     xs: Sequence[float]) -> list[float]:
     """Rates of the increment counts over [x_i, x_{i+1}), last cell open-ended."""
     validate(params)
@@ -49,17 +49,16 @@ def increment_rates(params: GigpParams, m_sources: int, a_scale: float,
         raise ValueError("xs must be positive")
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise ValueError("xs must be strictly increasing")
-    fbars = ccdf(params, a_scale * np.asarray(xs, dtype=float))
+    fbars = ccdf(params, scaling_a(params.theta) * np.asarray(xs, dtype=float))
     return (m_sources * (fbars[:-1] - fbars[1:])).tolist() + [m_sources * float(fbars[-1])]
 
 
-def integrated_rate(params: GigpParams, m_sources: int, a_scale: float,
-                    t: float) -> float:
+def integrated_rate(params: GigpParams, m_sources: int, t: float) -> float:
     """Lambda(t) = M F-bar(A/t), the integrated rate in inverted time."""
     validate(params)
     if not t > 0.0:
         raise ValueError("t must be positive")
-    return m_sources * ccdf(params, a_scale / t)
+    return m_sources * ccdf(params, scaling_a(params.theta) / t)
 
 
 def _poisson_pmf(j: int, lam: float) -> float:
@@ -74,6 +73,9 @@ def _poisson_sf(k: int, lam: float) -> float:
         return 1.0
     if lam <= 0.0:
         return 0.0
+    if lam < k + 1.0:
+        # the series for P(k, lam) itself; 1 - Q(k, lam) cancels here
+        return _lower_p_series(float(k), lam)
     return 1.0 - regularized_gamma_q(float(k), lam)
 
 

@@ -167,9 +167,14 @@ def _params_from(args, table: FrequencyTable | None = None) -> GigpParams:
     return validate(GigpParams(args.nu, args.alpha, theta, truncated))
 
 
-def _config_echo(args, keys, params: GigpParams, m: int) -> dict:
+# flags the config echo leaves out: the resolved params stand in for the
+# model flags, and a document does not name the file it is written to
+_NOT_ECHOED = frozenset({"nu", "alpha", "theta", "truncated", "out"})
+
+
+def _config_echo(args, params: GigpParams, m: int) -> dict:
     pair = scaling_b(params, m)
-    return {"command": args.command, **{k: getattr(args, k) for k in keys},
+    return {**{k: v for k, v in vars(args).items() if k not in _NOT_ECHOED},
             "nu": params.nu, "alpha": params.alpha, "theta": params.theta,
             "truncated": params.zero_truncated,
             "scaling": {"a": pair.a, "b": pair.b, "case_label": pair.case_label,
@@ -182,7 +187,7 @@ def _config_echo(args, keys, params: GigpParams, m: int) -> dict:
 def _cmd_simulate(args) -> int:
     params = _params_from(args)
     table = sample(params, args.seed, args.m)
-    cfg = _config_echo(args, ["m", "seed", "format"], params, args.m)
+    cfg = _config_echo(args, params, args.m)
     return _write(args, cfg, {"m": table.M, "n": table.N},
                   {"j": table.support, "count": table.mult}, "table")
 
@@ -192,7 +197,7 @@ def _cmd_shape(args) -> int:
     if not args.delta > 0.0:
         raise ValueError("--delta must be positive")
     table = sample(params, args.seed, args.m)
-    cfg = _config_echo(args, ["m", "seed", "delta", "format"], params, args.m)
+    cfg = _config_echo(args, params, args.m)
     if args.format == "svg":
         svg = _shape_svg(table, params, cfg)
         with _destination(args.out) as fh:
@@ -216,8 +221,7 @@ def _cmd_fit(args) -> int:
     # model is case (d), whose B carries no alpha
     alpha_hat = (alpha_from_b(args.nu, theta, table.M, math.exp(fit.logB_hat))
                  if args.alpha > 0.0 else None)
-    cfg = _config_echo(args, ["data", "u_min", "u_max", "format"],
-                       params, table.M)
+    cfg = _config_echo(args, params, table.M)
     result = {"m": table.M, "n": table.N, "eta_hat": table.N / table.M,
               "theta": theta,
               "theta_source": "given" if args.theta is not None else "estimated",
@@ -251,8 +255,7 @@ def _cmd_gof(args) -> int:
     labels = [str(j) for j in range(j_lo, j_hi)] + [f"{j_hi}+"]
     rep = pearson_chi2(observed.tolist(), expected.tolist(), n_fitted_params=fitted,
                        min_expected=args.min_expected, labels=labels)
-    cfg = _config_echo(args, ["data", "min_expected", "format"],
-                       params, table.M)
+    cfg = _config_echo(args, params, table.M)
     result = {"statistic": rep.statistic, "df": rep.df, "p_value": rep.p_value,
               "theta": params.theta, "fitted_params": fitted}
     return _write(args, cfg, result, _bin_columns(rep), "bins")
@@ -260,13 +263,11 @@ def _cmd_gof(args) -> int:
 
 def _cmd_chaotic(args) -> int:
     params = _params_from(args)
-    pair = scaling_b(params, args.m)
-    rate = poisson_rate(params, args.m, pair.a, args.x0)
+    rate = poisson_rate(params, args.m, args.x0)
     rep = poisson_gof_experiment(params, args.m, args.x0, args.replicates,
                                  args.seed, fit_lambda=args.fit_lambda,
                                  min_expected=args.min_expected)
-    cfg = _config_echo(args, ["m", "x0", "replicates", "seed", "fit_lambda",
-                              "min_expected", "format"], params, args.m)
+    cfg = _config_echo(args, params, args.m)
     result = {"lambda": rate.lam, "tv_bound": rate.tv_bound,
               "statistic": rep.statistic, "df": rep.df, "p_value": rep.p_value}
     return _write(args, cfg, result, _bin_columns(rep), "bins")
@@ -277,7 +278,7 @@ def _cmd_partition(args) -> int:
     table = sample_partition(config, args.seed)
     root = math.sqrt(args.n)
     xs = table.support / root
-    ys = table.boundary().suffix[:-1] / root
+    ys = table.suffix[:-1] / root
     # point by point with libm: numpy's exp can differ from it in the last bit
     shape = np.array([partition_shape(x) for x in xs.tolist()])
     cfg = {"command": "partition", "n": args.n, "seed": args.seed,
@@ -314,13 +315,12 @@ def _pane(points_sets, x_rng, y_rng, origin, size):
 
 def _shape_svg(table, params: GigpParams, cfg: dict) -> str:
     pair = scaling_b(params, table.M)
-    boundary = table.boundary()
     # at least 1, so a sample with every source at j = 0 keeps a wide pane
-    j_max = int(boundary.support.max(initial=1))
+    j_max = int(table.support.max(initial=1))
     # left pane: data step, model ccdf, scaled-back limit shape
     steps = []
     prev_y = float(table.M)
-    for j, y in zip(boundary.support, boundary.suffix):
+    for j, y in zip(table.support, table.suffix):
         steps.append((float(j), prev_y))
         steps.append((float(j), float(y)))
         prev_y = float(y)

@@ -14,24 +14,6 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 
-class YoungBoundary:
-    """Evaluation cache for Y(x): sorted support plus suffix counts."""
-
-    __slots__ = ("support", "suffix")
-
-    def __init__(self, support: np.ndarray, suffix: np.ndarray):
-        self.support = support
-        self.suffix = suffix
-
-    def at(self, x) -> np.ndarray | int:
-        """Y(x) = sum of counts over support values >= x; vectorized in x."""
-        idx = np.searchsorted(self.support, np.asarray(x), side="left")
-        out = self.suffix[idx]
-        if np.ndim(x) == 0:
-            return int(out)
-        return out
-
-
 _INT64_MAX = 2 ** 63 - 1
 
 
@@ -50,13 +32,14 @@ def _int64_column(values, what: str) -> np.ndarray:
 class FrequencyTable:
     """Immutable counts-of-counts {value j >= 0: multiplicity M_j >= 1}.
 
-    Held as two read-only int64 arrays in increasing j, `support` (the
-    values j) and `mult` (their multiplicities M_j), with the exact
+    Held as read-only int64 arrays in increasing j, `support` (the
+    values j), `mult` (their multiplicities M_j) and `suffix` (the
+    Young diagram Y at each support value, then 0), with the exact
     integer totals M = sum M_j and N = sum j M_j. `counts` gives the
     same table as a dict.
     """
 
-    __slots__ = ("support", "mult", "M", "N", "_boundary")
+    __slots__ = ("support", "mult", "suffix", "M", "N")
 
     def __init__(self, counts: Mapping[int, int]):
         support = _int64_column(list(counts.keys()), "keys")
@@ -80,16 +63,12 @@ class FrequencyTable:
         suffix = np.concatenate([np.cumsum(mult[::-1])[::-1], [0]])
         for arr in (support, mult, suffix):
             arr.flags.writeable = False
-        self.support, self.mult = support, mult
-        self._boundary = YoungBoundary(support, suffix)
+        self.support, self.mult, self.suffix = support, mult, suffix
 
     @property
     def counts(self) -> dict[int, int]:
         """The table as a dict {j: M_j} in increasing j, built on each access."""
         return dict(zip(self.support.tolist(), self.mult.tolist()))
-
-    def boundary(self) -> YoungBoundary:
-        return self._boundary
 
     def __eq__(self, other):
         return (isinstance(other, FrequencyTable)
@@ -109,37 +88,18 @@ def table_from_sample(values: Iterable[int]) -> FrequencyTable:
     return FrequencyTable._from_sorted(uniq, mult.astype(np.int64))
 
 
-def young_y(table: FrequencyTable, x: float) -> int:
-    """Boundary height Y(x) = #{sources with value >= x}."""
-    return int(table.boundary().at(x))
+def young_y(table: FrequencyTable, x):
+    """Boundary height Y(x) = #{sources with value >= x}: an int for a
+    number x, an int64 array for an array of them."""
+    out = table.suffix[np.searchsorted(table.support, np.asarray(x), side="left")]
+    return int(out) if np.ndim(x) == 0 else out
 
 
-def scaled_y(table: FrequencyTable, a: float, b: float, x: float) -> float:
-    """Y-tilde(x) = Y(A x) / B."""
+def scaled_y(table: FrequencyTable, a: float, b: float, x):
+    """Y-tilde(x) = Y(A x) / B, a float for a number x, an array for an array."""
     if not (a > 0.0 and b > 0.0):
         raise ValueError("scales must be positive")
-    return young_y(table, a * x) / b
-
-
-def boundary_moments(params, m_sources: int, x: float,
-                     x2: float | None = None) -> tuple[float, float, float]:
-    """(mean, variance, covariance) of Y(x) (and Y(x2)) under the model.
-
-    Y(x) is Binomial(M, F-bar(x)), and for x <= x2 the covariance of
-    Y(x), Y(x2) is M F-bar(x2) (1 - F-bar(x)).
-    """
-    from .distribution import ccdf
-    if m_sources < 1:
-        raise ValueError("m_sources must be >= 1")
-    if x2 is None:
-        x2 = x
-    if x2 < x:
-        raise ValueError("x2 must be >= x")
-    p1, p2 = ccdf(params, np.array([x, x2], dtype=float)).tolist()
-    mean = m_sources * p1
-    var = m_sources * p1 * (1.0 - p1)
-    cov = m_sources * p2 * (1.0 - p1)
-    return mean, var, cov
+    return young_y(table, np.multiply(a, x)) / b
 
 
 def martingale_w(values, cdf: Callable[[float], float], t: float) -> float:

@@ -354,8 +354,9 @@ def ccdf(params: GigpParams, x):
         raise ValueError("x must be finite")
     j = np.maximum(np.ceil(xs), 0.0)
     t = _tables(params)
-    # 16 A past x the tail estimate is ~e^-16 of P(X >= x); f_j falls ~theta per step
-    need = float(j.max(initial=0.0)) - 16.0 / math.log(params.theta)
+    # 16 A past x the tail estimate is ~e^-16 of P(X >= x); f_j falls ~theta
+    # per step. The table stops at the cap, past which ccdf reads 0.
+    need = min(float(j.max(initial=0.0)) - 16.0 / math.log(params.theta), _MAX_SUPPORT)
     if need > t.jmax and t.logf[-1] + (need - t.jmax) * math.log(params.theta) > -745.0:
         t = _tables(params, math.ceil(need))
     out = t.sf[np.minimum(j, t.jmax + 1).astype(np.intp)]
@@ -420,7 +421,12 @@ def _theta_seed(nu: float, alpha: float, eta: float) -> float:
         if alpha == 0.0:
             return math.pow((-nu) / eta, 1.0 / (nu + 1.0))
         c = math.gamma(nu + 1.0) * math.pow(0.5 * alpha, -2.0 * nu) / math.gamma(-nu)
-        return math.pow(c / eta, 1.0 / (nu + 1.0))
+        try:
+            return math.pow(c / eta, 1.0 / (nu + 1.0))
+        except OverflowError:
+            # the exponent grows without bound as nu -> -1; theta_from_mean
+            # clamps an infinite seed to its largest u
+            return math.inf
     return math.exp(-4.0 * eta / (alpha * alpha))
 
 

@@ -38,10 +38,9 @@ class GofReport:
 def tail_points(table: FrequencyTable, a_scale: float) -> np.ndarray:
     """tail_transform of the boundary at its jumps j >= 1, (x, y) = (j/A, Y(j)),
     as an (n, 2) array of (u, v) rows."""
-    boundary = table.boundary()
-    tail = boundary.support >= 1
-    pts = zip((boundary.support[tail] / a_scale).tolist(),
-              boundary.suffix[:-1][tail].astype(float).tolist())
+    tail = table.support >= 1
+    pts = zip((table.support[tail] / a_scale).tolist(),
+              table.suffix[:-1][tail].astype(float).tolist())
     return np.array(tail_transform(pts), dtype=float).reshape(-1, 2)
 
 

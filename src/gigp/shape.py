@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .diagram import FrequencyTable
+from .diagram import FrequencyTable, young_y
 from .distribution import GigpParams, ccdf, validate
 from .specfun import upper_incomplete_gamma
 
@@ -98,7 +98,7 @@ def _fluctuation(table: FrequencyTable, params: GigpParams, x, j):
     Y and F-bar read at j = A x (the integer at a jump); Upsilon NaN where phi is 0."""
     b = scaling_b(params, table.M).b
     phi = upper_incomplete_gamma(params.nu, x)
-    y_scaled = table.boundary().at(j) / b
+    y_scaled = young_y(table, j) / b
     fbar = ccdf(params, j)
     ups = np.sqrt(b / np.where(phi > 0.0, phi, np.nan)) * (y_scaled - table.M * fbar / b)
     return phi, y_scaled, fbar, ups
@@ -113,6 +113,26 @@ def upsilon(table: FrequencyTable, params: GigpParams, x: float) -> float:
     if phi <= 0.0:
         raise ValueError("phi_nu(x) underflowed; x is too deep in the tail")
     return float(ups)
+
+
+def boundary_moments(params: GigpParams, m_sources: int, x: float,
+                     x2: float | None = None) -> tuple[float, float, float]:
+    """(mean, variance, covariance) of Y(x) (and Y(x2)) under the model.
+
+    Y(x) is Binomial(M, F-bar(x)), and for x <= x2 the covariance of
+    Y(x), Y(x2) is M F-bar(x2) (1 - F-bar(x)).
+    """
+    if m_sources < 1:
+        raise ValueError("m_sources must be >= 1")
+    if x2 is None:
+        x2 = x
+    if x2 < x:
+        raise ValueError("x2 must be >= x")
+    p1, p2 = ccdf(params, np.array([x, x2], dtype=float)).tolist()
+    mean = m_sources * p1
+    var = m_sources * p1 * (1.0 - p1)
+    cov = m_sources * p2 * (1.0 - p1)
+    return mean, var, cov
 
 
 def limit_cov(nu: float, x: float, x2: float) -> float:
@@ -148,7 +168,7 @@ def sup_distance(table: FrequencyTable, params: GigpParams, delta: float) -> Sha
         raise ValueError("delta must be positive")
     pair = scaling_b(params, table.M)
     a, b, m = pair.a, pair.b, table.M
-    support, suffix = table.boundary().support, table.boundary().suffix
+    support, suffix = table.support, table.suffix
 
     # the point x = delta, then each jump x_k = j/A >= delta (so j >= 1)
     # with Y at the jump (mass at j included) and its right limit

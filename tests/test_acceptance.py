@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from gigp.chaotic import poisson_gof_experiment, poisson_rate
+from gigp.diagram import young_y
 from gigp.distribution import (GigpParams, ccdf, mean_asymptotic, mean_exact,
                                pmf, sample, sample_values)
 from gigp.fitgof import ks_normality, pointwise_z_test
@@ -63,8 +64,7 @@ def test_criterion_01_scaling_anchors():
 def test_criterion_02_poisson_rate_anchor():
     t0 = time.perf_counter()
     params = GigpParams(-0.5, 2.0, 0.99)
-    pair = scaling_b(params, 35)
-    approx = poisson_rate(params, 35, pair.a, 0.2)
+    approx = poisson_rate(params, 35, 0.2)
     assert approx.lam == pytest.approx(4.342498, abs=1e-3)
     assert time.perf_counter() - t0 < 1.0
 
@@ -153,10 +153,9 @@ def _mean_sup_dev(table, params: GigpParams, m: int, pair, delta: float) -> floa
     # sup over x >= delta of |Y-tilde(x) - M F-bar(A x)/B|: both steps are
     # constant on (j - 1, j], so the integers from ceil(A delta) to one past
     # the largest value cover it
-    boundary = table.boundary()
-    js = np.arange(math.ceil(pair.a * delta), int(boundary.support[-1]) + 2)
+    js = np.arange(math.ceil(pair.a * delta), int(table.support[-1]) + 2)
     mean = m * np.array([ccdf(params, j) for j in js])
-    return float(np.max(np.abs(boundary.at(js) - mean))) / pair.b
+    return float(np.max(np.abs(young_y(table, js) - mean))) / pair.b
 
 
 def test_criterion_07_monte_carlo_sup_distance():
@@ -240,13 +239,12 @@ def _partition_sup_dev(table, n: int) -> float:
     # a jump j_k = x sqrt(n), against Y(j_k) = suffix[k] or the right
     # limit suffix[k+1], both read from the integer support
     root = math.sqrt(n)
-    boundary = table.boundary()
-    first = int(np.searchsorted(boundary.support / root, 0.3))
-    worst = abs(boundary.suffix[first] / root - partition_shape(0.3))
-    for k in range(first, boundary.support.size):
-        y = partition_shape(boundary.support[k] / root)
-        worst = max(worst, abs(boundary.suffix[k] / root - y),
-                    abs(boundary.suffix[k + 1] / root - y))
+    first = int(np.searchsorted(table.support / root, 0.3))
+    worst = abs(table.suffix[first] / root - partition_shape(0.3))
+    for k in range(first, table.support.size):
+        y = partition_shape(table.support[k] / root)
+        worst = max(worst, abs(table.suffix[k] / root - y),
+                    abs(table.suffix[k + 1] / root - y))
     return float(worst)
 
 

@@ -19,7 +19,7 @@ from gigp import cli, distribution
 from gigp.chaotic import poisson_gof_experiment
 from gigp.cli import _csv_doc, _json_doc, main, read_frequency_csv
 from gigp.diagram import FrequencyTable
-from gigp.distribution import GigpParams, sample
+from gigp.distribution import GigpParams, sample, theta_from_mean
 from gigp.shape import ShapeReport, sup_distance
 from gigp.specfun import chi2_sf
 
@@ -93,7 +93,7 @@ PINNED = [
     ("gof", "csv", "1bef38174cb4d4793e14e30e9aa06d5b84f8dbee6d9f945b469501d4b52c1057"),
     ("shape-alpha2", "json", "deaabe02553a78c355ecedb49bc59393e9e34cebcc800cc107e7905e897b6b27"),
     ("simulate-alpha2", "json", "64575f54a34d61d187f6f767be5cb654b13247f2c2a3078321c36f91b60c92a7"),
-    ("chaotic-alpha2", "json", "e4db374a97b5765e1f9e0a69b494c838feee806b81c96e76604b97d23b4bb882"),
+    ("chaotic-alpha2", "json", "ce8ff1fe7cbabb8e4a9affe19ba8151e0b9c1ba08a928da989543050f847451d"),
 ]
 
 
@@ -388,16 +388,28 @@ def test_exit_codes(tmp_path, capsys):
     # B = M / Gamma(nu), and Gamma(1e6) overflows
     (["shape", "--nu", "1e6", "--alpha", "2", "--theta", "0.5", "--m", "10", "--seed", "1"],
      "error: the scale B is out of floating-point range at these parameters\n"),
-    # the theta seed (c / eta)^(1 / (nu + 1)) overflows as nu -> -1; main's
-    # ArithmeticError handler turns it into an error line
-    (["fit", "--data", "small.csv", "--nu", "-0.999999", "--alpha", "2"],
-     "error: math range error\n"),
-], ids=["huge-alpha", "huge-nu", "theta-seed"])
+], ids=["huge-alpha", "huge-nu"])
 def test_arithmetic_failures_are_one_error_line(tmp_path, monkeypatch, capsys, args, line):
     monkeypatch.chdir(tmp_path)
     _write_csv(tmp_path, "small.csv", [(1, 50), (2, 20), (5, 10), (30, 3)])
     assert main(args) == 1
     assert capsys.readouterr() == ("", line)
+
+
+def test_theta_solve_survives_a_seed_overflow_near_nu_minus_one(tmp_path, monkeypatch, capsys):
+    # the theta seed (c / eta)^(1 / (nu + 1)) overflows as nu -> -1; taken
+    # as +inf it is clamped to the largest u and the solve converges
+    assert theta_from_mean(-0.999999, 2.0, 230 / 83) == pytest.approx(0.9729339857041213,
+                                                                       rel=1e-12)
+    monkeypatch.chdir(tmp_path)
+    _write_csv(tmp_path, "small.csv", [(1, 50), (2, 20), (5, 10), (30, 3)])
+    model = ["--data", "small.csv", "--nu", "-0.999999", "--alpha", "2"]
+    assert main(["gof", *model]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["theta"] == pytest.approx(
+        0.9729339857041213, rel=1e-12)
+    # four rows leave too few tail points for the default fit window
+    assert main(["fit", *model]) == 1
+    assert capsys.readouterr() == ("", "error: fewer than 3 tail points in the fit window\n")
 
 
 def test_read_frequency_csv_validation(tmp_path):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from gigp.diagram import (FrequencyTable, martingale_w, scaled_y,
-                          table_from_sample, young_y, boundary_moments)
+                          table_from_sample, young_y)
 from gigp.distribution import GigpParams, ccdf
+from gigp.shape import boundary_moments
 
 
 def test_table_from_sample_example():
@@ -39,8 +40,11 @@ def test_zero_values_count_toward_m_not_n():
 
 def test_boundary_vectorized():
     t = table_from_sample([4, 2, 2, 2, 1, 1])
-    got = t.boundary().at(np.array([0.0, 1.0, 2.5, 4.0, 9.0]))
-    assert list(got) == [6, 6, 1, 1, 0]
+    xs = [0.0, 1.0, 2.5, 4.0, 9.0]
+    got = young_y(t, np.array(xs))
+    assert got.dtype == np.int64
+    assert got.tolist() == [young_y(t, x) for x in xs] == [6, 6, 1, 1, 0]
+    assert type(young_y(t, 2.5)) is int
 
 
 def test_scaled_y():
@@ -76,7 +80,7 @@ def test_frequency_table_arrays():
     t = FrequencyTable({7: 1, 2.0: 3, 0: 4, 5: 0})
     assert t.support.tolist() == [0, 2, 7] and t.mult.tolist() == [4, 3, 1]
     assert t.support.dtype == np.int64 and t.mult.dtype == np.int64
-    assert t.boundary().suffix.tolist() == [8, 4, 1, 0]
+    assert t.suffix.tolist() == [8, 4, 1, 0]
     assert (t.M, t.N) == (8, 13)
     assert t.counts == {0: 4, 2: 3, 7: 1}
     with pytest.raises(ValueError):

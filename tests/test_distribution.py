@@ -121,6 +121,19 @@ def test_ccdf_does_not_depend_on_earlier_calls():
     assert ccdf(p, 1e9) == 0.0
 
 
+def test_ccdf_just_below_the_support_cap():
+    # x + 16 A passes the 2e6-entry cap here; the table grows to the cap
+    # instead of raising, and past the cap ccdf reads 0
+    p = GigpParams(0.5, 2.0, 0.9999)
+    try:
+        for x in (1.8e6, 1.9e6, 1.99e6):
+            asymptote = tail_pmf_asymptotic(p, int(x)) / (1.0 - p.theta)
+            assert ccdf(p, x) == pytest.approx(asymptote, rel=0.01, abs=0.0)
+        assert ccdf(p, 3e6) == 0.0
+    finally:
+        distribution._CACHE.pop(p, None)
+
+
 def test_bessel_ratios_match_the_sequential_recurrence():
     # each window of _J_WINDOW forward steps from a crude seed must land on
     # the value the one-at-a-time recurrence from K_(nu+1)/K_nu gives

@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from gigp.diagram import young_y
 from gigp.partition import KAPPA, calibrate, sample_partition, partition_shape
 from gigp.specfun import chi2_sf
 
@@ -81,12 +82,11 @@ def test_multiplicity_means_are_geometric():
 
 def _sup_dev(t, n: int) -> float:
     root = math.sqrt(n)
-    b = t.boundary()
     worst = 0.0
     xs = [0.3] + [j / root for j in t.counts if j / root >= 0.3]
     for x in xs:
         for side in (0.0, 1e-9):
-            dev = abs(b.at(x * root + side) / root - partition_shape(x))
+            dev = abs(young_y(t, x * root + side) / root - partition_shape(x))
             worst = max(worst, dev)
     return worst
 
