@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .distribution import GigpParams, _sample_values_rng, ccdf, validate
-from .fitgof import GofReport, pearson_chi2
+from .fitgof import GofReport, _open_top_chi2
 from .shape import classify_regime, scaling_a, scaling_b
 from .specfun import _lower_p_series, regularized_gamma_q
 
@@ -107,11 +107,6 @@ def poisson_gof_experiment(params: GigpParams, m_sources: int, x0: float,
         values = _sample_values_rng(params, rng, m_sources)
         ys[r] = np.count_nonzero(values >= threshold)
     lam = float(np.mean(ys)) if fit_lambda else m_sources * ccdf(params, threshold)
-    jmax = int(ys.max())
-    observed = np.bincount(ys, minlength=jmax + 1)
-    expected = [replicates * _poisson_pmf(j, lam) for j in range(jmax)]
-    expected.append(replicates * _poisson_sf(jmax, lam))
-    labels = [str(j) for j in range(jmax)] + [f"{jmax}+"]
-    return pearson_chi2(list(observed), expected,
-                        n_fitted_params=1 if fit_lambda else 0,
-                        min_expected=min_expected, labels=labels)
+    return _open_top_chi2(*np.unique(ys, return_counts=True), 0, lambda jmax: np.array(
+        [_poisson_pmf(j, lam) for j in range(jmax)] + [_poisson_sf(jmax, lam)]),
+        1 if fit_lambda else 0, min_expected)

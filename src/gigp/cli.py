@@ -22,8 +22,8 @@ import numpy as np
 from .chaotic import poisson_gof_experiment, poisson_rate
 from .diagram import FrequencyTable
 from .distribution import GigpParams, ccdf, pmf, resolve_truncation, sample, validate
-from .fitgof import (_check_zero_row, alpha_from_b, estimate_theta, fit_tail_line,
-                     pearson_chi2, tail_points)
+from .fitgof import (_check_zero_row, _open_top_chi2, alpha_from_b, estimate_theta,
+                     fit_tail_line, tail_points)
 from .partition import calibrate, partition_shape, sample_partition
 from .shape import classify_regime, limit_shape, scaling_b, sup_distance
 
@@ -233,32 +233,20 @@ def _cmd_fit(args) -> int:
     return _write(args, cfg, result, {"key": keys, "value": [result[k] for k in keys]})
 
 
-def _bin_columns(rep) -> dict:
-    labels, observed, expected = zip(*rep.bins)  # pearson_chi2 leaves >= 2 bins
-    return {"bin": labels, "observed": np.array(observed, dtype=np.int64),
-            "expected": np.array(expected, dtype=float)}
-
-
 def _cmd_gof(args) -> int:
     table = read_frequency_csv(args.data)
     params = _params_from(args, table)
     fitted = int(args.theta is None)
-    # bins j_lo .. j_hi - 1, then the open bin from the largest value j_hi
-    support, mult = table.support, table.mult
     j_lo = 1 if params.zero_truncated else 0
-    j_hi = int(support[-1])
-    closed = (support >= j_lo) & (support < j_hi)
-    observed = np.zeros(max(j_hi - j_lo, 0) + 1, dtype=np.int64)
-    observed[support[closed] - j_lo] = mult[closed]
-    observed[-1] = mult[-1]
-    expected = table.M * np.append(pmf(params, np.arange(j_lo, j_hi)), ccdf(params, j_hi))
-    labels = [str(j) for j in range(j_lo, j_hi)] + [f"{j_hi}+"]
-    rep = pearson_chi2(observed.tolist(), expected.tolist(), n_fitted_params=fitted,
-                       min_expected=args.min_expected, labels=labels)
+    rep = _open_top_chi2(
+        table.support, table.mult, j_lo,
+        lambda j_hi: np.append(pmf(params, np.arange(j_lo, j_hi)), ccdf(params, j_hi)),
+        fitted, args.min_expected)
     cfg = _config_echo(args, params, table.M)
     result = {"statistic": rep.statistic, "df": rep.df, "p_value": rep.p_value,
               "theta": params.theta, "fitted_params": fitted}
-    return _write(args, cfg, result, _bin_columns(rep), "bins")
+    return _write(args, cfg, result, {"bin": rep.bins, "observed": rep.observed,
+                                      "expected": rep.expected}, "bins")
 
 
 def _cmd_chaotic(args) -> int:
@@ -270,7 +258,8 @@ def _cmd_chaotic(args) -> int:
     cfg = _config_echo(args, params, args.m)
     result = {"lambda": rate.lam, "tv_bound": rate.tv_bound,
               "statistic": rep.statistic, "df": rep.df, "p_value": rep.p_value}
-    return _write(args, cfg, result, _bin_columns(rep), "bins")
+    return _write(args, cfg, result, {"bin": rep.bins, "observed": rep.observed,
+                                      "expected": rep.expected}, "bins")
 
 
 def _cmd_partition(args) -> int:
@@ -334,17 +323,17 @@ def _shape_svg(table, params: GigpParams, cfg: dict) -> str:
                  (0.0, float(j_max)), (0.0, y_top), (40, 20), (360, 300))
     # right pane: transformed tail with the model line; only its frame
     # when no source sits at j >= 1
-    uv = tail_points(table, pair.a)
-    if not len(uv):
+    u, v = tail_points(table, pair.a)
+    if not len(u):
         right = _pane([], (0.0, 1.0), (0.0, 1.0), (460, 20), (360, 300))
     else:
-        us, vs = uv[:, 0].tolist(), uv[:, 1].tolist()
+        us, vs = u.tolist(), v.tolist()
         line_u = min(us) + (max(us) - min(us)) * np.arange(101) / 100.0
         line_v = math.log(pair.b) + (params.nu - 1.0) * line_u
         line = list(zip(line_u.tolist(), line_v.tolist()))
         lo_v = min(vs + line_v.tolist())
         hi_v = max(vs + line_v.tolist())
-        right = _pane([(uv.tolist(), "#1f77b4", None), (line, "#2ca02c", "4 3")],
+        right = _pane([(list(zip(us, vs)), "#1f77b4", None), (line, "#2ca02c", "4 3")],
                       (min(us), max(us) + 1e-9), (lo_v, hi_v + 1e-9),
                       (460, 20), (360, 300))
     title = ("data / model / limit shape; right: tail coordinates "

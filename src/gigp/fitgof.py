@@ -14,7 +14,7 @@ import numpy as np
 from .diagram import FrequencyTable
 from .distribution import GigpParams, resolve_truncation, theta_from_mean
 from .shape import classify_regime, scaling_b, tail_transform, upsilon
-from .specfun import chi2_sf, normal_cdf
+from .specfun import _libm, chi2_sf, normal_cdf
 
 
 @dataclass(frozen=True)
@@ -29,19 +29,20 @@ class TailFit:
 
 @dataclass
 class GofReport:
+    """A chi-square test and its merged bins as three columns: labels ("j",
+    or "lo-hi" for a run), int64 observed and float64 expected counts."""
     statistic: float
     df: int
     p_value: float
-    bins: list[tuple[str, int, float]]
+    bins: list[str]
+    observed: np.ndarray
+    expected: np.ndarray
 
 
-def tail_points(table: FrequencyTable, a_scale: float) -> np.ndarray:
-    """tail_transform of the boundary at its jumps j >= 1, (x, y) = (j/A, Y(j)),
-    as an (n, 2) array of (u, v) rows."""
+def tail_points(table: FrequencyTable, a_scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v) = tail_transform(j / A, Y(j)) at the boundary's jumps j >= 1."""
     tail = table.support >= 1
-    pts = zip((table.support[tail] / a_scale).tolist(),
-              table.suffix[:-1][tail].astype(float).tolist())
-    return np.array(tail_transform(pts), dtype=float).reshape(-1, 2)
+    return tail_transform(table.support[tail] / a_scale, table.suffix[:-1][tail])
 
 
 def fit_tail_line(table: FrequencyTable, a_scale: float,
@@ -57,23 +58,23 @@ def fit_tail_line(table: FrequencyTable, a_scale: float,
     """
     if not a_scale > 0.0:
         raise ValueError("a_scale must be positive")
-    uv = tail_points(table, a_scale)
-    us = np.sort(uv[:, 0])
+    u, v = tail_points(table, a_scale)
+    us = np.sort(u)
     if u_min is None:
         u_min = us[int(round(0.2 * (len(us) - 1)))] if len(us) else 0.0
     if u_max is None:
         u_max = us[int(round(0.8 * (len(us) - 1)))] if len(us) else 0.0
-    kept = uv[(uv[:, 0] >= u_min) & (uv[:, 0] <= u_max)]
-    if len(kept) < 3:
+    kept = (u >= u_min) & (u <= u_max)
+    if np.count_nonzero(kept) < 3:
         raise ValueError("fewer than 3 tail points in the fit window")
-    u, v = kept.T.copy()
+    u, v = u[kept], v[kept]
     slope, intercept = np.polyfit(u, v, 1)
     resid = v - (slope * u + intercept)
     ss_res = float(resid @ resid)
     ss_tot = float(((v - v.mean()) ** 2).sum())
     # an exactly linear v leaves only float rounding in both sums, where
     # the ratio form would report garbage
-    exact = ss_res <= 1e-20 * len(kept) * max(1.0, float((v * v).mean()))
+    exact = ss_res <= 1e-20 * len(u) * max(1.0, float((v * v).mean()))
     if exact:
         r2 = 1.0
     elif ss_tot > 0.0:
@@ -121,14 +122,6 @@ def estimate_theta(nu: float, alpha: float, table: FrequencyTable,
     return theta_from_mean(nu, alpha, table.N / table.M, zero_truncated)
 
 
-def _merge_two(bins: list[list], i: int) -> None:
-    # fold bin i+1 into bin i
-    bins[i][1] = bins[i][1] + bins[i + 1][1]
-    bins[i][2] = bins[i][2] + bins[i + 1][2]
-    bins[i][3] = bins[i + 1][3]
-    del bins[i + 1]
-
-
 def pearson_chi2(observed: Sequence[int], expected: Sequence[float],
                  n_fitted_params: int = 0, min_expected: float = 5.0,
                  labels: Sequence[str] | None = None) -> GofReport:
@@ -137,49 +130,71 @@ def pearson_chi2(observed: Sequence[int], expected: Sequence[float],
     Edge bins with expected < min_expected are folded inward first (the
     deterministic order makes the statistic a function of the merged
     layout only); any interior stragglers then fold into the smaller
-    neighbor. df = merged_bins - n_fitted_params - 1.
+    neighbor, the left one on ties. Both passes are linear in the bin
+    count. df = merged_bins - n_fitted_params - 1.
     """
-    obs = [int(o) for o in observed]
-    exp = [float(e) for e in expected]
-    if len(obs) != len(exp) or not obs:
+    obs = np.asarray(observed, dtype=np.int64)
+    exp = np.asarray(expected, dtype=float)
+    if obs.ndim != 1 or obs.shape != exp.shape or not obs.size:
         raise ValueError("observed and expected must be equal-length and nonempty")
-    if any(o < 0 for o in obs):
+    if labels is not None and len(labels) != obs.size:
+        raise ValueError("labels must have one entry per bin")
+    if np.any(obs < 0):
         raise ValueError("observed counts must be nonnegative")
-    if any(not e > 0.0 for e in exp):
+    if not np.all(exp > 0.0):
         raise ValueError("expected counts must be positive")
     if n_fitted_params < 0:
         raise ValueError("n_fitted_params must be >= 0")
-    total_o, total_e = sum(obs), sum(exp)
-    if abs(total_e - total_o) > 0.005 * total_o:
+    o, e = obs.tolist(), exp.tolist()
+    if abs(sum(e) - sum(o)) > 0.005 * sum(o):
         raise ValueError("expected total differs from observed total by more than 0.5%")
-    if labels is None:
-        labels = [str(i) for i in range(len(obs))]
-    # each working bin is [first_label, observed, expected, last_label]
-    bins = [[labels[i], obs[i], exp[i], labels[i]] for i in range(len(obs))]
-    while len(bins) >= 2 and bins[0][2] < min_expected:
-        _merge_two(bins, 0)
-    while len(bins) >= 2 and bins[-1][2] < min_expected:
-        _merge_two(bins, len(bins) - 2)
-    # every bin before the last straggler's index stays >= min_expected
-    # after either merge, since expected counts are positive, so each
-    # search resumes there
+    # the right edge folds into bin hi, summing right to left
+    hi = len(e) - 1
+    while hi > 0 and e[hi] < min_expected:
+        o[hi - 1] += o[hi]
+        e[hi - 1] += e[hi]
+        hi -= 1
+    # then one pass from the left: a straggler takes in the bin to its right
+    # while its finished left neighbour is larger, else folds left. With none
+    # finished this is the left edge's fold, which meets the right's only
+    # when one bin is left, an error either way
+    out = []  # [first bin, observed, expected] of each finished bin
     i = 0
-    while len(bins) >= 2:
-        i = next((k for k in range(i, len(bins)) if bins[k][2] < min_expected), None)
-        if i is None:
-            break
-        if i > 0 and (i == len(bins) - 1 or bins[i - 1][2] <= bins[i + 1][2]):
-            _merge_two(bins, i - 1)
+    while i <= hi:
+        start, co, ce = i, o[i], e[i]
+        i += 1
+        while ce < min_expected and i <= hi and not (out and out[-1][2] <= e[i]):
+            co, ce, i = co + o[i], ce + e[i], i + 1
+        if ce < min_expected and out:
+            out[-1][1] += co
+            out[-1][2] += ce
         else:
-            _merge_two(bins, i)
-    if len(bins) < 2:
+            out.append([start, co, ce])
+    if len(out) < 2:
         raise ValueError("fewer than 2 bins remain after merging")
-    df = len(bins) - n_fitted_params - 1
+    first, out_o, out_e = zip(*out)
+    df = len(out) - n_fitted_params - 1
     if df < 1:
         raise ValueError("no degrees of freedom left after merging and fitting")
-    stat = sum((o - e) ** 2 / e for _, o, e, _ in bins)
-    out = [(lo if lo == hi else f"{lo}-{hi}", o, e) for lo, o, e, hi in bins]
-    return GofReport(stat, df, chi2_sf(stat, df), out)
+    stat = sum((oi - ei) ** 2 / ei for oi, ei in zip(out_o, out_e))
+    labels = [str(k) for k in range(obs.size)] if labels is None else labels
+    ends = (labels[k - 1] for k in (*first[1:], obs.size))
+    bins = [a if a == b else f"{a}-{b}" for a, b in zip((labels[k] for k in first), ends)]
+    return GofReport(stat, df, chi2_sf(stat, df), bins,
+                     np.array(out_o, dtype=np.int64), np.array(out_e))
+
+
+def _open_top_chi2(support: np.ndarray, mult: np.ndarray, j_lo: int, probs,
+                   n_fitted_params: int, min_expected: float) -> GofReport:
+    """pearson_chi2 of the counts mult of the distinct values support (in
+    increasing order, none below j_lo) over the bins j_lo, ..., j_hi - 1 and
+    "j_hi+" from the largest value j_hi, whose probabilities are probs(j_hi)."""
+    j_hi = int(support[-1])
+    observed = np.zeros(j_hi - j_lo + 1, dtype=np.int64)
+    observed[support - j_lo] = mult
+    labels = [str(j) for j in range(j_lo, j_hi)] + [f"{j_hi}+"]
+    return pearson_chi2(observed, int(mult.sum()) * probs(j_hi), n_fitted_params,
+                        min_expected, labels)
 
 
 def pointwise_z_test(table: FrequencyTable, params: GigpParams,
@@ -214,9 +229,8 @@ def ks_normality(samples: Sequence[float]) -> tuple[float, float]:
     n = arr.size
     if n < 20:
         raise ValueError("need at least 20 samples")
-    d = 0.0
-    for i, x in enumerate(arr):
-        f = normal_cdf(float(x))
-        d = max(d, (i + 1) / n - f, f - i / n)
+    f = 0.5 * _libm(math.erfc, -arr / math.sqrt(2.0))  # normal_cdf at each sample
+    i = np.arange(n)
+    d = float(np.max(np.maximum((i + 1) / n - f, f - i / n)))
     en = math.sqrt(n)
     return d, _kolmogorov_q((en + 0.12 + 0.11 / en) * d)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .diagram import FrequencyTable, young_y
 from .distribution import GigpParams, ccdf, validate
-from .specfun import upper_incomplete_gamma
+from .specfun import _libm, upper_incomplete_gamma
 
 
 @dataclass(frozen=True)
@@ -144,14 +144,14 @@ def limit_cov(nu: float, x: float, x2: float) -> float:
     return math.sqrt(phi2 / phi1)
 
 
-def tail_transform(points: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
-    """(x, y) -> (u, v) = (log x, log y + x); a straight line for the model tail."""
-    out = []
-    for x, y in points:
-        if not (x > 0.0 and y > 0.0):
-            raise ValueError("tail_transform needs positive coordinates")
-        out.append((math.log(x), math.log(y) + x))
-    return out
+def tail_transform(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays (x, y) -> (u, v) = (log x, log y + x); a straight line for
+    the model tail. The logs are libm's, as the scalar kernels take them."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape or not (np.all(x > 0.0) and np.all(y > 0.0)):
+        raise ValueError("tail_transform needs equal-length 1-d arrays of positive coordinates")
+    return _libm(math.log, x), _libm(math.log, y) + x
 
 
 def sup_distance(table: FrequencyTable, params: GigpParams, delta: float) -> ShapeReport:

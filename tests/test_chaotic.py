@@ -109,14 +109,15 @@ def test_poisson_sf_keeps_its_digits_below_the_mean_plus_one():
 
 def test_gof_experiment_plumbing():
     rep = poisson_gof_experiment(P61, M61, 0.2, 100, seed=20260814)
-    assert sum(b[1] for b in rep.bins) == 100
-    assert sum(b[2] for b in rep.bins) == pytest.approx(100.0, rel=1e-12)
-    assert all(b[2] >= 5.0 for b in rep.bins)
+    assert rep.observed.sum() == 100
+    assert rep.expected.sum() == pytest.approx(100.0, rel=1e-12)
+    assert np.all(rep.expected >= 5.0)
     assert rep.df == len(rep.bins) - 1
     # one seed's p-value passes 0.05 only 95% of the time; the rejection
     # rate over 200 seeds is test_criterion_09's, so this checks plumbing
-    assert rep.statistic == pytest.approx(sum((o - e) ** 2 / e for _, o, e in rep.bins),
-                                          rel=1e-12)
+    assert rep.statistic == pytest.approx(
+        sum((o - e) ** 2 / e for o, e in zip(rep.observed.tolist(), rep.expected.tolist())),
+        rel=1e-12)
     assert rep.p_value == chi2_sf(rep.statistic, rep.df)
     fitted = poisson_gof_experiment(P61, M61, 0.2, 100, seed=20260814,
                                     fit_lambda=True)

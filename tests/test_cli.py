@@ -64,6 +64,12 @@ GOF_ROWS = [(0, 163), (1, 80), (2, 54), (3, 31), (4, 23), (5, 18), (6, 14), (7, 
             (8, 18), (9, 11), (10, 7), (11, 8), (12, 11), (13, 3), (14, 3), (15, 5),
             (16, 6), (17, 5), (18, 5), (19, 5), (20, 3), (23, 1), (24, 1), (26, 1),
             (30, 3), (32, 1), (33, 2), (38, 1), (41, 1), (53, 1), (55, 1)]
+# 300 sources drawn at (-0.5, 2, 0.95): below its sparse tail's right-edge
+# bin, nine interior stragglers fold rightwards and the tenth leftwards
+SPARSE_ROWS = [(0, 70), (1, 62), (2, 42), (3, 28), (4, 22), (5, 13), (6, 8), (7, 11),
+               (8, 3), (9, 3), (10, 8), (11, 4), (12, 1), (13, 2), (14, 2), (15, 3),
+               (16, 1), (17, 1), (18, 1), (19, 4), (20, 3), (22, 3), (23, 2), (26, 1),
+               (31, 1), (32, 1)]
 
 # below the table cap every draw comes from the pmf table by inverse cdf,
 # the partition sampler is its own, and gof draws nothing, so these
@@ -81,6 +87,10 @@ PINNED_ARGS = {
                         "--m", "1000", "--seed", "1"],
     "chaotic-alpha2": ["chaotic", "--nu", "-0.5", "--alpha", "2", "--theta", "0.99",
                        "--m", "35", "--x0", "0.2", "--replicates", "200", "--seed", "9"],
+    "chaotic-fit-lambda": ["chaotic", "--nu", "-0.5", "--alpha", "2", "--theta", "0.99",
+                           "--m", "35", "--x0", "0.2", "--replicates", "200", "--seed", "9",
+                           "--fit-lambda"],
+    "gof-sparse": ["gof", "--data", "sparse.csv", "--nu", "-0.5", "--alpha", "2"],
 }
 PINNED = [
     ("shape", "json", "41324ef6aac7d4752b40f4ccb30a31bffbfa3573898c15c3e2334ec14a167cc5"),
@@ -94,6 +104,8 @@ PINNED = [
     ("shape-alpha2", "json", "deaabe02553a78c355ecedb49bc59393e9e34cebcc800cc107e7905e897b6b27"),
     ("simulate-alpha2", "json", "64575f54a34d61d187f6f767be5cb654b13247f2c2a3078321c36f91b60c92a7"),
     ("chaotic-alpha2", "json", "ce8ff1fe7cbabb8e4a9affe19ba8151e0b9c1ba08a928da989543050f847451d"),
+    ("chaotic-fit-lambda", "json", "e24983f0089998a18afdf3b7f2d382dacf98ca01a1611b71c728b9318b4eec6e"),
+    ("gof-sparse", "json", "a491465e7e9d9f5ae8bfe2a2cd9fa3731ace1efbac313f51149d6618bcd97dbb"),
 ]
 
 
@@ -105,6 +117,7 @@ def test_shape_output_bytes_are_pinned(tmp_path, monkeypatch, command, fmt, dige
     # gof echoes its --data path into the document, so it runs from tmp_path
     monkeypatch.chdir(tmp_path)
     _write_csv(tmp_path, "fixed.csv", GOF_ROWS)
+    _write_csv(tmp_path, "sparse.csv", SPARSE_ROWS)
     out = _run_to_file(tmp_path, "pinned." + fmt, PINNED_ARGS[command] + ["--format", fmt])
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
@@ -289,7 +302,7 @@ def test_alpha_positive_draws_below_the_cap_skip_the_gig_sampler(tmp_path, monke
 
     monkeypatch.setattr(distribution, "_gig_rvs", no_gig)
     rep = poisson_gof_experiment(GigpParams(-0.5, 2.0, 0.99), 35, 0.2, 100, seed=1)
-    assert sum(o for _, o, _ in rep.bins) == 100
+    assert rep.observed.sum() == 100
     _run_to_file(tmp_path, "fast.json", ["shape", "--nu", "0.5", "--alpha", "2",
                                          "--theta", "0.9999", "--m", "1000", "--seed", "1"])
 

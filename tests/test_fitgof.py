@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gigp.diagram import FrequencyTable, table_from_sample
 from gigp.distribution import GigpParams, ccdf, pmf, sample_values
 from gigp.fitgof import (alpha_from_b, estimate_theta, fit_tail_line,
                          ks_normality, pearson_chi2, pointwise_z_test)
 from gigp.shape import scaling_b
-from gigp.specfun import chi2_sf
+from gigp.specfun import chi2_sf, normal_cdf
 
 LOG2 = math.log(2.0)
 
@@ -175,9 +176,10 @@ def test_pearson_chi2_edge_merging_and_df():
     assert len(rep.bins) == 8
     assert rep.df == 7
     assert pearson_chi2(observed, expected, n_fitted_params=1).df == 6
-    assert all(e >= 5.0 for _, _, e in rep.bins)
-    assert rep.bins[0][0] == "0-1" and rep.bins[-1][0] == "8-9"
-    assert sum(o for _, o, _ in rep.bins) == sum(observed)
+    assert np.all(rep.expected >= 5.0)
+    assert rep.bins[0] == "0-1" and rep.bins[-1] == "8-9"
+    assert rep.observed.dtype == np.int64 and rep.expected.dtype == np.float64
+    assert rep.observed.sum() == sum(observed)
     assert rep.p_value == pytest.approx(chi2_sf(rep.statistic, 7), rel=1e-12)
 
 
@@ -197,7 +199,7 @@ def test_pearson_chi2_interior_merge():
     assert len(rep.bins) == 2
     assert rep.df == 1
     # interior bin folds into the smaller (left on ties) neighbor
-    assert rep.bins[0][0] == "0-1"
+    assert rep.bins == ["0-1", "2"]
 
 
 def _merged_bins_by_rescan(expected, min_expected):
@@ -238,7 +240,8 @@ def test_pearson_chi2_resumed_search_matches_rescan():
         if len(want) < 2:
             continue
         rep = pearson_chi2(observed.tolist(), expected.tolist())
-        assert [(lab.split("-")[0], lab.split("-")[-1], e) for lab, _, e in rep.bins] == want
+        assert [(lab.split("-")[0], lab.split("-")[-1], e)
+                for lab, e in zip(rep.bins, rep.expected.tolist())] == want
         assert rep.df == len(want) - 1
 
 
@@ -255,6 +258,87 @@ def test_pearson_chi2_errors():
         pearson_chi2([2, 2], [2.0, 2.0])  # everything merges away
     with pytest.raises(ValueError):
         pearson_chi2([10, 10], [10.0, 10.0], n_fitted_params=1)  # df 0
+    for labels in (["a"], ["a", "b", "c"]):  # one label per bin, not fewer or more
+        with pytest.raises(ValueError, match="one entry per bin"):
+            pearson_chi2([10, 10], [10.0, 10.0], labels=labels)
+
+
+def _pearson_chi2_by_lists(observed, expected, n_fitted_params=0, min_expected=5.0,
+                           labels=None):
+    # the reference: bins as lists, merged in place; quadratic in the bin
+    # count, since each interior merge deletes from the middle of the list.
+    # Returns (statistic, df, p_value, [(label, observed, expected), ...])
+    def merge_two(bins, i):
+        bins[i][1] = bins[i][1] + bins[i + 1][1]
+        bins[i][2] = bins[i][2] + bins[i + 1][2]
+        bins[i][3] = bins[i + 1][3]
+        del bins[i + 1]
+
+    obs = [int(o) for o in observed]
+    exp = [float(e) for e in expected]
+    if len(obs) != len(exp) or not obs:
+        raise ValueError("observed and expected must be equal-length and nonempty")
+    if any(o < 0 for o in obs):
+        raise ValueError("observed counts must be nonnegative")
+    if any(not e > 0.0 for e in exp):
+        raise ValueError("expected counts must be positive")
+    if n_fitted_params < 0:
+        raise ValueError("n_fitted_params must be >= 0")
+    total_o, total_e = sum(obs), sum(exp)
+    if abs(total_e - total_o) > 0.005 * total_o:
+        raise ValueError("expected total differs from observed total by more than 0.5%")
+    if labels is None:
+        labels = [str(i) for i in range(len(obs))]
+    bins = [[labels[i], obs[i], exp[i], labels[i]] for i in range(len(obs))]
+    while len(bins) >= 2 and bins[0][2] < min_expected:
+        merge_two(bins, 0)
+    while len(bins) >= 2 and bins[-1][2] < min_expected:
+        merge_two(bins, len(bins) - 2)
+    i = 0
+    while len(bins) >= 2:
+        i = next((k for k in range(i, len(bins)) if bins[k][2] < min_expected), None)
+        if i is None:
+            break
+        if i > 0 and (i == len(bins) - 1 or bins[i - 1][2] <= bins[i + 1][2]):
+            merge_two(bins, i - 1)
+        else:
+            merge_two(bins, i)
+    if len(bins) < 2:
+        raise ValueError("fewer than 2 bins remain after merging")
+    df = len(bins) - n_fitted_params - 1
+    if df < 1:
+        raise ValueError("no degrees of freedom left after merging and fitting")
+    stat = sum((o - e) ** 2 / e for _, o, e, _ in bins)
+    out = [(lo if lo == hi else f"{lo}-{hi}", o, e) for lo, o, e, hi in bins]
+    return stat, df, chi2_sf(stat, df), out
+
+
+def _report_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(pairs=st.lists(st.tuples(st.integers(0, 40), st.floats(1e-3, 20.0)),
+                      min_size=1, max_size=60),
+       rescale=st.booleans(), fitted=st.integers(0, 2),
+       min_expected=st.sampled_from([0.5, 1.0, 5.0, 10.0]))
+def test_pearson_chi2_matches_the_list_reference(pairs, rescale, fitted, min_expected):
+    observed = np.array([o for o, _ in pairs], dtype=np.int64)
+    expected = np.array([e for _, e in pairs])
+    if rescale and observed.sum() > 0:  # meet the observed total, as a fitted model does
+        expected = expected * observed.sum() / expected.sum()
+    want = _report_or_error(_pearson_chi2_by_lists, observed.tolist(), expected.tolist(),
+                            fitted, min_expected)
+    rep = _report_or_error(pearson_chi2, observed, expected, fitted, min_expected)
+    if isinstance(want, str):
+        assert rep == want
+        return
+    got = (rep.statistic, rep.df, rep.p_value,
+           list(zip(rep.bins, rep.observed.tolist(), rep.expected.tolist())))
+    assert got == want
 
 
 def test_pointwise_z_test_centered():
@@ -308,6 +392,17 @@ def test_ks_normality_power_and_errors():
     assert d > 0.3
     with pytest.raises(ValueError):
         ks_normality(np.zeros(19))
+
+
+def test_ks_normality_matches_the_loop():
+    rng = np.random.default_rng(12)
+    for n in (20, 100, 5000):
+        x = 1.1 * rng.standard_normal(n) + 0.05
+        d_loop = 0.0
+        for i, xi in enumerate(np.sort(x).tolist()):
+            f = normal_cdf(xi)
+            d_loop = max(d_loop, (i + 1) / n - f, f - i / n)
+        assert ks_normality(x)[0] == d_loop
 
 
 def test_ks_normality_matches_scipy():

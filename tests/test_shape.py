@@ -187,18 +187,20 @@ def test_limit_cov_values():
 
 
 def test_tail_transform():
-    assert tail_transform([(1.0, 1.0)]) == [(0.0, 1.0)]
-    u, v = tail_transform([(math.e, math.e)])[0]
-    assert (u, v) == pytest.approx((1.0, 1.0 + math.e), rel=1e-12)
+    u, v = tail_transform([1.0, math.e], [1.0, math.e])
+    assert u.tolist() == [0.0, 1.0] and v[0] == 1.0
+    assert v[1] == pytest.approx(1.0 + math.e, rel=1e-12)
     nu, b = -0.5, 40.0
     xs = np.linspace(0.3, 4.0, 20)
-    pts = [(x, b * x ** (nu - 1.0) * math.exp(-x)) for x in xs]
-    for u, v in tail_transform(pts):
-        assert v == pytest.approx(math.log(b) + (nu - 1.0) * u, abs=1e-12)
-    with pytest.raises(ValueError):
-        tail_transform([(0.0, 1.0)])
-    with pytest.raises(ValueError):
-        tail_transform([(1.0, -1.0)])
+    ys = [b * x ** (nu - 1.0) * math.exp(-x) for x in xs]
+    u, v = tail_transform(xs, ys)
+    np.testing.assert_allclose(v, math.log(b) + (nu - 1.0) * u, rtol=0.0, atol=1e-12)
+    # libm's logs, as the point-by-point form took them
+    assert u.tolist() == [math.log(x) for x in xs.tolist()]
+    assert v.tolist() == [math.log(y) + x for x, y in zip(xs.tolist(), ys)]
+    for bad in (([0.0], [1.0]), ([1.0], [-1.0]), ([1.0, 2.0], [1.0])):
+        with pytest.raises(ValueError):
+            tail_transform(*bad)
 
 
 MC_PARAMS = GigpParams(0.5, 2.0, 0.99)
