@@ -73,44 +73,44 @@ def _check_mean_domain(params: GigpParams) -> None:
 
 
 class _Tables:
-    """Cached pmf arrays for one parameter triple (post truncation).
+    """The pmf arrays for one parameter triple (post truncation), fixed when
+    built: logf, sf and cum run to the cut jmax that the params fix; cum ends in
+    +inf, so an inverse-cdf search stops at jmax. Past the cut, logf continues
+    in an append-only extension from more, which yields (lo, stretch), stretch[k]
+    at j = lo + 1 + k, and is not started until a call reads past the cut."""
 
-    Only logf, sf and cum are built; f is exp(logf), made the first time
-    pmf reads it. cum ends in +inf, so an inverse-cdf search stops at jmax.
-    """
+    __slots__ = ("logf", "sf", "cum", "jmax", "_more", "_long")
 
-    __slots__ = ("logf", "sf", "cum", "jmax", "log_tail_const", "_f")
-
-    def __init__(self, logf, sf, cum, log_tail_const):
-        self.logf = logf
+    def __init__(self, logf, sf, cum, more):
+        self.logf = self._long = logf  # _long: logf, then the extension so far
         self.sf = sf
         self.cum = cum
         self.jmax = len(logf) - 1
-        self.log_tail_const = log_tail_const
-        self._f = None
+        self._more = more
 
-    @property
-    def f(self) -> np.ndarray:
-        if self._f is None:
-            with np.errstate(under="ignore"):
-                self._f = np.exp(self.logf)
-        return self._f
+    def logf_through(self, j: int) -> np.ndarray:
+        """log f_0, log f_1, ... at least up to log f_j, for j up to the cap."""
+        if j > _MAX_SUPPORT:
+            raise RuntimeError("pmf support cutoff not reached")
+        have = len(self._long)
+        if j >= have:
+            chunks = [self._long]
+            while have <= j:
+                lo, stretch = next(self._more)
+                chunks.append(stretch[have - lo - 1:])
+                have = lo + 1 + len(stretch)
+            self._long = np.concatenate(chunks)
+        return self._long
 
 
-_CACHE: dict[GigpParams, _Tables] = {}
-# per params, the smallest need_j whose build passed the support cap; a
-# build to a larger need_j passes it too, so it is not tried again
-_PAST_CAP: dict[GigpParams, int] = {}
+# per params, its table or its build's error, so a failed build is not tried again
+_CACHE: dict[GigpParams, _Tables | RuntimeError] = {}
 
 
 def _log_trunc_norm(params: GigpParams) -> float:
-    """log(1 - f_0) of the untruncated family, used to rescale under truncation."""
-    nu, alpha, theta = params.nu, params.alpha, params.theta
-    if alpha > 0.0:
-        logf0 = (0.5 * nu * math.log1p(-theta)
-                 + log_bessel_k(nu, alpha)
-                 - log_bessel_k(nu, alpha * math.sqrt(1.0 - theta)))
-        return math.log(-math.expm1(logf0))
+    """log(1 - f_0) of the untruncated alpha = 0 family, used to rescale under
+    truncation; _family_head gives it for alpha > 0."""
+    nu, theta = params.nu, params.theta
     if nu > 0.0:
         return math.log(-math.expm1(nu * math.log1p(-theta)))
     if nu == 0.0:
@@ -181,137 +181,147 @@ def _log_tail(j: np.ndarray, log_tail_const: float, nu: float, theta: float) -> 
             + j * math.log(theta) - math.log1p(-theta))
 
 
-def _first_cut(logf: np.ndarray, j_first: int, cut_from: int, log_tail_const: float,
-               nu: float, theta: float) -> int | None:
-    """First j >= cut_from in this stretch (logf[k] is at j = j_first + k) with
-    log f_j < -40 and a tail asymptote below 1e-15, or None."""
-    k0 = max(cut_from - j_first, 0)
-    cand = np.flatnonzero(logf[k0:] < -40.0)
-    if cand.size == 0:
-        return None
-    j = cand + (j_first + k0)
-    hit = np.flatnonzero(_log_tail(j, log_tail_const, nu, theta) < _LOG_TAIL_EPS)
-    return int(j[hit[0]]) if hit.size else None
-
-
-def _build_tables(params: GigpParams, need_j: int) -> _Tables:
+def _family_head(params: GigpParams) -> tuple[int, float, float, float]:
+    """Each family's first supported index j0, log f_(j0), log c of the tail
+    asymptote f_j ~ c j^(nu-1) theta^j, and the log(1 - f_0) by which zero
+    truncation still rescales them: 0, except for alpha > 0, where the
+    rescale is applied to the built table."""
     nu, alpha, theta = params.nu, params.alpha, params.theta
     log_theta = math.log(theta)
-
-    # each family's first supported index j0, log f_(j0) and tail constant
     if alpha > 0.0:
         logk_small = log_bessel_k(nu, alpha * math.sqrt(1.0 - theta))
-        j0 = 0
         log_f0 = 0.5 * nu * math.log1p(-theta) + log_bessel_k(nu, alpha) - logk_small
         log_tail_const = (0.5 * nu * math.log1p(-theta)
                           - nu * math.log(0.5 * alpha)
                           - math.log(2.0) - logk_small)
-    elif nu > 0.0:
+        log_norm = math.log(-math.expm1(log_f0)) if params.zero_truncated else 0.0
+        return 0, log_f0, log_tail_const, log_norm
+    if nu > 0.0:
         log_norm = _log_trunc_norm(params) if params.zero_truncated else 0.0
         log_tail_const = nu * math.log1p(-theta) - math.lgamma(nu) - log_norm
         if params.zero_truncated:
-            j0 = 1
-            log_f0 = math.log(nu) + nu * math.log1p(-theta) + log_theta - log_norm
-        else:
-            j0 = 0
-            log_f0 = nu * math.log1p(-theta)
-    elif nu == 0.0:
+            return (1, math.log(nu) + nu * math.log1p(-theta) + log_theta - log_norm,
+                    log_tail_const, 0.0)
+        return 0, nu * math.log1p(-theta), log_tail_const, 0.0
+    if nu == 0.0:
         log_l = math.log(-math.log1p(-theta))
-        j0, log_f0, log_tail_const = 1, log_theta - log_l, -log_l
-    else:
-        log_norm = _log_trunc_norm(params)
-        log_tail_const = math.log(-nu) - math.lgamma(nu + 1.0) - log_norm
-        j0, log_f0 = 1, math.log(-nu) + log_theta - log_norm
+        return 1, log_theta - log_l, -log_l, 0.0
+    log_norm = _log_trunc_norm(params)
+    return (1, math.log(-nu) + log_theta - log_norm,
+            math.log(-nu) - math.lgamma(nu + 1.0) - log_norm, 0.0)
 
-    # the cut needs j >= cut_from with the tail asymptote below 1e-15; give
-    # up before building when no j up to the cap can have it: the asymptote
-    # is decreasing (nu <= 1) or concave (nu > 1) in j, so its least value
-    # on [cut_from, cap] is at an end
-    cut_from = max(16, need_j)
-    ends = np.array([cut_from, _MAX_SUPPORT])
-    if (need_j > _MAX_SUPPORT
-            or _log_tail(ends, log_tail_const, nu, theta).min() >= _LOG_TAIL_EPS):
-        raise RuntimeError("pmf support cutoff not reached")
 
-    # log f_j = log f_(j0) + (j - j0) log(theta) + sum_(j0 <= i < j) s_i, in
-    # stretches that double up to _MAX_STRETCH entries until the cut rule
-    # fires, each written into one buffer that doubles when it is full
-    logf = np.empty(2048)
-    logf[:j0] = -math.inf
-    logf[j0] = log_f0
-    lo, acc = j0, 0.0
-    while True:
+def _stretches(nu: float, alpha: float, log_theta: float, j0: int, log_f0: float,
+               lo: int, acc: float):
+    """Yield (lo, acc, stretch) from index lo, where the running step sum is acc:
+    stretch[k] is log f_j = log f_(j0) + (j - j0) log(theta) + sum_(j0 <= i < j)
+    s_i at j = lo + 1 + k, before any rescale for zero truncation. Stretches
+    double up to _MAX_STRETCH entries and end at the cap, so a generator
+    started at a yielded (lo, acc) gives the same values bit for bit."""
+    while lo < _MAX_SUPPORT:
         hi = min(max(2 * lo, 1024), lo + _MAX_STRETCH, _MAX_SUPPORT)
-        if hi >= len(logf):
-            grown = np.empty(min(2 * len(logf), _MAX_SUPPORT + 1))
-            grown[:lo + 1] = logf[:lo + 1]
-            logf = grown
-        # stretch[k] is log f_j at j = lo + 1 + k
-        stretch = logf[lo + 1:hi + 1]
-        steps = _log_steps(nu, alpha, lo, hi)
-        steps[0] += acc
-        np.cumsum(steps, out=stretch)
-        acc = float(stretch[-1])
+        stretch = _log_steps(nu, alpha, lo, hi)
+        stretch[0] += acc
+        np.cumsum(stretch, out=stretch)
+        next_acc = float(stretch[-1])
         lin = np.arange(lo + 1 - j0, hi + 1 - j0, dtype=float)
         lin *= log_theta
         lin += log_f0
         stretch += lin
-        cut = _first_cut(stretch, lo + 1, cut_from, log_tail_const, nu, theta)
-        if cut is not None:
-            break
-        if hi >= _MAX_SUPPORT:
-            raise RuntimeError("pmf support cutoff not reached")
-        lo = hi
-    # keep only the table, and let the buffer go before f, sf and cum are made
-    del stretch, steps, lin
-    logf = logf[:cut + 1].copy()
-    if alpha > 0.0 and params.zero_truncated:
-        log_norm = math.log(-math.expm1(logf[0]))
-        logf -= log_norm
-        logf[0] = -math.inf
-        log_tail_const -= log_norm
+        del lin
+        yield lo, acc, stretch
+        lo, acc = hi, next_acc
 
-    with np.errstate(under="ignore"):
-        f = np.exp(logf)
-    # the mass past the cut, summed as a geometric series with the last
-    # step's ratio r = f_J / f_(J-1): T = f_J r / (1 - r)
+
+def _suffix_sums(f: np.ndarray) -> np.ndarray:
+    """sum_(i >= k) f_i plus the mass past the last f, at each k, then a 0.
+    The sums accumulate smallest terms first, then take the mass past the end,
+    a geometric series with the last step's ratio r = f_J / f_(J-1)."""
     r = f[-1] / f[-2] if 0.0 < f[-1] < f[-2] else 0.0
     tail = f[-1] * r / (1.0 - r)
-    # suffix sums accumulate smallest terms first, then take T; P(X >= 0)
-    # = 1 exactly, and past the table the ccdf reads 0
     sf = np.empty(len(f) + 1)
     sf[-1] = 0.0
     np.cumsum(f[::-1], out=sf[-2::-1])
-    sf[1:-1] += tail
+    sf[:-1] += tail
+    return sf
+
+
+def _build_tables(params: GigpParams) -> _Tables:
+    nu, alpha, theta = params.nu, params.alpha, params.theta
+    log_theta = math.log(theta)
+    j0, log_f0, log_tail_const, log_norm = _family_head(params)
+
+    # the cut is the first j >= cut_from with log f_j < -40 and the tail
+    # asymptote below 1e-15. For nu > 1 the asymptote rises up to the mass
+    # at j = (nu - 1) A, A = -1 / log(theta), so the search starts there. Give
+    # up before building when no j up to the cap can have it: the asymptote
+    # is decreasing (nu <= 1) or concave (nu > 1) in j, so its least value
+    # on [cut_from, cap] is at an end
+    cut_from = max(16, math.ceil(min((1.0 - nu) / log_theta, _MAX_SUPPORT + 1.0)))
+    ends = np.array([cut_from, _MAX_SUPPORT])
+    if (cut_from > _MAX_SUPPORT
+            or _log_tail(ends, log_tail_const, nu, theta).min() >= _LOG_TAIL_EPS):
+        raise RuntimeError("pmf support cutoff not reached")
+
+    # the table is the stretches up to the cut, joined once
+    chunks = [np.full(j0 + 1, -math.inf)]
+    chunks[0][j0] = log_f0
+    for lo, acc, stretch in _stretches(nu, alpha, log_theta, j0, log_f0, j0, 0.0):
+        chunks.append(stretch)
+        k0 = max(cut_from - lo - 1, 0)
+        j = np.flatnonzero(stretch[k0:] < -40.0) + (lo + 1 + k0)
+        hit = np.flatnonzero(_log_tail(j, log_tail_const, nu, theta) < _LOG_TAIL_EPS)
+        if hit.size:
+            cut = int(j[hit[0]])
+            break
+    else:
+        raise RuntimeError("pmf support cutoff not reached")
+    logf = np.concatenate(chunks[:-1] + [stretch[:cut - lo]])
+    # let the stretches go before f, sf and cum are made
+    del chunks, stretch
+    if alpha > 0.0 and params.zero_truncated:
+        logf -= log_norm
+        logf[0] = -math.inf
+
+    with np.errstate(under="ignore"):
+        f = np.exp(logf)
+    # P(X >= 0) = 1 exactly, and past the table the ccdf reads 0
+    sf = _suffix_sums(f)
     sf[0] = 1.0
     # cum is accumulated in f's own buffer
     cum = np.cumsum(f, out=f)
     cum[-1] = math.inf
-    return _Tables(logf, sf, cum, log_tail_const)
+    more = ((lo, s - log_norm) for lo, _, s in _stretches(nu, alpha, log_theta, j0,
+                                                          log_f0, lo, acc))
+    return _Tables(logf, sf, cum, more)
 
 
-def _tables(params: GigpParams, need_j: int = 0) -> _Tables:
+def _tables(params: GigpParams) -> _Tables:
     cached = _CACHE.get(params)
-    if cached is not None and cached.jmax >= need_j:
-        return cached
-    if need_j >= _PAST_CAP.get(params, math.inf):
-        raise RuntimeError("pmf support cutoff not reached")
-    try:
-        built = _build_tables(params, need_j)
-    except RuntimeError:
-        if len(_PAST_CAP) > 64:
-            _PAST_CAP.clear()
-        _PAST_CAP[params] = need_j
-        raise
-    if len(_CACHE) > 64:
-        _CACHE.clear()
-    _CACHE[params] = built
-    return built
+    if cached is None:
+        try:
+            cached = _build_tables(params)
+        except RuntimeError as exc:
+            cached = exc
+        if len(_CACHE) > 64:
+            _CACHE.clear()
+        _CACHE[params] = cached
+    if isinstance(cached, RuntimeError):
+        raise RuntimeError(*cached.args)
+    return cached
 
 
-def _pmf_index(params: GigpParams, j) -> tuple[_Tables, np.ndarray]:
-    """The pmf table for params and j as indices into it, after the
-    argument check that pmf and log_pmf share."""
+def pmf(params: GigpParams, j):
+    """P(X = j) = exp(log P(X = j)), for j as in log_pmf."""
+    with np.errstate(under="ignore"):
+        out = np.exp(log_pmf(params, j))
+    return float(out) if out.ndim == 0 else out
+
+
+def log_pmf(params: GigpParams, j):
+    """log P(X = j), finite for every j in the support, for an integer j or
+    an array of them from one table lookup; past the cut it reads the
+    table's extension, and past the support cap it raises."""
     validate(params)
     js = np.asarray(j)
     if js.dtype.kind == "f":
@@ -322,44 +332,43 @@ def _pmf_index(params: GigpParams, j) -> tuple[_Tables, np.ndarray]:
         raise ValueError("j must be a nonnegative integer")
     if params.zero_truncated and np.any(js == 0):
         raise ValueError("j = 0 has no mass under zero truncation")
-    t = _tables(params, int(js.max(initial=0)))
-    return t, js.astype(np.intp)
-
-
-def pmf(params: GigpParams, j):
-    """P(X = j) for an integer j, or an array of them from one table lookup."""
-    t, idx = _pmf_index(params, j)
-    out = t.f[idx]
-    return float(out) if out.ndim == 0 else out
-
-
-def log_pmf(params: GigpParams, j):
-    """log P(X = j), finite for every j in the support; j as in pmf."""
-    t, idx = _pmf_index(params, j)
-    out = t.logf[idx]
+    out = _tables(params).logf_through(int(js.max(initial=0)))[js.astype(np.intp)]
     return float(out) if out.ndim == 0 else out
 
 
 def ccdf(params: GigpParams, x):
     """Upper tail F-bar(x) = P(X >= x) = 1 - sum_{j < x} f_j.
 
-    x is a number, which gives a float, or an array of them, which gives
-    an array of the same shape from one table lookup. Like pmf, ccdf grows
-    the table past the largest x, so its value does not depend on earlier
-    calls; where f_j underflows it reads 0 and grows nothing.
+    x is a number, which gives a float, or an array of them, which gives an
+    array of the same shape; a value depends only on params and x. Where
+    x + 16 A <= jmax it is the table's suffix sum. Nearer the cut or past it,
+    it sums the pmf from x to the first end jmax + k ceil(16 A), k >= 1, at
+    or past x + 16 A, and adds the geometric tail past that end (~e^-16 of
+    the value). From the support cap on, and where f_j underflows, it is 0.
     """
     validate(params)
     xs = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xs)):
         raise ValueError("x must be finite")
-    j = np.maximum(np.ceil(xs), 0.0)
+    j = np.maximum(np.ceil(xs), 0.0).ravel()
     t = _tables(params)
-    # 16 A past x the tail estimate is ~e^-16 of P(X >= x); f_j falls ~theta
-    # per step. The table stops at the cap, past which ccdf reads 0.
-    need = min(float(j.max(initial=0.0)) - 16.0 / math.log(params.theta), _MAX_SUPPORT)
-    if need > t.jmax and t.logf[-1] + (need - t.jmax) * math.log(params.theta) > -745.0:
-        t = _tables(params, math.ceil(need))
     out = t.sf[np.minimum(j, t.jmax + 1).astype(np.intp)]
+    log_theta = math.log(params.theta)
+    span = -16.0 / log_theta
+    step = math.ceil(span)
+    # past the cut f_j falls ~theta a step, so from where f at x + 16 A
+    # underflows, and from the cap on, ccdf reads 0
+    stop = min(t.jmax - span + (745.0 + t.logf[-1]) / -log_theta, _MAX_SUPPORT)
+    near = np.flatnonzero((j > t.jmax - span) & (j < stop))
+    ends = np.minimum(t.jmax + np.ceil((j[near] + span - t.jmax) / step) * step, _MAX_SUPPORT)
+    # one suffix-sum pass per grid end (np.unique would import numpy.ma, ~1 MB)
+    for end in set(ends.astype(int).tolist()):
+        at = near[ends == end]
+        lo = int(j[at].min())
+        with np.errstate(under="ignore"):
+            f = np.exp(t.logf_through(end)[lo:end + 1])
+        out[at] = _suffix_sums(f)[j[at].astype(np.intp) - lo]
+    out = out.reshape(xs.shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -380,7 +389,7 @@ def mean_exact(params: GigpParams) -> float:
         root = math.sqrt(1.0 - theta)
         eta = 0.5 * alpha * theta / root * bessel_k_ratio(nu, alpha * root)
         if params.zero_truncated:
-            eta /= math.exp(_log_trunc_norm(params))
+            eta /= math.exp(_family_head(params)[3])
         return eta
     if nu > 0.0:
         eta = nu * theta / (1.0 - theta)
@@ -518,8 +527,8 @@ def tail_pmf_asymptotic(params: GigpParams, j: int) -> float:
     validate(params)
     if int(j) != j or j < 1:
         raise ValueError("j must be a positive integer")
-    t = _tables(params)
-    logv = t.log_tail_const + (params.nu - 1.0) * math.log(j) + j * math.log(params.theta)
+    _, _, log_c, log_norm = _family_head(params)
+    logv = log_c - log_norm + (params.nu - 1.0) * math.log(j) + j * math.log(params.theta)
     return math.exp(logv) if logv > -745.0 else 0.0
 
 

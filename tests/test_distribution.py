@@ -9,6 +9,7 @@ expressions.
 """
 
 import math
+import time
 import tracemalloc
 
 import mpmath
@@ -117,19 +118,61 @@ def test_ccdf_does_not_depend_on_earlier_calls():
         assert got > 0.0 and got == pytest.approx(want, rel=1e-10, abs=0.0)
     assert ccdf(p, 8331) == pytest.approx(stats.nbinom.sf(8330, 0.5, 1.0 - theta),
                                           rel=1e-10, abs=0.0)
-    # where P(X >= x) underflows the table is not grown, and reads 0
+    # where P(X >= x) underflows it reads 0
     assert ccdf(p, 1e9) == 0.0
+    assert before == after
+
+    # bit for bit: on a fresh table (jmax = 3311 here) and after a pmf
+    # call past the cut, in either order
+    p = GigpParams(0.5, 2.0, 0.99)
+    reads = [lambda: ccdf(p, 500.0), lambda: log_pmf(p, 3500), lambda: ccdf(p, 3300.0),
+             lambda: ccdf(p, 4200.0), lambda: log_pmf(p, np.arange(3000, 3900))]
+    want = []
+    for read in reads:
+        distribution._CACHE.pop(p, None)
+        want.append(read())
+    distribution._CACHE.pop(p, None)
+    pmf(p, 3999)
+    for read, value in zip(reads + reads[::-1], want + want[::-1]):
+        assert np.array_equal(read(), value)
 
 
-def test_ccdf_just_below_the_support_cap():
-    # x + 16 A passes the 2e6-entry cap here; the table grows to the cap
-    # instead of raising, and past the cap ccdf reads 0
+def test_ccdf_just_below_the_support_cap(monkeypatch):
+    # x + 16 A passes the 2e6-entry cap here; the sum runs to the cap
+    # instead of raising, and past the cap ccdf reads 0. Each call extends
+    # the pmf past the cut only as far as the last call has not
     p = GigpParams(0.5, 2.0, 0.9999)
+    computed = []
+    log_steps = distribution._log_steps
+
+    def counted(nu, alpha, lo, hi):
+        computed.append(hi - lo)
+        return log_steps(nu, alpha, lo, hi)
+
+    monkeypatch.setattr(distribution, "_log_steps", counted)
+    distribution._CACHE.pop(p, None)
     try:
         for x in (1.8e6, 1.9e6, 1.99e6):
             asymptote = tail_pmf_asymptotic(p, int(x)) / (1.0 - p.theta)
+            computed.clear()
             assert ccdf(p, x) == pytest.approx(asymptote, rel=0.01, abs=0.0)
+            if x > 1.8e6:
+                assert sum(computed) < 500_000
         assert ccdf(p, 3e6) == 0.0
+    finally:
+        distribution._CACHE.pop(p, None)
+
+
+def test_ccdf_past_the_cut_is_linear_in_points():
+    # each grid end takes one suffix-sum pass, not one per point
+    p = GigpParams(0.5, 2.0, 0.9999)
+    distribution._CACHE.pop(p, None)
+    try:
+        jmax = _tables(p).jmax
+        start = time.perf_counter()
+        got = ccdf(p, np.arange(3 * jmax))
+        assert time.perf_counter() - start < 0.5
+        assert got[0] == 1.0 and np.all(np.diff(got) <= 0.0) and got[-1] > 0.0
     finally:
         distribution._CACHE.pop(p, None)
 
@@ -149,9 +192,27 @@ def test_bessel_ratios_match_the_sequential_recurrence():
         assert later.tolist() == want[3000:]
 
 
+def test_table_cut_past_the_mass_for_nu_above_one():
+    # the tail asymptote c j^(nu-1) theta^j rises up to j = (nu-1) A, so a cut
+    # searched from j = 16 could stop the table before the mass
+    for nu in (2.0, 13.0, 20.0, 50.0, 200.0):
+        for theta in (0.5, 0.9, 0.99):
+            for alpha in (0.0, 2.0):
+                p = GigpParams(nu, alpha, theta)
+                t = _tables(p)
+                assert abs(np.exp(t.logf).sum() - 1.0) < 1e-9
+                values = sample_values(p, 1, 2000)
+                se = values.std() / math.sqrt(values.size)
+                assert abs(values.mean() - mean_exact(p)) < 5.0 * se
+                if alpha == 0.0:
+                    x = mean_exact(p)
+                    want = stats.nbinom.sf(math.ceil(x) - 1, nu, 1.0 - theta)
+                    assert ccdf(p, x) == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
 def test_table_cut_and_support_cap():
-    # the cut is the first j >= 16 with log f_j < -40 and a tail asymptote
-    # below 1e-15; past _MAX_SUPPORT = 2e6 the build gives up
+    # the cut is the first j >= max(16, (nu - 1) A) with log f_j < -40 and a
+    # tail asymptote below 1e-15; past _MAX_SUPPORT = 2e6 the build gives up
     assert _tables(GigpParams(0.5, 2.0, 0.99)).jmax == 3311
     assert _tables(GigpParams(0.5, 2.0, 0.9999)).jmax == 322481
     assert _tables(GigpParams(-0.5, 0.0, 0.9999, True)).jmax == 239152
@@ -163,33 +224,30 @@ def test_table_cut_and_support_cap():
 def test_build_past_the_cap_gives_up_before_it_allocates():
     # at theta = 0.99999 the tail asymptote is still above 1e-15 at the
     # 2e6-entry cap, so no cut can fire there: the build raises before it
-    # fills any of the 2e6 entries, as it does when asked for a j past the cap
-    cases = [(GigpParams(0.5, 2.0, 0.99999), 0), (GigpParams(0.5, 0.0, 0.99999), 0),
-             (GigpParams(-0.5, 2.0, 0.99999), 0),
-             (GigpParams(-0.5, 0.0, 0.99999, True), 0),
-             (GigpParams(0.5, 2.0, 0.5), distribution._MAX_SUPPORT + 1)]
-    for p, need_j in cases:
+    # fills any of the 2e6 entries, as log_pmf does when asked for a j past the cap
+    cases = [(distribution._build_tables, GigpParams(0.5, 2.0, 0.99999)),
+             (distribution._build_tables, GigpParams(0.5, 0.0, 0.99999)),
+             (distribution._build_tables, GigpParams(-0.5, 2.0, 0.99999)),
+             (distribution._build_tables, GigpParams(-0.5, 0.0, 0.99999, True)),
+             (lambda p: log_pmf(p, distribution._MAX_SUPPORT + 1), GigpParams(0.5, 2.0, 0.5))]
+    for call, p in cases:
         tracemalloc.start()
         try:
             with pytest.raises(RuntimeError, match="pmf support cutoff not reached"):
-                distribution._build_tables(p, need_j)
+                call(p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
 
-def test_table_makes_f_on_first_use_and_ends_cum_at_infinity():
-    # a ccdf and a sample read only sf and cum; f = exp(logf) is made when
-    # pmf first asks for it. cum[jmax] = +inf sends every u >= cum[jmax - 1]
-    # to jmax, where a clip to jmax used to
+def test_table_ends_cum_at_infinity():
+    # cum[jmax] = +inf sends every u >= cum[jmax - 1] to jmax, where a clip
+    # to jmax used to
     p = GigpParams(-0.5, 2.0, 0.95)
-    distribution._CACHE.pop(p, None)
-    ccdf(p, 3.0)
     t = _tables(p)
-    sample_values(p, 1, 100)
-    assert t._f is None and t.cum[-1] == math.inf
-    assert pmf(p, 7) == math.exp(log_pmf(p, 7)) and t._f is not None
+    assert t.cum[-1] == math.inf
+    assert pmf(p, 7) == math.exp(log_pmf(p, 7))
 
     class EdgeRng:
         def random(self, count):
@@ -298,6 +356,14 @@ def test_ccdf_array_matches_scalar():
     got = ccdf(p, xs)
     assert isinstance(got, np.ndarray) and got.shape == xs.shape
     assert got.tolist() == [ccdf(p, x) for x in xs.tolist()]
+    # near the cut and past it, whole grid cells apart and in one
+    jmax = _tables(p).jmax
+    xs = jmax + np.array([-900.0, -3.5, 0.0, 1.0, 40.0, 2500.0, 7000.0])
+    got = ccdf(p, xs)
+    assert np.all(got > 0.0) and np.all(np.diff(got) < 0.0)
+    for x, value in zip(xs.tolist(), got.tolist()):
+        distribution._CACHE.pop(p, None)
+        assert ccdf(p, x) == value
     js = np.arange(0, 60, dtype=np.int64).reshape(6, 10)
     assert ccdf(p, js).tolist() == [[ccdf(p, int(j)) for j in row] for row in js]
     assert type(ccdf(p, 3)) is float and type(ccdf(p, np.float64(3.5))) is float
@@ -433,6 +499,13 @@ def test_tail_pmf_asymptotic_converges():
         # Fisher's leading term is already exact, hence the slack
         assert errs[2] <= errs[0] + 1e-12
         assert errs[2] < 0.02
+    # a closed form: no table is built, so none is needed under the cap
+    p = GigpParams(0.5, 0.0, 0.99999)
+    distribution._CACHE.pop(p, None)
+    for j in (10, 10 ** 4, 10 ** 6):
+        want = (1.0 - p.theta) ** 0.5 / math.gamma(0.5) * j ** -0.5 * p.theta ** j
+        assert tail_pmf_asymptotic(p, j) == pytest.approx(want, rel=1e-12)
+    assert p not in distribution._CACHE
 
 
 def test_validate_domain():
@@ -618,7 +691,7 @@ def test_sample_past_the_table_cap(monkeypatch):
         sample_values(GigpParams(0.5, 0.0, 0.99999), 1, 10)
 
     # a failed build is remembered: the next call does not retry it
-    def no_build(params, need_j):
+    def no_build(params):
         raise AssertionError("the table build was tried again")
 
     monkeypatch.setattr(distribution, "_build_tables", no_build)
