@@ -43,13 +43,14 @@ def increment_rates(params: GigpParams, m_sources: int,
                     xs: Sequence[float]) -> list[float]:
     """Rates of the increment counts over [x_i, x_{i+1}), last cell open-ended."""
     validate(params)
-    if not xs:
+    xs = np.asarray(xs, dtype=float)
+    if not xs.size:
         raise ValueError("xs must be nonempty")
-    if any(not x > 0.0 for x in xs):
+    if not np.all(xs > 0.0):
         raise ValueError("xs must be positive")
-    if any(b <= a for a, b in zip(xs, xs[1:])):
+    if np.any(xs[1:] <= xs[:-1]):
         raise ValueError("xs must be strictly increasing")
-    fbars = ccdf(params, scaling_a(params.theta) * np.asarray(xs, dtype=float))
+    fbars = ccdf(params, scaling_a(params.theta) * xs)
     return (m_sources * (fbars[:-1] - fbars[1:])).tolist() + [m_sources * float(fbars[-1])]
 
 
@@ -75,7 +76,7 @@ def _poisson_sf(k: int, lam: float) -> float:
         return 0.0
     if lam < k + 1.0:
         # the series for P(k, lam) itself; 1 - Q(k, lam) cancels here
-        return _lower_p_series(float(k), lam)
+        return float(_lower_p_series(float(k), np.array([lam]))[0])
     return 1.0 - regularized_gamma_q(float(k), lam)
 
 

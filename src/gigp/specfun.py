@@ -1,11 +1,10 @@
 """Special functions used by the distribution and shape modules.
 
-The kernels are scalar python on top of ``math``: modified Bessel K of
-real order evaluated in log space, the upper incomplete gamma function
-with index down to -1, the standard normal cdf, and a chi-square
-survival function built on the incomplete gamma. The incomplete gamma
-also takes a numpy array of x, for which the same kernels run as
-whole-array passes.
+Modified Bessel K of real order, evaluated in log space by scalar
+python on top of ``math``; the upper incomplete gamma function with
+index down to -1 and its regularized form Q, computed by whole-array
+numpy passes that take a number as a one-element array; the standard
+normal cdf; and a chi-square survival function built on Q.
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ import numpy as np
 
 _EULER_GAMMA = 0.57721566490153286060
 _MAXIT = 20000
+_MIN_NORMAL = 2.2250738585072014e-308  # smallest normal double
 # Taylor coefficients c1..c20 of 1/Gamma(1+x) = 1 + sum_k c_k x^k; the
 # series through c20 reaches 1e-18 relative at |x| = 1/2.
 _RGAMMA_TAYLOR = (
@@ -162,157 +162,10 @@ def bessel_k_ratio(nu: float, z: float) -> float:
     return math.exp(log_bessel_k(nu + 1.0, z) - log_bessel_k(nu, z))
 
 
-def _lower_p_series(nu: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(nu, x) by series; nu > 0, x < nu + 1."""
-    ap = nu
-    total = 1.0 / nu
-    delta = total
-    for _ in range(_MAXIT):
-        ap += 1.0
-        delta *= x / ap
-        total += delta
-        if abs(delta) < abs(total) * 1e-16:
-            return total * math.exp(-x + nu * math.log(x) - math.lgamma(nu))
-    raise RuntimeError("incomplete gamma series did not converge")
-
-
-def _upper_cf_factor(nu: float, x: float) -> float:
-    """Lentz continued fraction h with Gamma(nu, x) = e^-x x^nu h; x >= 1 or x >= nu+1."""
-    tiny = 1e-300
-    b = x + 1.0 - nu
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAXIT):
-        an = -i * (i - nu)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return h
-    raise RuntimeError("incomplete gamma continued fraction did not converge")
-
-
-def _upper_cf(nu: float, x: float) -> float:
-    """Unregularized Gamma(nu, x) by Lentz continued fraction; x >= 1 or x >= nu+1."""
-    h = _upper_cf_factor(nu, x)
-    arg = -x + nu * math.log(x)
-    return math.exp(arg) * h if arg > -745.0 else 0.0
-
-
-def regularized_gamma_q(nu: float, x: float) -> float:
-    """Q(nu, x) = Gamma(nu, x) / Gamma(nu) for nu > 0, safe at large nu.
-
-    The prefactors stay in log space, so orders far beyond the overflow
-    point of Gamma(nu) itself are fine.
-    """
-    if not nu > 0.0:
-        raise ValueError("regularized_gamma_q: nu must be positive")
-    if x < 0.0:
-        raise ValueError("regularized_gamma_q: x must be >= 0")
-    if x == 0.0:
-        return 1.0
-    if x < nu + 1.0:
-        if nu < 0.5:
-            # 1 - P cancels as nu -> 0, where Q -> nu E1(x)
-            return _upper_small_nu(nu, x) / math.gamma(nu)
-        return 1.0 - _lower_p_series(nu, x)
-    h = _upper_cf_factor(nu, x)
-    arg = -x + nu * math.log(x) - math.lgamma(nu)
-    return min(1.0, math.exp(arg) * h) if arg > -745.0 else 0.0
-
-
-def _e1(x: float) -> float:
-    """Exponential integral E1(x) = Gamma(0, x), x > 0."""
-    if x > 1.0:
-        return _upper_cf(0.0, x)
-    total = -_EULER_GAMMA - math.log(x)
-    term = 1.0
-    for k in range(1, _MAXIT):
-        term *= -x / k
-        delta = -term / k
-        total += delta
-        if abs(delta) < abs(total) * 1e-16 + 1e-300:
-            return total
-    raise RuntimeError("E1 series did not converge")
-
-
-def _upper_small_nu(nu: float, x: float) -> float:
-    """Gamma(nu, x) for 0 < |nu| < 1/2 and 0 < x < max(1, nu + 1).
-
-    Pairs the Gamma(nu) pole with the k = 0 series term so the
-    cancellation near nu = 0 happens analytically:
-    Gamma(nu,x) = [ (Gamma(1+nu)-1) - (x^nu - 1) ] / nu - x^nu * S,
-    S = sum_{k>=1} (-x)^k / (k! (nu+k)).
-    """
-    g = _gamma_m1_over(nu) - math.expm1(nu * math.log(x)) / nu
-    xs = math.pow(x, nu)
-    term = 1.0
-    s = 0.0
-    for k in range(1, _MAXIT):
-        term *= -x / k
-        delta = term / (nu + k)
-        s += delta
-        if abs(delta) < abs(s) * 1e-16 + 1e-300:
-            return g - xs * s
-    raise RuntimeError("incomplete gamma small-x series did not converge")
-
-
-def upper_incomplete_gamma(nu: float, x):
-    """Gamma(nu, x) = integral_x^inf s^(nu-1) e^(-s) ds for nu >= -1.
-
-    At x = 0 this is Gamma(nu) and requires nu > 0. Negative indices are
-    reached by one step of the downward recurrence
-    Gamma(nu, x) = (Gamma(nu+1, x) - x^nu e^(-x)) / nu, which is benign
-    for nu <= -1/2; for 0 < |nu| < 1/2 and small x a paired series avoids
-    the 0/0 on both sides of zero.
-
-    A numpy array x is evaluated by the same branches in whole-array
-    passes (see _upper_gamma_array) and gives an array; a number gives a
-    float.
-    """
-    if not math.isfinite(nu):
-        raise ValueError("upper_incomplete_gamma: arguments must be finite")
-    if nu < -1.0:
-        raise ValueError("upper_incomplete_gamma: nu must be >= -1")
-    if isinstance(x, np.ndarray):
-        return _upper_gamma_array(nu, x)
-    if not math.isfinite(x):
-        raise ValueError("upper_incomplete_gamma: arguments must be finite")
-    if x < 0.0:
-        raise ValueError("upper_incomplete_gamma: x must be >= 0")
-    if x == 0.0:
-        if nu <= 0.0:
-            raise ValueError("upper_incomplete_gamma: x = 0 needs nu > 0")
-        return math.gamma(nu)
-    if nu > 0.0:
-        if x >= nu + 1.0:
-            return _upper_cf(nu, x)
-        if nu < 0.5:
-            return _upper_small_nu(nu, x)
-        return math.gamma(nu) * (1.0 - _lower_p_series(nu, x))
-    if nu == 0.0:
-        return _e1(x)
-    if x >= 1.0:
-        return _upper_cf(nu, x)
-    if nu > -0.5:
-        return _upper_small_nu(nu, x)
-    up1 = _e1(x) if nu == -1.0 else math.gamma(nu + 1.0) * (1.0 - _lower_p_series(nu + 1.0, x))
-    return (up1 - math.pow(x, nu) * math.exp(-x)) / nu
-
-
-# Array versions of the kernels above: the same recurrences on every
-# element at once. An element leaves the working set when its own
-# stopping test passes, so each one takes as many terms as the scalar
-# kernel would, and the few exp/log/pow calls go through _libm, so every
-# element comes out bit for bit as the scalar kernel gives it.
+# The incomplete gamma kernels below run each recurrence on a whole array
+# at once. An element leaves the working set when its own stopping test
+# passes, and exp/log/pow go through _libm, so a number, taken as a
+# one-element array, gets the bits it would get inside any array.
 
 
 def _libm(fn, x: np.ndarray) -> np.ndarray:
@@ -343,8 +196,8 @@ def _iterate(x: np.ndarray, state: list, step, what: str) -> np.ndarray:
     raise RuntimeError(f"{what} did not converge")
 
 
-def _lower_p_series_array(nu: float, x: np.ndarray) -> np.ndarray:
-    """Array _lower_p_series: P(nu, x) for nu > 0, x < nu + 1."""
+def _lower_p_series(nu: float, x: np.ndarray) -> np.ndarray:
+    """Regularized lower incomplete gamma P(nu, x) by series; nu > 0, x < nu + 1."""
     ap = nu
 
     def step(i, x, total, delta):
@@ -359,8 +212,10 @@ def _lower_p_series_array(nu: float, x: np.ndarray) -> np.ndarray:
     return total * _libm(math.exp, -x + nu * _libm(math.log, x) - math.lgamma(nu))
 
 
-def _upper_cf_array(nu: float, x: np.ndarray) -> np.ndarray:
-    """Array _upper_cf: Gamma(nu, x) by Lentz continued fraction; x >= 1 or x >= nu+1."""
+def _upper_cf(nu: float, x: np.ndarray, log_norm: float = 0.0) -> np.ndarray:
+    """Gamma(nu, x) / exp(log_norm) by Lentz continued fraction; x >= 1 or x >= nu+1.
+
+    log_norm is subtracted inside the exponent, so it never leaves log space."""
     tiny = 1e-300
 
     def step(i, x, b, c, d, h):
@@ -380,12 +235,12 @@ def _upper_cf_array(nu: float, x: np.ndarray) -> np.ndarray:
     d = 1.0 / b
     h = _iterate(x, [b, np.full_like(x, 1.0 / tiny), d, d.copy()], step,
                  "incomplete gamma continued fraction")
-    arg = -x + nu * _libm(math.log, x)
+    arg = -x + nu * _libm(math.log, x) - log_norm
     return np.where(arg > -745.0, _libm(math.exp, arg) * h, 0.0)
 
 
-def _e1_series_array(x: np.ndarray) -> np.ndarray:
-    """Array E1(x) by its series, 0 < x <= 1."""
+def _e1_series(x: np.ndarray) -> np.ndarray:
+    """Exponential integral E1(x) = Gamma(0, x) by its series, 0 < x <= 1."""
     def step(k, x, total, term):
         term *= -x / k
         delta = -term / k
@@ -395,8 +250,14 @@ def _e1_series_array(x: np.ndarray) -> np.ndarray:
     return _iterate(x, [-_EULER_GAMMA - _libm(math.log, x), np.ones_like(x)], step, "E1 series")
 
 
-def _upper_small_nu_array(nu: float, x: np.ndarray) -> np.ndarray:
-    """Array _upper_small_nu: Gamma(nu, x) for 0 < |nu| < 1/2, 0 < x < max(1, nu + 1)."""
+def _upper_small_nu(nu: float, x: np.ndarray) -> np.ndarray:
+    """Gamma(nu, x) for 0 < |nu| < 1/2 and 0 < x < max(1, nu + 1).
+
+    Pairs the Gamma(nu) pole with the k = 0 series term so the
+    cancellation near nu = 0 happens analytically:
+    Gamma(nu,x) = [ (Gamma(1+nu)-1) - (x^nu - 1) ] / nu - x^nu * S,
+    S = sum_{k>=1} (-x)^k / (k! (nu+k)).
+    """
     def step(k, x, s, term):
         term *= -x / k
         delta = term / (nu + k)
@@ -405,13 +266,71 @@ def _upper_small_nu_array(nu: float, x: np.ndarray) -> np.ndarray:
 
     s = _iterate(x, [np.zeros_like(x), np.ones_like(x)], step,
                  "incomplete gamma small-x series")
-    g = _gamma_m1_over(nu) - _libm(math.expm1, nu * _libm(math.log, x)) / nu
-    return g - _libm(lambda v: math.pow(v, nu), x) * s
+    lx = _libm(math.log, x)
+    # (x^nu - 1) / nu; where nu log x is subnormal it has lost its low
+    # bits, and the ratio is log x to within 1e-308 relative
+    xnu_m1 = np.where(np.abs(nu * lx) < _MIN_NORMAL, lx, _libm(math.expm1, nu * lx) / nu)
+    return _gamma_m1_over(nu) - xnu_m1 - _libm(lambda v: math.pow(v, nu), x) * s
 
 
-def _upper_gamma_array(nu: float, x: np.ndarray) -> np.ndarray:
-    """upper_incomplete_gamma at every element of x, branch by branch."""
-    x = np.asarray(x, dtype=float)
+def _upper_near(nu: float, x: np.ndarray) -> np.ndarray:
+    """Gamma(nu, x) short of the continued fraction: 0 < x < max(1, nu + 1)."""
+    if 0.0 < abs(nu) < 0.5:
+        return _upper_small_nu(nu, x)
+    if nu > 0.0:
+        return math.gamma(nu) * (1.0 - _lower_p_series(nu, x))
+    if nu == 0.0:
+        return _e1_series(x)
+    # one step down from nu + 1 in [0, 1/2], taken by these same rules: for
+    # nu + 1 < 1/2 that is the paired series, as Gamma(nu+1) (1 - P) would
+    # cancel to 1e-16 / (nu + 1) relative
+    up1 = _upper_near(nu + 1.0, x)
+    return (up1 - _libm(lambda v: math.pow(v, nu), x) * _libm(math.exp, -x)) / nu
+
+
+def regularized_gamma_q(nu: float, x: float) -> float:
+    """Q(nu, x) = Gamma(nu, x) / Gamma(nu) for nu > 0, safe at large nu.
+
+    The prefactors stay in log space, so orders far beyond the overflow
+    point of Gamma(nu) itself are fine.
+    """
+    if not (math.isfinite(nu) and math.isfinite(x)):
+        raise ValueError("regularized_gamma_q: arguments must be finite")
+    if not nu > 0.0:
+        raise ValueError("regularized_gamma_q: nu must be positive")
+    if x < 0.0:
+        raise ValueError("regularized_gamma_q: x must be >= 0")
+    if x == 0.0:
+        return 1.0
+    one = np.array([x], dtype=float)
+    if x < nu + 1.0:
+        if nu < 0.5:
+            # 1 - P cancels as nu -> 0, where Q -> nu E1(x); Gamma(nu) overflows
+            # for subnormal nu, where Gamma(1 + nu) = 1 and Q = nu Gamma(nu, x)
+            g = float(_upper_small_nu(nu, one)[0])
+            return g / math.gamma(nu) if nu >= _MIN_NORMAL else nu * g
+        return 1.0 - float(_lower_p_series(nu, one)[0])
+    return min(1.0, float(_upper_cf(nu, one, math.lgamma(nu))[0]))
+
+
+def upper_incomplete_gamma(nu: float, x):
+    """Gamma(nu, x) = integral_x^inf s^(nu-1) e^(-s) ds for nu >= -1.
+
+    At x = 0 this is Gamma(nu) and requires nu > 0. For 0 < |nu| < 1/2
+    and small x a paired series avoids the 0/0 on both sides of zero;
+    from -1 to -1/2, small x takes one step of the downward recurrence
+    Gamma(nu, x) = (Gamma(nu+1, x) - x^nu e^(-x)) / nu from nu + 1.
+
+    A numpy array x gives an array, evaluated branch by branch in
+    whole-array passes; a number gives a float, from the same passes on
+    one element.
+    """
+    if not math.isfinite(nu):
+        raise ValueError("upper_incomplete_gamma: arguments must be finite")
+    if nu < -1.0:
+        raise ValueError("upper_incomplete_gamma: nu must be >= -1")
+    number = not isinstance(x, np.ndarray)
+    x = np.asarray([x] if number else x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("upper_incomplete_gamma: arguments must be finite")
     if np.any(x < 0.0):
@@ -428,20 +347,10 @@ def _upper_gamma_array(nu: float, x: np.ndarray) -> np.ndarray:
         cf = x > 1.0
     else:
         cf = x >= 1.0
-    out[cf] = _upper_cf_array(nu, x[cf])
+    out[cf] = _upper_cf(nu, x[cf])
     near = ~cf & ~zero
-    xs = x[near]
-    if 0.0 < abs(nu) < 0.5:
-        out[near] = _upper_small_nu_array(nu, xs)
-    elif nu > 0.0:
-        out[near] = math.gamma(nu) * (1.0 - _lower_p_series_array(nu, xs))
-    elif nu == 0.0:
-        out[near] = _e1_series_array(xs)
-    else:
-        up1 = (_e1_series_array(xs) if nu == -1.0 else
-               math.gamma(nu + 1.0) * (1.0 - _lower_p_series_array(nu + 1.0, xs)))
-        out[near] = (up1 - _libm(lambda v: math.pow(v, nu), xs) * _libm(math.exp, -xs)) / nu
-    return out
+    out[near] = _upper_near(nu, x[near])
+    return float(out[0]) if number else out
 
 
 def normal_cdf(x: float) -> float:

@@ -41,6 +41,7 @@ def test_increment_rates_telescope():
     assert all(l >= 0.0 for l in lams)
     total = M61 * ccdf(P61, pair.a * 0.1)
     assert sum(lams) == pytest.approx(total, rel=1e-12)
+    assert increment_rates(P61, M61, np.array(xs)) == lams
     single = increment_rates(P61, M61, [0.2])
     assert single[0] == pytest.approx(poisson_rate(P61, M61, 0.2).lam,
                                       rel=1e-12)
@@ -48,6 +49,8 @@ def test_increment_rates_telescope():
         increment_rates(P61, M61, [0.2, 0.2, 0.4])
     with pytest.raises(ValueError):
         increment_rates(P61, M61, [0.4, 0.2])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        increment_rates(P61, M61, np.array([0.4, 0.2]))
 
 
 def test_integrated_rate_basic():

@@ -2,8 +2,9 @@
 
 mpmath at 40 digits is the independent reference for the Bessel and
 incomplete gamma grids; a handful of closed-form and frozen values pin
-the conventions. The array form of the incomplete gamma is checked
-element by element against the scalar kernel.
+the conventions. The incomplete gamma kernels also have their float bits
+pinned at every branch edge, and a property test against mpmath over
+nu in [-1, 60], x in [1e-8, 700].
 """
 
 import math
@@ -11,6 +12,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gigp import specfun
 
@@ -147,26 +149,109 @@ def test_upper_incomplete_gamma_domain_errors():
             specfun.upper_incomplete_gamma(nu, np.array([1.0, 0.0]))
 
 
+def test_regularized_gamma_q_rejects_non_finite_arguments():
+    for nu, x in ((0.5, math.nan), (0.5, math.inf), (math.inf, 1.0)):
+        with pytest.raises(ValueError, match="arguments must be finite"):
+            specfun.regularized_gamma_q(nu, x)
+
+
 ARRAY_INDICES = [2.5, 0.5, 0.25, 0.0, -0.25, -0.5, -0.75, -1.0]
 
 
-def test_upper_incomplete_gamma_array_matches_scalar():
-    # the array kernel runs the scalar kernel's branches, recurrences and
-    # libm calls on every element, so it agrees bit for bit
+def test_upper_incomplete_gamma_array_against_mpmath():
     base = np.concatenate([np.geomspace(1e-4, 60.0, 161), [0.2, 1.0, 30.0, 700.0]])
     for nu in ARRAY_INDICES:
         # straddle the branch switches at x = 1 and x = nu + 1
-        edges = [e for e in (1.0, nu + 1.0) if e > 0.0]
-        x = np.concatenate([base] + [[np.nextafter(e, 0.0), e, np.nextafter(e, 2.0 * e)]
-                                     for e in edges])
+        edges = [v for e in (1.0, nu + 1.0) if e > 0.0
+                 for v in (np.nextafter(e, 0.0), e, np.nextafter(e, 2.0 * e))]
+        x = np.concatenate([base, edges])
         got = specfun.upper_incomplete_gamma(nu, x)
         assert isinstance(got, np.ndarray) and got.shape == x.shape
-        want = np.array([specfun.upper_incomplete_gamma(nu, v) for v in x.tolist()])
-        np.testing.assert_array_equal(got, want)
+        for v, g in zip(edges + base[::16].tolist(), got[-len(edges):].tolist() + got[:161:16].tolist()):
+            want = float(mpmath.gammainc(mpmath.mpf(nu), v))
+            assert g == pytest.approx(want, rel=1e-12, abs=0.0), (nu, v)
     grid = np.array([[0.0, 0.5], [2.0, 9.0]])
     assert specfun.upper_incomplete_gamma(1.5, grid).shape == (2, 2)
     assert specfun.upper_incomplete_gamma(1.5, np.array([], dtype=float)).size == 0
     assert type(specfun.upper_incomplete_gamma(0.5, 1.0)) is float
+
+
+# float.hex of both kernels on each side of every branch edge (x = 1 and
+# x = nu + 1, one ulp apart), at x = 0 and where the value underflows to 0.
+# Taken before the scalar copies of the series were removed, so a number
+# keeps the bits it had. nu = -0.75 is held above x = 1 only: below it,
+# Gamma(nu + 1, x) now comes from the paired series.
+UPPER_BITS = [
+    (-1.0, 0.9999999999999999, '0x1.301e6989a4edcp-3'),
+    (-1.0, 1.0000000000000002, '0x1.301e6989a4ee5p-3'),
+    (-1.0, 800.0, '0x0.0p+0'),
+    (-0.75, 1.0000000000000002, '0x1.4c1d46d923c44p-3'),
+    (-0.5, 0.9999999999999999, '0x1.6cd8b51fac1a8p-3'),
+    (-0.5, 1.0000000000000002, '0x1.6cd8b51fac1a5p-3'),
+    (-0.5, 0.49999999999999994, '0x1.2e6f1748e5626p-1'),
+    (-0.5, 0.5000000000000001, '0x1.2e6f1748e5622p-1'),
+    (-1e-10, 0.9999999999999999, '0x1.c14c5d3ba2e98p-3'),
+    (-1e-10, 1.0000000000000002, '0x1.c14c5d3ba2e6fp-3'),
+    (-1e-10, 0.9999999998999999, '0x1.c14c5d3ce6808p-3'),
+    (-1e-10, 0.9999999999000001, '0x1.c14c5d3ce6808p-3'),
+    (0.0, 0.9999999999999999, '0x1.c14c5d3bf8f96p-3'),
+    (0.0, 1.0000000000000002, '0x1.c14c5d3bf8f81p-3'),
+    (0.0, 800.0, '0x0.0p+0'),
+    (1e-10, 0.0, '0x1.2a05f1ffb61ddp+33'),
+    (1e-10, 1.0000000000999998, '0x1.c14c5d3b0b724p-3'),
+    (1e-10, 1.0000000001000002, '0x1.c14c5d3b0b723p-3'),
+    (0.25, 0.0, '0x1.d013fc47eeeebp+1'),
+    (0.25, 1.2499999999999998, '0x1.5ed18ad6e0cdcp-3'),
+    (0.25, 1.2500000000000002, '0x1.5ed18ad6e0ceap-3'),
+    (2.5, 0.0, '0x1.544fa6d47b391p+0'),
+    (2.5, 3.4999999999999996, '0x1.2c586d562678fp-2'),
+    (2.5, 3.5000000000000004, '0x1.2c586d562678cp-2'),
+    (2.5, 800.0, '0x0.0p+0'),
+]
+Q_BITS = [
+    (1e-10, 1.0000000000999998, '0x1.81f1bd9242cf9p-36'),
+    (1e-10, 1.0000000001000002, '0x1.81f1bd9242ce6p-36'),
+    (0.25, 1.2499999999999998, '0x1.830b83883926bp-5'),
+    (0.25, 1.2500000000000002, '0x1.830b83883927dp-5'),
+    (2.5, 3.4999999999999996, '0x1.c3df10d623ed4p-3'),
+    (2.5, 3.5000000000000004, '0x1.c3df10d623ecdp-3'),
+    (10000.0, 10000.999999999998, '0x1.fa8dac84ccadap-2'),
+    (10000.0, 10001.000000000002, '0x1.fa8dac84d4c2fp-2'),
+    (2.5, 800.0, '0x0.0p+0'),
+]
+
+
+def test_incomplete_gamma_bits_are_pinned():
+    for nu, x, bits in UPPER_BITS:
+        assert specfun.upper_incomplete_gamma(nu, x).hex() == bits, (nu, x)
+    for nu in {nu for nu, _, _ in UPPER_BITS}:
+        x = np.array([x for n, x, _ in UPPER_BITS if n == nu])
+        got = specfun.upper_incomplete_gamma(nu, x)
+        assert [v.hex() for v in got.tolist()] == [b for n, _, b in UPPER_BITS if n == nu], nu
+    for nu, x, bits in Q_BITS:
+        assert specfun.regularized_gamma_q(nu, x).hex() == bits, (nu, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nu=st.floats(-1.0, 60.0), x=st.floats(1e-8, 700.0))
+# Gamma(nu + 1) (1 - P) for the downward step was 5e-5 off at nu = -1 + 1e-10
+@example(nu=-1.0 + 1e-10, x=0.9)
+@example(nu=-0.99999, x=0.5)
+# a subnormal nu log x lost its low bits, and Gamma(nu) overflowed in Q
+@example(nu=5e-324, x=0.5)
+def test_incomplete_gamma_kernels_against_mpmath(nu, x):
+    # mpmath takes seconds as nu -> 0 (hypothesis draws 5e-324); below
+    # 1e-20, Gamma(nu, x) = E1(x) (1 + O(nu log x)) to 1e-18 and Q = nu E1(x)
+    tiny = abs(nu) < 1e-20
+    want = mpmath.e1(x) if tiny else mpmath.gammainc(mpmath.mpf(nu), x)
+    if abs(want) > 1e-300:
+        assert specfun.upper_incomplete_gamma(nu, x) == pytest.approx(
+            float(want), rel=1e-12, abs=0.0)
+    if nu > 0.0:
+        want_q = nu * want if tiny else mpmath.gammainc(mpmath.mpf(nu), x, regularized=True)
+        if abs(want_q) > 1e-300:
+            assert specfun.regularized_gamma_q(nu, x) == pytest.approx(
+                float(want_q), rel=1e-12, abs=0.0)
 
 
 def test_normal_cdf_values():
