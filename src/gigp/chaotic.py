@@ -20,6 +20,8 @@ from .fitgof import GofReport, _open_top_chi2
 from .shape import classify_regime, scaling_a, scaling_b
 from .specfun import _lower_p_series, regularized_gamma_q
 
+_BLOCK_ROWS = 256  # replicates counted per compare-and-count pass
+
 
 @dataclass(frozen=True)
 class PoissonApprox:
@@ -80,6 +82,21 @@ def _poisson_sf(k: int, lam: float) -> float:
     return 1.0 - regularized_gamma_q(float(k), lam)
 
 
+def _replicate_counts(params: GigpParams, rng: np.random.Generator, m_sources: int,
+                      threshold: float, replicates: int) -> np.ndarray:
+    """Y = the count of values >= threshold in each of `replicates` samples
+    of m_sources. One sampler call per replicate, in order, keeps the RNG
+    stream; the compare and count run once per block of rows."""
+    ys = np.empty(replicates, dtype=np.int64)
+    rows = np.empty((min(replicates, _BLOCK_ROWS), m_sources), dtype=np.int64)
+    for lo in range(0, replicates, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, replicates)
+        for r in range(hi - lo):
+            rows[r] = _sample_values_rng(params, rng, m_sources)
+        ys[lo:hi] = np.count_nonzero(rows[:hi - lo] >= threshold, axis=1)
+    return ys
+
+
 def poisson_gof_experiment(params: GigpParams, m_sources: int, x0: float,
                            replicates: int, seed: int,
                            fit_lambda: bool = False,
@@ -102,11 +119,8 @@ def poisson_gof_experiment(params: GigpParams, m_sources: int, x0: float,
         warnings.warn("B is in the regular regime; the Poisson approximation "
                       "is meant for bounded B", stacklevel=2)
     threshold = pair.a * x0
-    rng = np.random.default_rng(seed)
-    ys = np.empty(replicates, dtype=np.int64)
-    for r in range(replicates):
-        values = _sample_values_rng(params, rng, m_sources)
-        ys[r] = np.count_nonzero(values >= threshold)
+    ys = _replicate_counts(params, np.random.default_rng(seed), m_sources,
+                           threshold, replicates)
     lam = float(np.mean(ys)) if fit_lambda else m_sources * ccdf(params, threshold)
     return _open_top_chi2(*np.unique(ys, return_counts=True), 0, lambda jmax: np.array(
         [_poisson_pmf(j, lam) for j in range(jmax)] + [_poisson_sf(jmax, lam)]),

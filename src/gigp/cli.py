@@ -438,9 +438,10 @@ def main(argv=None) -> int:
         return 0 if code == 0 else 1  # argparse usage errors are validation
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, RuntimeError, ArithmeticError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError, MemoryError) as exc:
         # RuntimeError: a kernel gave up, e.g. the pmf table hit its size cap;
-        # ArithmeticError: a value left floating-point range
+        # ArithmeticError: a value left floating-point range; MemoryError: an
+        # allocation was refused, e.g. for --m or --replicates past memory
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -123,11 +123,15 @@ def _bessel_ratios(nu: float, alpha: float, j: np.ndarray) -> np.ndarray:
     """r_j = K_(nu+j+1)(alpha) / K_(nu+j)(alpha) at the consecutive orders j.
 
     The forward recurrence r_j = 2 (nu+j)/alpha + 1/r_(j-1) shrinks an
-    error in r_(j-1) by 1/r_(j-1)^2 <= 1/64 once nu + j >= 4 alpha, so
-    from _J_WINDOW steps past that order every r_j is reached, bit for bit
-    as the sequential loop gives it, from the crude seed 2 (nu+j-12)/alpha
-    at j - 12: one whole-array pass per window step. Below it the scalar
-    loop runs from r_0.
+    error in r_(j-1) by 1/r_(j-1)^2, and r_(j-1) > 2 (nu+j-1)/alpha. So
+    from _J_WINDOW steps past the order where nu + j >= 4 alpha, every r_j
+    is reached, bit for bit as the sequential loop gives it, from the crude
+    seed 2 (nu+j-w)/alpha at j - w, one whole-array pass per step. The
+    window w is sized by the stretch's first order j_1: with
+    r_min = 2 (nu+j_1-_J_WINDOW)/alpha, w = ceil(36 ln 2 / ln r_min) steps,
+    between 2 and _J_WINDOW, shrink the seed's error by at least 2^-72,
+    as _J_WINDOW steps at r_min = 8 do. Below that order the scalar loop
+    runs from r_0.
     """
     r = np.empty_like(j)
     lo, hi = int(j[0]), int(j[-1]) + 1
@@ -141,10 +145,12 @@ def _bessel_ratios(nu: float, alpha: float, j: np.ndarray) -> np.ndarray:
         r[:len(head) - lo] = head[lo:]
     tail, jt = r[j_star - lo:], j[j_star - lo:]
     if tail.size:
+        r_min = 2.0 * (nu + float(jt[0]) - _J_WINDOW) / alpha
+        w = min(_J_WINDOW, max(2, math.ceil(36.0 * math.log(2.0) / math.log(r_min))))
         step = np.empty_like(jt)
-        np.subtract(jt, _J_WINDOW - nu, out=tail)
+        np.subtract(jt, w - nu, out=tail)
         tail *= 2.0 / alpha
-        for k in range(_J_WINDOW - 1, -1, -1):
+        for k in range(w - 1, -1, -1):
             np.subtract(jt, k, out=step)
             step += nu
             step *= 2.0

@@ -6,9 +6,10 @@ import mpmath
 import numpy as np
 import pytest
 
+from gigp import chaotic
 from gigp.chaotic import (increment_rates, integrated_rate,
                           poisson_gof_experiment, poisson_rate, _poisson_pmf,
-                          _poisson_sf)
+                          _poisson_sf, _replicate_counts)
 from gigp.distribution import GigpParams, ccdf, _sample_values_rng
 from gigp.shape import limit_shape, scaling_b
 from gigp.specfun import chi2_sf
@@ -139,6 +140,35 @@ def test_gof_experiment_replicate_mean():
           for _ in range(100)]
     lam = M61 * ccdf(P61, thr)
     assert abs(np.mean(ys) - lam) <= 3.0 * math.sqrt(lam / 100.0)
+
+
+def _counts_one_at_a_time(params, rng, m_sources, threshold, replicates):
+    return np.array([np.count_nonzero(_sample_values_rng(params, rng, m_sources) >= threshold)
+                     for _ in range(replicates)], dtype=np.int64)
+
+
+@pytest.mark.parametrize("replicates", [2, 255, 256, 257, 1000])
+@pytest.mark.parametrize("m", [1, 35])
+def test_replicate_counts_in_blocks_match_the_one_at_a_time_loop(monkeypatch, replicates, m):
+    # the counts of each block of rows must be those of one compare per
+    # replicate, in order, on either side of the block edge
+    thr = scaling_b(P61, m).a * 0.2
+    got = _replicate_counts(P61, np.random.default_rng(5), m, thr, replicates)
+    want = _counts_one_at_a_time(P61, np.random.default_rng(5), m, thr, replicates)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    for fit_lambda in (False, True):
+        reports = []
+        for counts in (_replicate_counts, _counts_one_at_a_time):
+            monkeypatch.setattr(chaotic, "_replicate_counts", counts)
+            try:
+                rep = poisson_gof_experiment(P61, m, 0.2, replicates, seed=5,
+                                             fit_lambda=fit_lambda)
+                reports.append((rep.statistic, rep.df, rep.bins, rep.observed.tolist(),
+                                rep.expected.tolist()))
+            except ValueError as exc:  # too few replicates for one bin of expected >= 5
+                reports.append(str(exc))
+        assert reports[0] == reports[1]
+        assert m == 1 or replicates < 255 or not isinstance(reports[0], str)
 
 
 def test_gof_experiment_warns_in_regular_regime():

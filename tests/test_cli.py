@@ -621,6 +621,25 @@ def test_a_failed_command_creates_no_out_file(tmp_path, capsys, args):
     assert not out.exists()
 
 
+# 10^14 values need >= 728 TiB, past the 2^47-byte user address space, so
+# the allocation is refused at once under any overcommit setting
+@pytest.mark.parametrize("args", [
+    ["simulate", "--nu", "0.5", "--alpha", "0", "--theta", "0.9", "--m", "100000000000000"],
+    ["shape", "--nu", "0.5", "--alpha", "0", "--theta", "0.9", "--m", "100000000000000"],
+    ["chaotic", "--nu", "-0.5", "--alpha", "2", "--theta", "0.99", "--m", "35", "--x0", "0.2",
+     "--replicates", "100000000000000"],
+], ids=["simulate", "shape", "chaotic"])
+def test_a_refused_allocation_is_one_error_line(tmp_path, args):
+    out = tmp_path / "never.json"
+    done = subprocess.run([sys.executable, "-m", "gigp", *args, "--seed", "1", "--out", str(out)],
+                          env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_traced_shape_serializes_once_and_counts_every_row(tmp_path, fmt):
     # bench/tracing.py times the writer through the names _json_doc and

@@ -178,18 +178,20 @@ def test_ccdf_past_the_cut_is_linear_in_points():
 
 
 def test_bessel_ratios_match_the_sequential_recurrence():
-    # each window of _J_WINDOW forward steps from a crude seed must land on
-    # the value the one-at-a-time recurrence from K_(nu+1)/K_nu gives
-    for nu, alpha in [(0.5, 2.0), (-1.0, 1.5), (-0.25, 8.0), (1.0, 30.0), (0.5, 1e-6)]:
+    # each window of forward steps from a crude seed, fewer at higher orders,
+    # must land on the value the one-at-a-time recurrence from K_(nu+1)/K_nu gives
+    for nu, alpha in [(0.5, 2.0), (-1.0, 1.5), (-0.25, 8.0), (1.0, 30.0), (0.5, 1e-6),
+                      (-0.999, 0.01), (3.0, 100.0), (0.3, 300.0)]:
         ratio = bessel_k_ratio(nu, alpha)
         want = [ratio]
-        for k in range(1, 5000):
+        for k in range(1, 301_000):
             ratio = 2.0 * (nu + k) / alpha + 1.0 / ratio
             want.append(ratio)
         got = _bessel_ratios(nu, alpha, np.arange(0, 5000, dtype=float))
-        assert got.tolist() == want
-        later = _bessel_ratios(nu, alpha, np.arange(3000, 5000, dtype=float))
-        assert later.tolist() == want[3000:]
+        assert got.tolist() == want[:5000]
+        for lo in (1024, 3000, 65_536, 300_000):
+            later = _bessel_ratios(nu, alpha, np.arange(lo, lo + 1000, dtype=float))
+            assert later.tolist() == want[lo:lo + 1000]
 
 
 def test_table_cut_past_the_mass_for_nu_above_one():
