@@ -21,9 +21,9 @@ import numpy as np
 
 from .chaotic import poisson_gof_experiment, poisson_rate
 from .diagram import FrequencyTable
-from .distribution import GigpParams, ccdf, pmf, resolve_truncation, sample, validate
-from .fitgof import (_check_zero_row, _open_top_chi2, alpha_from_b, estimate_theta,
-                     fit_tail_line, tail_points)
+from .distribution import (GigpParams, ccdf, pmf, resolve_truncation, sample,
+                           theta_from_mean, validate)
+from .fitgof import _check_zero_row, _open_top_chi2, alpha_from_b, fit_tail_line, tail_points
 from .partition import calibrate, partition_shape, sample_partition
 from .shape import classify_regime, limit_shape, scaling_b, sup_distance
 
@@ -163,7 +163,7 @@ def _params_from(args, table: FrequencyTable | None = None) -> GigpParams:
     _check_zero_row(table, truncated)
     theta = args.theta
     if theta is None:
-        theta = estimate_theta(args.nu, args.alpha, table, truncated)
+        theta = theta_from_mean(args.nu, args.alpha, table.N / table.M, truncated)
     return validate(GigpParams(args.nu, args.alpha, theta, truncated))
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,15 +61,11 @@ def validate(params: GigpParams) -> GigpParams:
 
 
 def _check_mean_domain(params: GigpParams) -> None:
-    # like validate() but lets nu < -1 through when alpha > 0, so the
-    # heavy-mixing diagnostics of the mean can be exercised
-    nu, alpha, theta = params.nu, params.alpha, params.theta
-    if not 0.0 < theta < 1.0:
-        raise ValueError("theta must lie in (0, 1)")
-    if alpha < 0.0:
-        raise ValueError("alpha must be >= 0")
-    if alpha == 0.0:
-        validate(params)
+    """validate(), with the nu >= -1 floor lifted when alpha > 0, so the
+    heavy-mixing diagnostics of the mean can be exercised."""
+    if params.alpha > 0.0 and -math.inf < params.nu < -1.0:
+        params = replace(params, nu=-1.0)
+    validate(params)
 
 
 class _Tables:
@@ -105,18 +101,6 @@ class _Tables:
 
 # per params, its table or its build's error, so a failed build is not tried again
 _CACHE: dict[GigpParams, _Tables | RuntimeError] = {}
-
-
-def _log_trunc_norm(params: GigpParams) -> float:
-    """log(1 - f_0) of the untruncated alpha = 0 family, used to rescale under
-    truncation; _family_head gives it for alpha > 0."""
-    nu, theta = params.nu, params.theta
-    if nu > 0.0:
-        return math.log(-math.expm1(nu * math.log1p(-theta)))
-    if nu == 0.0:
-        # log-series has no untruncated version; normalization handled directly
-        return 0.0
-    return math.log(-math.expm1(-nu * math.log1p(-theta)))
 
 
 def _bessel_ratios(nu: float, alpha: float, j: np.ndarray) -> np.ndarray:
@@ -188,33 +172,28 @@ def _log_tail(j: np.ndarray, log_tail_const: float, nu: float, theta: float) -> 
 
 
 def _family_head(params: GigpParams) -> tuple[int, float, float, float]:
-    """Each family's first supported index j0, log f_(j0), log c of the tail
-    asymptote f_j ~ c j^(nu-1) theta^j, and the log(1 - f_0) by which zero
-    truncation still rescales them: 0, except for alpha > 0, where the
-    rescale is applied to the built table."""
+    """Each family's first supported index j0, log f_(j0) and log c of the tail
+    asymptote f_j ~ c j^(nu-1) theta^j, all before zero truncation, and the
+    log(1 - f_0) that truncation divides the pmf by (log L, L = -log(1 - theta),
+    for the log-series f_j = theta^j / (j L)); 0 for an untruncated model."""
     nu, alpha, theta = params.nu, params.alpha, params.theta
-    log_theta = math.log(theta)
+    log_theta, log1m = math.log(theta), math.log1p(-theta)
     if alpha > 0.0:
         logk_small = log_bessel_k(nu, alpha * math.sqrt(1.0 - theta))
-        log_f0 = 0.5 * nu * math.log1p(-theta) + log_bessel_k(nu, alpha) - logk_small
-        log_tail_const = (0.5 * nu * math.log1p(-theta)
-                          - nu * math.log(0.5 * alpha)
-                          - math.log(2.0) - logk_small)
-        log_norm = math.log(-math.expm1(log_f0)) if params.zero_truncated else 0.0
-        return 0, log_f0, log_tail_const, log_norm
-    if nu > 0.0:
-        log_norm = _log_trunc_norm(params) if params.zero_truncated else 0.0
-        log_tail_const = nu * math.log1p(-theta) - math.lgamma(nu) - log_norm
-        if params.zero_truncated:
-            return (1, math.log(nu) + nu * math.log1p(-theta) + log_theta - log_norm,
-                    log_tail_const, 0.0)
-        return 0, nu * math.log1p(-theta), log_tail_const, 0.0
-    if nu == 0.0:
-        log_l = math.log(-math.log1p(-theta))
-        return 1, log_theta - log_l, -log_l, 0.0
-    log_norm = _log_trunc_norm(params)
-    return (1, math.log(-nu) + log_theta - log_norm,
-            math.log(-nu) - math.lgamma(nu + 1.0) - log_norm, 0.0)
+        log_p0 = 0.5 * nu * log1m + log_bessel_k(nu, alpha) - logk_small
+        head = (0, log_p0, 0.5 * nu * log1m - nu * math.log(0.5 * alpha)
+                - math.log(2.0) - logk_small)
+    elif nu == 0.0:
+        return 1, log_theta, 0.0, math.log(-log1m)
+    elif nu > 0.0:
+        log_p0 = nu * log1m
+        log_c = log_p0 - math.lgamma(nu)
+        head = ((1, math.log(nu) + log_p0 + log_theta, log_c) if params.zero_truncated
+                else (0, log_p0, log_c))
+    else:
+        log_p0 = -nu * log1m
+        head = 1, math.log(-nu) + log_theta, math.log(-nu) - math.lgamma(nu + 1.0)
+    return (*head, math.log(-math.expm1(log_p0)) if params.zero_truncated else 0.0)
 
 
 def _stretches(nu: float, alpha: float, log_theta: float, j0: int, log_f0: float,
@@ -256,6 +235,12 @@ def _build_tables(params: GigpParams) -> _Tables:
     nu, alpha, theta = params.nu, params.alpha, params.theta
     log_theta = math.log(theta)
     j0, log_f0, log_tail_const, log_norm = _family_head(params)
+    if j0:
+        # a table from j = 1 (an alpha = 0 family under truncation) takes the
+        # norm in its head and tail constant, one from j = 0 on the built table
+        log_f0 -= log_norm
+        log_tail_const -= log_norm
+        log_norm = 0.0
 
     # the cut is the first j >= cut_from with log f_j < -40 and the tail
     # asymptote below 1e-15. For nu > 1 the asymptote rises up to the mass
@@ -285,7 +270,7 @@ def _build_tables(params: GigpParams) -> _Tables:
     logf = np.concatenate(chunks[:-1] + [stretch[:cut - lo]])
     # let the stretches go before f, sf and cum are made
     del chunks, stretch
-    if alpha > 0.0 and params.zero_truncated:
+    if j0 == 0 and params.zero_truncated:
         logf -= log_norm
         logf[0] = -math.inf
 
@@ -394,17 +379,15 @@ def mean_exact(params: GigpParams) -> float:
     if alpha > 0.0:
         root = math.sqrt(1.0 - theta)
         eta = 0.5 * alpha * theta / root * bessel_k_ratio(nu, alpha * root)
-        if params.zero_truncated:
-            eta /= math.exp(_family_head(params)[3])
-        return eta
-    if nu > 0.0:
+    elif nu > 0.0:
         eta = nu * theta / (1.0 - theta)
-        if params.zero_truncated:
-            eta /= math.exp(_log_trunc_norm(params))
-        return eta
-    if nu == 0.0:
+    elif nu == 0.0:
         return theta / ((1.0 - theta) * (-math.log1p(-theta)))
-    return (-nu) * theta * math.pow(1.0 - theta, -nu - 1.0) / math.exp(_log_trunc_norm(params))
+    else:
+        eta = (-nu) * theta * math.pow(1.0 - theta, -nu - 1.0)
+    if params.zero_truncated:
+        eta /= math.exp(_family_head(params)[3])
+    return eta
 
 
 def mean_asymptotic(params: GigpParams) -> float:
@@ -442,7 +425,10 @@ def _theta_seed(nu: float, alpha: float, eta: float) -> float:
             # the exponent grows without bound as nu -> -1; theta_from_mean
             # clamps an infinite seed to its largest u
             return math.inf
-    return math.exp(-4.0 * eta / (alpha * alpha))
+    # where alpha^2 underflows the seed is its limit 0, which theta_from_mean
+    # clamps to its smallest u
+    alpha2 = alpha * alpha
+    return math.exp(-4.0 * eta / alpha2) if alpha2 else 0.0
 
 
 def resolve_truncation(nu: float, alpha: float, zero_truncated: bool | None) -> bool:
@@ -460,13 +446,11 @@ def theta_from_mean(nu: float, alpha: float, eta_target: float,
     Bisection on u = 1 - theta, seeded by the closed-form asymptotic
     inverse. zero_truncated = None leaves it to resolve_truncation.
     """
+    zero_truncated = resolve_truncation(nu, alpha, zero_truncated)
+    # the model, at a stand-in theta
+    validate(GigpParams(nu, alpha, 0.5, zero_truncated))
     if not (math.isfinite(eta_target) and eta_target > 0.0):
         raise ValueError("eta_target must be positive and finite")
-    if nu < -1.0 or alpha < 0.0 or (nu == -1.0 and alpha == 0.0):
-        raise ValueError("invalid (nu, alpha)")
-    zero_truncated = resolve_truncation(nu, alpha, zero_truncated)
-    if alpha == 0.0 and nu <= 0.0 and not zero_truncated:
-        raise ValueError("alpha = 0 with nu <= 0 exists only zero-truncated")
     if zero_truncated and eta_target <= 1.0:
         raise ValueError("a zero-truncated mean is always > 1")
 

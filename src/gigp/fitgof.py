@@ -145,6 +145,8 @@ def pearson_chi2(observed: Sequence[int], expected: Sequence[float],
         raise ValueError("expected counts must be positive")
     if n_fitted_params < 0:
         raise ValueError("n_fitted_params must be >= 0")
+    if math.isnan(min_expected):
+        raise ValueError("min_expected must be a number, not nan")
     o, e = obs.tolist(), exp.tolist()
     if abs(sum(e) - sum(o)) > 0.005 * sum(o):
         raise ValueError("expected total differs from observed total by more than 0.5%")

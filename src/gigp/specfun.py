@@ -215,7 +215,10 @@ def _lower_p_series(nu: float, x: np.ndarray) -> np.ndarray:
 def _upper_cf(nu: float, x: np.ndarray, log_norm: float = 0.0) -> np.ndarray:
     """Gamma(nu, x) / exp(log_norm) by Lentz continued fraction; x >= 1 or x >= nu+1.
 
-    log_norm is subtracted inside the exponent, so it never leaves log space."""
+    log_norm is subtracted inside the exponent, so it never leaves log space.
+    The fraction runs only where that prefactor does not underflow: past
+    x ~ 4.5e307 its first term 1/(x + 1 - nu) is subnormal, and it would not
+    converge."""
     tiny = 1e-300
 
     def step(i, x, b, c, d, h):
@@ -231,12 +234,16 @@ def _upper_cf(nu: float, x: np.ndarray, log_norm: float = 0.0) -> np.ndarray:
         h *= delta
         return np.abs(delta - 1.0) < 1e-16, h
 
+    arg = -x + nu * _libm(math.log, x) - log_norm
+    live = arg > -745.0
+    x = x[live]
     b = x + 1.0 - nu
     d = 1.0 / b
     h = _iterate(x, [b, np.full_like(x, 1.0 / tiny), d, d.copy()], step,
                  "incomplete gamma continued fraction")
-    arg = -x + nu * _libm(math.log, x) - log_norm
-    return np.where(arg > -745.0, _libm(math.exp, arg) * h, 0.0)
+    out = np.zeros_like(arg)
+    out[live] = _libm(math.exp, arg[live]) * h
+    return out
 
 
 def _e1_series(x: np.ndarray) -> np.ndarray:

@@ -394,6 +394,31 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["--help"]) == 0
 
 
+@pytest.mark.parametrize("nu, alpha, line", [
+    ("-1", "0", "error: the corner nu = -1, alpha = 0 is excluded\n"),
+    ("-2", "1", "error: nu must be >= -1\n"),
+    ("nan", "1", "error: nu must be a finite number\n"),
+], ids=["corner", "below-floor", "nan-nu"])
+def test_a_bad_model_is_the_same_error_line_with_or_without_theta(tmp_path, capsys, nu,
+                                                                 alpha, line):
+    data = _write_csv(tmp_path, "small.csv", [(1, 50), (2, 20), (5, 10), (30, 3)])
+    for cmd in ("fit", "gof"):
+        for theta in ([], ["--theta", "0.9"]):
+            assert main([cmd, "--data", str(data), "--nu", nu, "--alpha", alpha, *theta]) == 1
+            assert capsys.readouterr() == ("", line), (cmd, theta)
+
+
+def test_a_nan_min_expected_is_one_error_line(tmp_path, capsys):
+    data = _write_csv(tmp_path, "small.csv", [(1, 50), (2, 20), (5, 10), (30, 3)])
+    for args in (["gof", "--data", str(data), "--nu", "0.5", "--alpha", "2", "--theta", "0.9"],
+                 ["chaotic", "--nu", "-0.5", "--alpha", "2", "--theta", "0.99", "--m", "35",
+                  "--x0", "0.2", "--replicates", "100", "--seed", "1"]):
+        out = tmp_path / "never.json"
+        assert main(args + ["--min-expected", "nan", "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", "error: min_expected must be a number, not nan\n")
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("args, line", [
     # alpha^2 theta / 2 overflows in the GIG mixture that samples past the cap
     (["shape", "--nu", "0.5", "--alpha", "1e200", "--theta", "0.5", "--m", "10", "--seed", "1"],
@@ -423,6 +448,9 @@ def test_theta_solve_survives_a_seed_overflow_near_nu_minus_one(tmp_path, monkey
     # four rows leave too few tail points for the default fit window
     assert main(["fit", *model]) == 1
     assert capsys.readouterr() == ("", "error: fewer than 3 tail points in the fit window\n")
+    # at nu = -1 a subnormal alpha^2 leaves the seed at its limit 0
+    assert main(["fit", "--data", "small.csv", "--nu", "-1", "--alpha", "1e-300"]) == 1
+    assert capsys.readouterr() == ("", "error: eta_target too large to invert\n")
 
 
 def test_read_frequency_csv_validation(tmp_path):

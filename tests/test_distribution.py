@@ -8,6 +8,7 @@ and an mpmath cdf, and the closed-form families against their textbook
 expressions.
 """
 
+import hashlib
 import math
 import time
 import tracemalloc
@@ -22,7 +23,8 @@ from gigp.distribution import (GigpParams, _bessel_ratios, _gig_envelope, _gig_r
                                _tables, ccdf, cdf, gig_density, log_pmf, mean_asymptotic, mean_exact,
                                pmf, resolve_truncation, sample, sample_values,
                                tail_pmf_asymptotic, theta_from_mean, validate)
-from gigp.shape import expected_shape_deviation, scaling_a
+from gigp.fitgof import estimate_theta
+from gigp.shape import expected_shape_deviation, scaling_a, scaling_b
 from gigp.specfun import bessel_k_ratio
 
 mpmath.mp.dps = 40
@@ -466,6 +468,9 @@ def test_theta_from_mean_errors():
         theta_from_mean(0.0, 0.0, 0.9)  # truncated mean always > 1
     with pytest.raises(ValueError):
         theta_from_mean(-1.0, 0.0, 5.0)
+    # alpha^2 underflows at nu = -1: the seed is its limit 0, not 4 eta / 0
+    with pytest.raises(ValueError, match="too large to invert"):
+        theta_from_mean(-1.0, 1e-300, 5.0)
 
 
 def test_gig_density_normalizes_and_mixes_to_pmf():
@@ -522,6 +527,62 @@ def test_validate_domain():
         pmf(GigpParams(0.5, 2.0, 0.9, True), 0)
     with pytest.raises(ValueError):
         pmf(GigpParams(0.5, 2.0, 0.9), -1)
+
+
+# every public entry point takes (nu, alpha, theta) through validate();
+# theta_from_mean reads the bad theta as its target mean, and estimate_theta
+# has no theta to give
+NON_FINITE_ENTRY_POINTS = {
+    "pmf": lambda p: pmf(p, 2),
+    "log_pmf": lambda p: log_pmf(p, 2),
+    "ccdf": lambda p: ccdf(p, 3.0),
+    "cdf": lambda p: cdf(p, 3.0),
+    "mean_exact": mean_exact,
+    "mean_asymptotic": mean_asymptotic,
+    "gig_density": lambda p: gig_density(p, 1.0),
+    "tail_pmf_asymptotic": lambda p: tail_pmf_asymptotic(p, 5),
+    "sample_values": lambda p: sample_values(p, 1, 10),
+    "scaling_b": lambda p: scaling_b(p, 100),
+    "theta_from_mean": lambda p: theta_from_mean(p.nu, p.alpha, 10.0 * p.theta),
+    "estimate_theta": lambda p: estimate_theta(p.nu, p.alpha,
+                                               diagram.FrequencyTable({1: 3, 4: 2})),
+}
+
+
+@pytest.mark.parametrize("entry, field, value", [
+    (entry, field, value) for entry in NON_FINITE_ENTRY_POINTS
+    for field in ("nu", "alpha", "theta")
+    for value in (math.nan, math.inf, -math.inf)
+    if not (entry == "estimate_theta" and field == "theta")])
+def test_non_finite_parameters_are_rejected(entry, field, value):
+    fields = {"nu": 0.5, "alpha": 1.0, "theta": 0.5, field: value}
+    with pytest.raises(ValueError):
+        NON_FINITE_ENTRY_POINTS[entry](GigpParams(**fields))
+
+
+# one triple per alpha = 0 family, truncated and not where it exists, and
+# at alpha > 0; no pinned CLI document covers a truncated nu > 0 or a
+# truncated alpha > 0 table. Digest taken before the truncation norm moved
+# into _family_head.
+FOLD_GRID = [GigpParams(0.5, 0.0, 0.9), GigpParams(0.5, 0.0, 0.9, True),
+             GigpParams(2.5, 0.0, 0.7, True), GigpParams(0.0, 0.0, 0.9, True),
+             GigpParams(0.0, 0.0, 0.3, True), GigpParams(-0.5, 0.0, 0.9, True),
+             GigpParams(-0.9, 0.0, 0.5, True), GigpParams(0.5, 2.0, 0.9),
+             GigpParams(0.5, 2.0, 0.9, True), GigpParams(-0.5, 1.0, 0.99, True),
+             GigpParams(-1.0, 2.0, 0.5, True), GigpParams(0.0, 2.0, 0.8)]
+FOLD_DIGEST = "7d17c20ea42eea10c1637855551726929fed79d70b2b85b805d492302aeae5ea"
+
+
+def test_family_head_and_truncation_bits_are_pinned():
+    h = hashlib.sha256()
+    for p in FOLD_GRID:
+        eta = mean_exact(p)
+        h.update(repr((eta, tail_pmf_asymptotic(p, 37),
+                       theta_from_mean(p.nu, p.alpha, eta, p.zero_truncated))).encode())
+        t = _tables(p)
+        h.update(t.logf.tobytes())
+        h.update(t.sf.tobytes())
+    assert h.hexdigest() == FOLD_DIGEST
 
 
 def _gig_moment(p, a, b, r):

@@ -261,6 +261,12 @@ def test_pearson_chi2_errors():
     for labels in (["a"], ["a", "b", "c"]):  # one label per bin, not fewer or more
         with pytest.raises(ValueError, match="one entry per bin"):
             pearson_chi2([10, 10], [10.0, 10.0], labels=labels)
+    # a nan threshold would merge nothing, as if every bin met it
+    with pytest.raises(ValueError, match="min_expected must be a number"):
+        pearson_chi2([10, 10], [10.0, 10.0], min_expected=math.nan)
+    assert pearson_chi2([1, 10], [1.0, 10.0], min_expected=0.0).bins == ["0", "1"]
+    with pytest.raises(ValueError):
+        pearson_chi2([10, 10], [10.0, 10.0], min_expected=math.inf)  # one bin left
 
 
 def _pearson_chi2_by_lists(observed, expected, n_fitted_params=0, min_expected=5.0,

@@ -180,11 +180,14 @@ def test_upper_incomplete_gamma_array_against_mpmath():
 # x = nu + 1, one ulp apart), at x = 0 and where the value underflows to 0.
 # Taken before the scalar copies of the series were removed, so a number
 # keeps the bits it had. nu = -0.75 is held above x = 1 only: below it,
-# Gamma(nu + 1, x) now comes from the paired series.
+# Gamma(nu + 1, x) now comes from the paired series. From x ~ 4.5e307 the
+# continued fraction's first term is subnormal; the value there is 0.
 UPPER_BITS = [
     (-1.0, 0.9999999999999999, '0x1.301e6989a4edcp-3'),
     (-1.0, 1.0000000000000002, '0x1.301e6989a4ee5p-3'),
     (-1.0, 800.0, '0x0.0p+0'),
+    (-1.0, 5e307, '0x0.0p+0'),
+    (-1.0, 1e308, '0x0.0p+0'),
     (-0.75, 1.0000000000000002, '0x1.4c1d46d923c44p-3'),
     (-0.5, 0.9999999999999999, '0x1.6cd8b51fac1a8p-3'),
     (-0.5, 1.0000000000000002, '0x1.6cd8b51fac1a5p-3'),
@@ -197,6 +200,8 @@ UPPER_BITS = [
     (0.0, 0.9999999999999999, '0x1.c14c5d3bf8f96p-3'),
     (0.0, 1.0000000000000002, '0x1.c14c5d3bf8f81p-3'),
     (0.0, 800.0, '0x0.0p+0'),
+    (0.0, 5e307, '0x0.0p+0'),
+    (0.0, 1e308, '0x0.0p+0'),
     (1e-10, 0.0, '0x1.2a05f1ffb61ddp+33'),
     (1e-10, 1.0000000000999998, '0x1.c14c5d3b0b724p-3'),
     (1e-10, 1.0000000001000002, '0x1.c14c5d3b0b723p-3'),
@@ -207,6 +212,8 @@ UPPER_BITS = [
     (2.5, 3.4999999999999996, '0x1.2c586d562678fp-2'),
     (2.5, 3.5000000000000004, '0x1.2c586d562678cp-2'),
     (2.5, 800.0, '0x0.0p+0'),
+    (2.5, 5e307, '0x0.0p+0'),
+    (2.5, 1e308, '0x0.0p+0'),
 ]
 Q_BITS = [
     (1e-10, 1.0000000000999998, '0x1.81f1bd9242cf9p-36'),
@@ -218,6 +225,8 @@ Q_BITS = [
     (10000.0, 10000.999999999998, '0x1.fa8dac84ccadap-2'),
     (10000.0, 10001.000000000002, '0x1.fa8dac84d4c2fp-2'),
     (2.5, 800.0, '0x0.0p+0'),
+    (2.5, 5e307, '0x0.0p+0'),
+    (2.5, 1e308, '0x0.0p+0'),
 ]
 
 
@@ -270,6 +279,8 @@ def test_chi2_sf_values():
             want = float(mpmath.gammainc(mpmath.mpf(df) / 2, a=stat / 2.0, b=mpmath.inf,
                                          regularized=True))
             assert specfun.chi2_sf(stat, df) == pytest.approx(want, rel=1e-10)
+    # the survival function has underflowed to 0 long before stat = 1e308
+    assert specfun.chi2_sf(1e308, 3) == 0.0
 
 
 def test_chi2_sf_domain_errors():
