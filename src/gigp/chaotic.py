@@ -17,7 +17,7 @@ import numpy as np
 
 from .distribution import GigpParams, _sample_values_rng, ccdf, validate
 from .fitgof import GofReport, _open_top_chi2
-from .shape import classify_regime, scaling_a, scaling_b
+from .shape import _check_m_sources, classify_regime, scaling_a, scaling_b
 from .specfun import _lower_p_series, regularized_gamma_q
 
 _BLOCK_ROWS = 256  # replicates counted per compare-and-count pass
@@ -34,6 +34,7 @@ def poisson_rate(params: GigpParams, m_sources: int, x: float) -> PoissonApprox:
     """Poisson(lambda) approximation of Y(A x): lambda = M F-bar(A x),
     A = scaling_a(theta)."""
     validate(params)
+    _check_m_sources(m_sources)
     if not x > 0.0:
         raise ValueError("x must be positive")
     fbar = ccdf(params, scaling_a(params.theta) * x)
@@ -45,6 +46,7 @@ def increment_rates(params: GigpParams, m_sources: int,
                     xs: Sequence[float]) -> list[float]:
     """Rates of the increment counts over [x_i, x_{i+1}), last cell open-ended."""
     validate(params)
+    _check_m_sources(m_sources)
     xs = np.asarray(xs, dtype=float)
     if not xs.size:
         raise ValueError("xs must be nonempty")
@@ -59,14 +61,13 @@ def increment_rates(params: GigpParams, m_sources: int,
 def integrated_rate(params: GigpParams, m_sources: int, t: float) -> float:
     """Lambda(t) = M F-bar(A/t), the integrated rate in inverted time."""
     validate(params)
+    _check_m_sources(m_sources)
     if not t > 0.0:
         raise ValueError("t must be positive")
     return m_sources * ccdf(params, scaling_a(params.theta) / t)
 
 
 def _poisson_pmf(j: int, lam: float) -> float:
-    if lam <= 0.0:
-        return 1.0 if j == 0 else 0.0
     return math.exp(-lam + j * math.log(lam) - math.lgamma(j + 1.0))
 
 
@@ -74,8 +75,6 @@ def _poisson_sf(k: int, lam: float) -> float:
     """P(Poisson(lam) >= k)."""
     if k <= 0:
         return 1.0
-    if lam <= 0.0:
-        return 0.0
     if lam < k + 1.0:
         # the series for P(k, lam) itself; 1 - Q(k, lam) cancels here
         return float(_lower_p_series(float(k), np.array([lam]))[0])

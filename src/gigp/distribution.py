@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,6 +40,12 @@ class GigpParams:
     alpha: float
     theta: float
     zero_truncated: bool = False
+
+    def __post_init__(self):
+        # reals of any type (numpy scalars, say) become floats; validate rejects the rest
+        for name in ("nu", "alpha", "theta"):
+            if isinstance(getattr(self, name), numbers.Real):
+                object.__setattr__(self, name, float(getattr(self, name)))
 
 
 def validate(params: GigpParams) -> GigpParams:
@@ -447,10 +454,11 @@ def theta_from_mean(nu: float, alpha: float, eta_target: float,
     inverse. zero_truncated = None leaves it to resolve_truncation.
     """
     zero_truncated = resolve_truncation(nu, alpha, zero_truncated)
-    # the model, at a stand-in theta
-    validate(GigpParams(nu, alpha, 0.5, zero_truncated))
+    # the model, at a stand-in theta; its nu and alpha come back as floats
+    model = validate(GigpParams(nu, alpha, 0.5, zero_truncated))
     if not (math.isfinite(eta_target) and eta_target > 0.0):
         raise ValueError("eta_target must be positive and finite")
+    nu, alpha, eta_target = model.nu, model.alpha, float(eta_target)
     if zero_truncated and eta_target <= 1.0:
         raise ValueError("a zero-truncated mean is always > 1")
 
@@ -458,21 +466,16 @@ def theta_from_mean(nu: float, alpha: float, eta_target: float,
         return mean_exact(GigpParams(nu, alpha, 1.0 - u, zero_truncated))
 
     u_min, u_max = 1e-14, 1.0 - 1e-14
-    lo = min(max(_theta_seed(nu, alpha, eta_target), u_min), u_max)
-    hi = lo
+    lo = hi = min(max(_theta_seed(nu, alpha, eta_target), u_min), u_max)
     # mean is decreasing in u; expand until the target is bracketed
-    for _ in range(40):
-        if mean_at(lo) >= eta_target:
-            break
-        lo = max(lo * 0.01, u_min)
-        if lo == u_min and mean_at(lo) < eta_target:
+    while mean_at(lo) < eta_target:
+        if lo == u_min:
             raise ValueError("eta_target too large to invert")
-    for _ in range(40):
-        if mean_at(hi) <= eta_target:
-            break
-        hi = min(hi * 100.0, u_max)
-        if hi == u_max and mean_at(hi) > eta_target:
+        lo = max(lo * 0.01, u_min)
+    while mean_at(hi) > eta_target:
+        if hi == u_max:
             raise ValueError("eta_target below the reachable range")
+        hi = min(hi * 100.0, u_max)
     for _ in range(200):
         mid = math.sqrt(lo * hi)
         value = mean_at(mid)
@@ -491,23 +494,16 @@ def theta_from_mean(nu: float, alpha: float, eta_target: float,
 
 
 def gig_density(params: GigpParams, lam: float) -> float:
-    """Mixing density of the Poisson rate; gamma density in the alpha = 0 limit."""
+    """GIG mixing density of the Poisson rate, c the untruncated pmf tail constant: log g(lam)
+    = log c - nu log theta + (nu-1) log lam - (1-theta) lam/theta - alpha^2 theta/(4 lam)."""
     nu, alpha, theta = params.nu, params.alpha, params.theta
     _check_mean_domain(params)
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError("lam must be positive")
-    if alpha == 0.0:
-        if nu <= 0.0:
-            raise ValueError("the alpha = 0 mixing density needs nu > 0")
-        rate = (1.0 - theta) / theta
-        logg = (nu * math.log(rate) + (nu - 1.0) * math.log(lam)
-                - rate * lam - math.lgamma(nu))
-        return math.exp(logg)
-    root = math.sqrt(1.0 - theta)
-    logg = (nu * math.log(2.0 * root / (alpha * theta)) - math.log(2.0)
-            - log_bessel_k(nu, alpha * root)
-            + (nu - 1.0) * math.log(lam)
-            - (1.0 - theta) * lam / theta
+    if alpha == 0.0 and nu <= 0.0:
+        raise ValueError("the alpha = 0 mixing density needs nu > 0")
+    logg = (_family_head(replace(params, zero_truncated=False))[2] - nu * math.log(theta)
+            + (nu - 1.0) * math.log(lam) - (1.0 - theta) * lam / theta
             - alpha * alpha * theta / (4.0 * lam))
     return math.exp(logg) if logg > -745.0 else 0.0
 

@@ -130,8 +130,9 @@ def pearson_chi2(observed: Sequence[int], expected: Sequence[float],
     Edge bins with expected < min_expected are folded inward first (the
     deterministic order makes the statistic a function of the merged
     layout only); any interior stragglers then fold into the smaller
-    neighbor, the left one on ties. Both passes are linear in the bin
-    count. df = merged_bins - n_fitted_params - 1.
+    neighbor, the left one on ties, in linear passes. An expected count may
+    be 0 (an underflowed pmf) where its merged bin's is > 0.
+    df = merged_bins - n_fitted_params - 1.
     """
     obs = np.asarray(observed, dtype=np.int64)
     exp = np.asarray(expected, dtype=float)
@@ -141,8 +142,8 @@ def pearson_chi2(observed: Sequence[int], expected: Sequence[float],
         raise ValueError("labels must have one entry per bin")
     if np.any(obs < 0):
         raise ValueError("observed counts must be nonnegative")
-    if not np.all(exp > 0.0):
-        raise ValueError("expected counts must be positive")
+    if not np.all(np.isfinite(exp) & (exp >= 0.0)):
+        raise ValueError("expected counts must be finite and >= 0")
     if n_fitted_params < 0:
         raise ValueError("n_fitted_params must be >= 0")
     if math.isnan(min_expected):
@@ -172,6 +173,8 @@ def pearson_chi2(observed: Sequence[int], expected: Sequence[float],
             out[-1][2] += ce
         else:
             out.append([start, co, ce])
+    if not all(ce > 0.0 for _, _, ce in out):
+        raise ValueError("expected counts must be positive")
     if len(out) < 2:
         raise ValueError("fewer than 2 bins remain after merging")
     first, out_o, out_e = zip(*out)

@@ -9,6 +9,7 @@ chaotic and the Poisson machinery in the chaotic module applies instead.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -48,23 +49,27 @@ class ShapeReport:
 def limit_shape(nu: float, x):
     """phi_nu(x), the upper incomplete gamma function as a shape curve.
 
-    x may be a numpy array; the curve then comes back as one.
+    x is a number, which gives a float, or an array of them, which gives an array.
     """
     return upper_incomplete_gamma(nu, x)
 
 
 def scaling_a(theta: float) -> float:
     """Item-axis scale A = -1/log(theta)."""
-    if not (isinstance(theta, (int, float)) and 0.0 < theta < 1.0):
+    if not (isinstance(theta, numbers.Real) and 0.0 < theta < 1.0):
         raise ValueError("theta must lie in (0, 1)")
     return -1.0 / math.log(theta)
+
+
+def _check_m_sources(m_sources: int) -> None:
+    if m_sources < 1 or int(m_sources) != m_sources:
+        raise ValueError("m_sources must be a positive integer")
 
 
 def scaling_b(params: GigpParams, m_sources: int) -> ScalingPair:
     """Source-axis scale B with its case label; A comes along for the ride."""
     validate(params)
-    if m_sources < 1 or int(m_sources) != m_sources:
-        raise ValueError("m_sources must be a positive integer")
+    _check_m_sources(m_sources)
     nu, alpha, theta = params.nu, params.alpha, params.theta
     u = 1.0 - theta
     try:
@@ -122,8 +127,7 @@ def boundary_moments(params: GigpParams, m_sources: int, x: float,
     Y(x) is Binomial(M, F-bar(x)), and for x <= x2 the covariance of
     Y(x), Y(x2) is M F-bar(x2) (1 - F-bar(x)).
     """
-    if m_sources < 1:
-        raise ValueError("m_sources must be >= 1")
+    _check_m_sources(m_sources)
     if x2 is None:
         x2 = x
     if x2 < x:

@@ -328,16 +328,14 @@ def upper_incomplete_gamma(nu: float, x):
     from -1 to -1/2, small x takes one step of the downward recurrence
     Gamma(nu, x) = (Gamma(nu+1, x) - x^nu e^(-x)) / nu from nu + 1.
 
-    A numpy array x gives an array, evaluated branch by branch in
-    whole-array passes; a number gives a float, from the same passes on
-    one element.
+    x is a number, which gives a float, or an array of them, which gives an
+    array of the same shape, from the same branch-by-branch whole-array passes.
     """
     if not math.isfinite(nu):
         raise ValueError("upper_incomplete_gamma: arguments must be finite")
     if nu < -1.0:
         raise ValueError("upper_incomplete_gamma: nu must be >= -1")
-    number = not isinstance(x, np.ndarray)
-    x = np.asarray([x] if number else x, dtype=float)
+    x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("upper_incomplete_gamma: arguments must be finite")
     if np.any(x < 0.0):
@@ -357,7 +355,7 @@ def upper_incomplete_gamma(nu: float, x):
     out[cf] = _upper_cf(nu, x[cf])
     near = ~cf & ~zero
     out[near] = _upper_near(nu, x[near])
-    return float(out[0]) if number else out
+    return float(out) if out.ndim == 0 else out
 
 
 def normal_cdf(x: float) -> float:

@@ -5,13 +5,14 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy import stats
 
 from gigp import chaotic
 from gigp.chaotic import (increment_rates, integrated_rate,
                           poisson_gof_experiment, poisson_rate, _poisson_pmf,
                           _poisson_sf, _replicate_counts)
 from gigp.distribution import GigpParams, ccdf, _sample_values_rng
-from gigp.shape import limit_shape, scaling_b
+from gigp.shape import boundary_moments, limit_shape, scaling_b
 from gigp.specfun import chi2_sf
 
 P61 = GigpParams(-0.5, 2.0, 0.99)
@@ -100,6 +101,22 @@ def test_poisson_helpers_against_known_values():
     lam = 4.3425
     tail = sum(_poisson_pmf(j, lam) for j in range(9, 60))
     assert _poisson_sf(9, lam) == pytest.approx(tail, rel=1e-9)
+
+
+def test_poisson_sf_from_the_mean_plus_one_matches_scipy():
+    # for lam >= k + 1 the tail is 1 - Q(k, lam)
+    for k, lam in [(1, 2.0), (3, 4.342498), (9, 10.0), (20, 60.0), (50, 51.0)]:
+        assert _poisson_sf(k, lam) == pytest.approx(stats.poisson.sf(k - 1, lam), rel=1e-12)
+
+
+def test_m_sources_must_be_a_positive_integer():
+    calls = [lambda m: poisson_rate(P61, m, 1.0), lambda m: increment_rates(P61, m, [1.0, 2.0]),
+             lambda m: integrated_rate(P61, m, 1.0), lambda m: boundary_moments(P61, m, 1.0),
+             lambda m: scaling_b(P61, m)]
+    for call in calls:
+        for m in (-5, -3, 0, 10.5):
+            with pytest.raises(ValueError, match="m_sources must be a positive integer"):
+                call(m)
 
 
 def test_poisson_sf_keeps_its_digits_below_the_mean_plus_one():

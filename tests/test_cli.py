@@ -434,6 +434,23 @@ def test_arithmetic_failures_are_one_error_line(tmp_path, monkeypatch, capsys, a
     assert capsys.readouterr() == ("", line)
 
 
+def test_gof_folds_a_far_outlier_whose_model_mass_underflows(tmp_path, capsys):
+    # the pmf is 0 in the empty bins and in "5000+"; those bins fold into "4-5000+"
+    data = _write_csv(tmp_path, "outlier.csv", [(0, 50), (1, 30), (2, 14), (3, 8), (5000, 1)])
+    assert main(["gof", "--data", str(data), "--nu", "0.5", "--alpha", "2",
+                 "--theta", "0.5"]) == 0
+    bins = json.loads(capsys.readouterr().out)["result"]["bins"]
+    assert [b[0] for b in bins] == ["0", "1", "2", "3", "4-5000+"]
+    assert bins[-1][1] == 1 and bins[-1][2] > 0.0
+
+
+def test_a_row_with_three_fields_is_one_error_line(tmp_path, capsys):
+    data = tmp_path / "three.csv"
+    data.write_text("j,count\n1,50\n2,20,7\n5,10\n")
+    assert main(["fit", "--data", str(data), "--nu", "0.5", "--alpha", "2"]) == 1
+    assert capsys.readouterr() == ("", "error: line 3: expected two fields, got 3\n")
+
+
 def test_theta_solve_survives_a_seed_overflow_near_nu_minus_one(tmp_path, monkeypatch, capsys):
     # the theta seed (c / eta)^(1 / (nu + 1)) overflows as nu -> -1; taken
     # as +inf it is clamped to the largest u and the solve converges

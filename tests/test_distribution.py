@@ -12,6 +12,7 @@ import hashlib
 import math
 import time
 import tracemalloc
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -485,6 +486,14 @@ def test_gig_density_normalizes_and_mixes_to_pmf():
             assert mixed == pytest.approx(pmf(p, j), rel=1e-8)
 
 
+def test_gig_density_is_blind_to_truncation():
+    # the mixing law is that of the untruncated model
+    for p in [GigpParams(0.5, 2.0, 0.9), GigpParams(-0.5, 1.0, 0.7), GigpParams(2.0, 0.0, 0.5),
+              GigpParams(-2.0, 1.0, 0.9)]:
+        for lam in (0.1, 1.0, 30.0):
+            assert gig_density(replace(p, zero_truncated=True), lam) == gig_density(p, lam)
+
+
 def test_gig_density_gamma_limit():
     p = GigpParams(2.0, 0.0, 0.5)
     rate = (1.0 - 0.5) / 0.5
@@ -583,6 +592,39 @@ def test_family_head_and_truncation_bits_are_pinned():
         h.update(t.logf.tobytes())
         h.update(t.sf.tobytes())
     assert h.hexdigest() == FOLD_DIGEST
+
+
+# theta_from_mean's bracket exits that FOLD_GRID does not reach: eta too
+# large and too small, with the seed clamped at u = 1e-14 or 1 - 1e-14 or
+# walked there, and a bracket found only at either clamp. Digest taken before
+# the bracket loops became while loops.
+BRACKET_EXITS = [(-1.0, 1e-300, 5.0, None), (0.5, 0.0, 1e300, None),
+                 (-0.999999, 1.0, 10.0, None), (-0.999999, 2.0, 1.0001, True),
+                 (-1.0, 1.0, 1.0001, True), (-1.0, 1.0, 10.0, True),
+                 (-0.999999, 1.0, 1.0001, None), (2.5, 0.001, 2.25179981368522e14, None),
+                 (-1.0, 1.0, 1.0001, None)]
+BRACKET_DIGEST = "262620edccb3ca30d42f9023922c63a26fe3ecb5f74e407ebdce71afb8136ad2"
+
+
+def test_theta_from_mean_bracket_exits_are_pinned():
+    h = hashlib.sha256()
+    for args in BRACKET_EXITS:
+        try:
+            got = repr(theta_from_mean(*args))
+        except ValueError as exc:
+            got = str(exc)
+        h.update(got.encode())
+    assert h.hexdigest() == BRACKET_DIGEST
+
+
+def test_numpy_scalars_are_real_numbers():
+    assert mean_exact(GigpParams(np.int64(1), 0.0, 0.9)) == mean_exact(GigpParams(1.0, 0.0, 0.9))
+    assert (theta_from_mean(np.int64(1), np.float32(2.0), 5.0)
+            == theta_from_mean(1.0, 2.0, 5.0))
+    p = GigpParams(np.float32(0.5), np.int32(2), np.float64(0.9))
+    assert p == GigpParams(0.5, 2.0, 0.9) and type(p.alpha) is float
+    with pytest.raises(ValueError, match="nu must be a finite number"):
+        validate(GigpParams("1", 0.0, 0.9))
 
 
 def _gig_moment(p, a, b, r):

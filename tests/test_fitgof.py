@@ -267,6 +267,20 @@ def test_pearson_chi2_errors():
     assert pearson_chi2([1, 10], [1.0, 10.0], min_expected=0.0).bins == ["0", "1"]
     with pytest.raises(ValueError):
         pearson_chi2([10, 10], [10.0, 10.0], min_expected=math.inf)  # one bin left
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="expected counts must be finite and >= 0"):
+            pearson_chi2([10, 10], [10.0, bad])
+
+
+def test_pearson_chi2_merges_zero_expected_counts():
+    # an underflowed pmf leaves bins with expected 0; they fold like any other
+    rep = pearson_chi2([50, 30, 0, 20, 1], [45.0, 35.0, 0.0, 21.0, 0.0])
+    assert rep.bins == ["0", "1", "2-4"]
+    assert rep.observed.tolist() == [50, 30, 21]
+    assert rep.expected.tolist() == [45.0, 35.0, 21.0]
+    # a merged bin must still expect something, and min_expected = 0 merges nothing
+    with pytest.raises(ValueError, match="expected counts must be positive"):
+        pearson_chi2([50, 30, 0, 20], [50.0, 30.0, 0.0, 20.0], min_expected=0.0)
 
 
 def _pearson_chi2_by_lists(observed, expected, n_fitted_params=0, min_expected=5.0,

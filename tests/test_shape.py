@@ -21,6 +21,9 @@ def test_scaling_a_anchors():
     for bad in [0.0, 1.0, -0.5, 2.0]:
         with pytest.raises(ValueError):
             scaling_a(bad)
+    # any real number: numpy scalars too
+    assert scaling_a(np.float32(0.9)) == scaling_a(float(np.float32(0.9)))
+    assert scaling_a(np.float64(0.99)) == scaling_a(0.99)
 
 
 def test_scaling_b_anchors():
@@ -59,6 +62,7 @@ def test_limit_shape_is_incomplete_gamma():
     assert limit_shape(0.5, 0.0) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
     xs = np.array([0.0, 0.5, 3.0])
     assert limit_shape(0.5, xs).tolist() == [limit_shape(0.5, x) for x in xs.tolist()]
+    assert limit_shape(0.5, xs.tolist()).tolist() == limit_shape(0.5, xs).tolist()
 
 
 def test_phi_tail_ratio_at_30():

@@ -176,6 +176,18 @@ def test_upper_incomplete_gamma_array_against_mpmath():
     assert type(specfun.upper_incomplete_gamma(0.5, 1.0)) is float
 
 
+def test_upper_incomplete_gamma_takes_a_number_or_an_array():
+    # np.ndim(x) == 0 gives a float, anything else an array of x's shape
+    want = [specfun.upper_incomplete_gamma(0.5, v) for v in (1.0, 2.0)]
+    for x in ([1.0, 2.0], (1.0, 2.0), np.array([1.0, 2.0])):
+        got = specfun.upper_incomplete_gamma(0.5, x)
+        assert isinstance(got, np.ndarray) and got.tolist() == want
+    assert specfun.upper_incomplete_gamma(0.5, [[1.0], [2.0]]).shape == (2, 1)
+    for x in (np.array(1.0), np.float32(1.0), 1):
+        got = specfun.upper_incomplete_gamma(0.5, x)
+        assert type(got) is float and got == want[0]
+
+
 # float.hex of both kernels on each side of every branch edge (x = 1 and
 # x = nu + 1, one ulp apart), at x = 0 and where the value underflows to 0.
 # Taken before the scalar copies of the series were removed, so a number
