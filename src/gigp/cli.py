@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import gc
 import json
 import math
 import os
@@ -19,12 +20,11 @@ import sys
 
 import numpy as np
 
-from .chaotic import poisson_gof_experiment, poisson_rate
+# the chaotic, fitgof and partition names are imported by the commands that
+# use them, so a process loads only its own command's modules
 from .diagram import FrequencyTable
-from .distribution import (GigpParams, ccdf, pmf, resolve_truncation, sample,
-                           theta_from_mean, validate)
-from .fitgof import _check_zero_row, _open_top_chi2, alpha_from_b, fit_tail_line, tail_points
-from .partition import calibrate, partition_shape, sample_partition
+from .distribution import (GigpParams, _check_zero_row, ccdf, pmf, resolve_truncation,
+                           sample, theta_from_mean, validate)
 from .shape import classify_regime, limit_shape, scaling_b, sup_distance
 
 OUTPUT_DIR_ENV = "GIGP_OUTPUT_DIR"
@@ -212,6 +212,7 @@ def _cmd_shape(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from .fitgof import alpha_from_b, fit_tail_line
     table = read_frequency_csv(args.data)
     params = _params_from(args, table)
     theta = params.theta
@@ -234,6 +235,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_gof(args) -> int:
+    from .fitgof import _open_top_chi2
     table = read_frequency_csv(args.data)
     params = _params_from(args, table)
     fitted = int(args.theta is None)
@@ -250,6 +252,7 @@ def _cmd_gof(args) -> int:
 
 
 def _cmd_chaotic(args) -> int:
+    from .chaotic import poisson_gof_experiment, poisson_rate
     params = _params_from(args)
     rate = poisson_rate(params, args.m, args.x0)
     rep = poisson_gof_experiment(params, args.m, args.x0, args.replicates,
@@ -263,6 +266,7 @@ def _cmd_chaotic(args) -> int:
 
 
 def _cmd_partition(args) -> int:
+    from .partition import calibrate, partition_shape, sample_partition
     config = calibrate(args.n)
     table = sample_partition(config, args.seed)
     root = math.sqrt(args.n)
@@ -303,6 +307,7 @@ def _pane(points_sets, x_rng, y_rng, origin, size):
 
 
 def _shape_svg(table, params: GigpParams, cfg: dict) -> str:
+    from .fitgof import tail_points
     pair = scaling_b(params, table.M)
     # at least 1, so a sample with every source at j = 0 keeps a wide pane
     j_max = int(table.support.max(initial=1))
@@ -449,5 +454,15 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """The process entry of `python -m gigp` and the `gigp` script: main, then
+    exit. What main leaves dies with the process, so gc.freeze() spares the
+    interpreter's collection on the way out; main, which tests call in
+    process, leaves the collector alone."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

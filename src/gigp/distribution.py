@@ -126,7 +126,11 @@ def _bessel_ratios(nu: float, alpha: float, j: np.ndarray) -> np.ndarray:
     """
     r = np.empty_like(j)
     lo, hi = int(j[0]), int(j[-1]) + 1
-    j_star = max(math.ceil(4.0 * alpha - nu) + _J_WINDOW, lo)
+    j_first = math.ceil(4.0 * alpha - nu)
+    if nu + j_first <= 0.0:
+        # 4 alpha - nu rounded to the integer -nu, where the order is 0, not 4 alpha
+        j_first += 1
+    j_star = max(j_first + _J_WINDOW, lo)
     if lo < j_star:
         ratio = bessel_k_ratio(nu, alpha)
         head = [ratio]
@@ -446,6 +450,13 @@ def resolve_truncation(nu: float, alpha: float, zero_truncated: bool | None) -> 
     return zero_truncated
 
 
+def _check_zero_row(table: diagram.FrequencyTable | None, zero_truncated: bool) -> None:
+    """ValueError when a zero-truncated model meets a table with a j = 0 row."""
+    if zero_truncated and table is not None and table.support[0] == 0:
+        raise ValueError(f"a zero-truncated model gives j = 0 no mass, but the data has "
+                         f"{int(table.mult[0])} sources in its j = 0 row")
+
+
 def theta_from_mean(nu: float, alpha: float, eta_target: float,
                     zero_truncated: bool | None = None) -> float:
     """Solve mean_exact = eta_target for theta at fixed nu, alpha.
@@ -485,6 +496,10 @@ def theta_from_mean(nu: float, alpha: float, eta_target: float,
             lo = mid
         else:
             hi = mid
+        if 1.0 - lo <= math.nextafter(1.0 - hi, 1.0):
+            # theta = 1 - u takes at most two values on the bracket, and no
+            # further step can resolve it: take the one whose mean is nearer
+            return 1.0 - min(lo, hi, key=lambda u: abs(mean_at(u) - eta_target))
         if hi - lo < 1e-16 * hi:
             mid = math.sqrt(lo * hi)
             if abs(mean_at(mid) - eta_target) <= 1e-8 * eta_target:

@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .diagram import FrequencyTable
-from .distribution import GigpParams, resolve_truncation, theta_from_mean
+from .distribution import GigpParams, _check_zero_row, resolve_truncation, theta_from_mean
 from .shape import classify_regime, scaling_b, tail_transform, upsilon
 from .specfun import _libm, chi2_sf, normal_cdf
 
@@ -103,13 +103,6 @@ def alpha_from_b(nu: float, theta: float, m_sources: int, b_hat: float) -> float
     if base <= 0.0:
         raise ValueError("inversion base must be positive")
     return 2.0 * math.pow(base, -1.0 / (2.0 * nu))
-
-
-def _check_zero_row(table: FrequencyTable | None, zero_truncated: bool) -> None:
-    """ValueError when a zero-truncated model meets a table with a j = 0 row."""
-    if zero_truncated and table is not None and table.support[0] == 0:
-        raise ValueError(f"a zero-truncated model gives j = 0 no mass, but the data has "
-                         f"{int(table.mult[0])} sources in its j = 0 row")
 
 
 def estimate_theta(nu: float, alpha: float, table: FrequencyTable,

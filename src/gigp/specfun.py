@@ -57,7 +57,8 @@ def _gamma_m1_over(nu: float) -> float:
 
 
 def _temme_k(mu: float, z: float) -> tuple[float, float]:
-    """(K_mu(z), K_{mu+1}(z)) for 0 < z <= 2, |mu| <= 1/2, by Temme's series."""
+    """(K_mu(z), (z/2) K_{mu+1}(z)) for 0 < z <= 2, |mu| <= 1/2, by Temme's
+    series; the second stays finite where K_{mu+1}(z) itself overflows."""
     x1 = 0.5 * z
     pimu = math.pi * mu
     fact = pimu / math.sin(pimu) if pimu != 0.0 else 1.0
@@ -84,7 +85,7 @@ def _temme_k(mu: float, z: float) -> tuple[float, float]:
         total += delta
         total1 += c * (p - i * ff)
         if abs(delta) < abs(total) * 1e-17:
-            return total, total1 * (2.0 / z)
+            return total, total1
     raise RuntimeError("Temme series for K did not converge")
 
 
@@ -124,8 +125,8 @@ def _cf2_k(mu: float, z: float) -> tuple[float, float]:
 def _base_k_pair(mu: float, z: float) -> tuple[float, float, float]:
     """(K_mu, K_{mu+1}, log_scale) with the true values = pair * exp(log_scale)."""
     if z <= 2.0:
-        k0, k1 = _temme_k(mu, z)
-        return k0, k1, 0.0
+        k0, h1 = _temme_k(mu, z)
+        return k0, h1 * (2.0 / z), 0.0
     k0, k1 = _cf2_k(mu, z)
     return k0, k1, -z
 
@@ -136,7 +137,9 @@ def log_bessel_k(nu: float, z: float) -> float:
     Uses K_{-nu} = K_nu, then Temme's series (z <= 2) or a continued
     fraction (z > 2) at a base order in [-1/2, 1/2], followed by the
     upward order recurrence with rescaling so huge orders do not
-    overflow.
+    overflow. At small z, where K_{mu+1} or one step's product passes the
+    double range before the rescale can act, the recurrence runs on the
+    ratio s = z K_{o+1} / K_o instead, which stays of the order of nu + 1.
     """
     if not (math.isfinite(nu) and math.isfinite(z)):
         raise ValueError("log_bessel_k: arguments must be finite")
@@ -154,7 +157,18 @@ def log_bessel_k(nu: float, z: float) -> float:
             k0 *= 1e-280
             k1 *= 1e-280
             logscale += 280.0 * math.log(10.0)
-    return math.log(k0) + logscale
+    out = math.log(k0) + logscale
+    # past z = 2 each step multiplies by less than its order, so only the
+    # Temme range can overflow; a finite result keeps the bits it always had
+    if math.isfinite(out) or z > 2.0:
+        return out
+    # s_{o+1} = 2 (o + 1) + z^2 / s_o, from the same recurrence divided by K_{o+1}
+    k0, h1 = _temme_k(mu, z)
+    out, s, log_z = math.log(k0), 2.0 * h1 / k0, math.log(z)
+    for i in range(n):
+        out += math.log(s) - log_z
+        s = 2.0 * (mu + i + 1.0) + z * z / s
+    return out
 
 
 def bessel_k_ratio(nu: float, z: float) -> float:

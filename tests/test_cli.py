@@ -666,6 +666,34 @@ def test_a_failed_command_creates_no_out_file(tmp_path, capsys, args):
     assert not out.exists()
 
 
+DOC = "doc.json"
+
+
+@pytest.mark.parametrize("args, code", [
+    (["partition", "--n", "100", "--seed", "1", "--format", "csv"], 0),
+    (["simulate", "--nu", "0.5", "--alpha", "2", "--theta", "0.9", "--m", "50", "--seed", "1",
+      "--out", DOC], 0),
+    (["simulate", "--nu", "0.5", "--alpha", "2", "--theta", "1.5", "--m", "10", "--seed", "1",
+      "--out", DOC], 1),
+    (["partition", "--n", "100", "--seed", "1", "--out", os.path.join("missing", DOC)], 2),
+], ids=["stdout", "out-file", "validation-error", "io-error"])
+def test_a_process_ends_as_main_returns(tmp_path, monkeypatch, capsys, args, code):
+    # python -m gigp exits through cli.run, which adds gc.freeze() and sys.exit
+    child, own = tmp_path / "child", tmp_path / "own"
+    child.mkdir()
+    own.mkdir()
+    monkeypatch.delenv("GIGP_OUTPUT_DIR", raising=False)
+    done = subprocess.run([sys.executable, "-m", "gigp", *args], cwd=child, capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")), timeout=60)
+    monkeypatch.chdir(own)
+    assert main(args) == code == done.returncode
+    stdout, stderr = capsys.readouterr()
+    assert (done.stdout, done.stderr) == (stdout.encode(), stderr.encode())
+    assert (child / DOC).exists() == (own / DOC).exists() == (code == 0 and DOC in args)
+    if (own / DOC).exists():
+        assert (child / DOC).read_bytes() == (own / DOC).read_bytes()
+
+
 # 10^14 values need >= 728 TiB, past the 2^47-byte user address space, so
 # the allocation is refused at once under any overcommit setting
 @pytest.mark.parametrize("args", [

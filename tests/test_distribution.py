@@ -443,6 +443,17 @@ def test_mean_asymptotic_approaches_exact():
         assert errs[2] < 0.35
 
 
+def test_tiny_alpha_reaches_the_alpha_zero_family():
+    # K_nu at these alpha passes the double range: mean_exact was nan and inf,
+    # and at an integer nu the table build stopped with a math domain error
+    assert mean_exact(GigpParams(2.0, 1e-154, 0.5)) == pytest.approx(2.0, rel=1e-12)
+    assert mean_exact(GigpParams(0.5, 1e-300, 0.5)) == pytest.approx(0.5, rel=1e-12)
+    j = np.arange(40)
+    for nu in (3.0, 2.5):
+        assert pmf(GigpParams(nu, 1e-154, 0.5), j) == pytest.approx(
+            pmf(GigpParams(nu, 0.0, 0.5), j), rel=1e-12)
+
+
 def test_mean_exact_allows_deep_nu_for_diagnostics():
     # saturation under heavy mixing: exact mean stays near the ceiling
     got = mean_exact(GigpParams(-2.0, 2.0, 0.9999))
@@ -615,6 +626,22 @@ def test_theta_from_mean_bracket_exits_are_pinned():
             got = str(exc)
         h.update(got.encode())
     assert h.hexdigest() == BRACKET_DIGEST
+
+
+@pytest.mark.parametrize("nu, alpha, eta", [
+    (-0.9, 0.0, 10.0), (0.5, 0.0, 4e13), (0.5, 2.0, 4.5e13), (-0.5, 0.0, 1e4)])
+def test_theta_from_mean_stops_where_theta_cannot_be_resolved(nu, alpha, eta):
+    # near theta = 1 the mean steps by more than the 1e-9 tolerance between
+    # adjacent doubles; these raised "bisection did not converge"
+    truncated = alpha == 0.0 and nu <= 0.0
+    got = theta_from_mean(nu, alpha, eta)
+
+    def off(theta):
+        return mean_exact(GigpParams(nu, alpha, theta, truncated)) - eta
+
+    below, above = off(math.nextafter(got, 0.0)), off(math.nextafter(got, 1.0))
+    assert below < 0.0 < above
+    assert abs(off(got)) <= min(-below, above)
 
 
 def test_numpy_scalars_are_real_numbers():

@@ -4,7 +4,8 @@ mpmath at 40 digits is the independent reference for the Bessel and
 incomplete gamma grids; a handful of closed-form and frozen values pin
 the conventions. The incomplete gamma kernels also have their float bits
 pinned at every branch edge, and a property test against mpmath over
-nu in [-1, 60], x in [1e-8, 700].
+nu in [-1, 60], x in [1e-8, 700]. A second property test holds log K_nu(z)
+to mpmath for nu in [0, 60] and z down to 1e-300.
 """
 
 import math
@@ -58,6 +59,25 @@ def test_log_bessel_k_huge_order_no_overflow():
     want = float(mpmath.log(mpmath.besselk(600, 1)))
     assert math.isfinite(got)
     assert got == pytest.approx(want, rel=1e-10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nu=st.floats(0.0, 60.0), log10_z=st.floats(-300.0, math.log10(2.0)))
+# one upward step passed the double range before the rescale could act,
+# so these gave inf and their Bessel ratios nan
+@example(nu=2.0, log10_z=-154.0)
+@example(nu=3.0, log10_z=-103.0)
+@example(nu=10.0, log10_z=-30.0)
+@example(nu=50.0, log10_z=-30.0)
+# K_{mu+1} of the base pair itself overflows at mu = 0.4
+@example(nu=1.4, log10_z=-300.0)
+def test_log_bessel_k_at_small_z_against_mpmath(nu, log10_z):
+    z = 10.0 ** log10_z
+    want = mpmath.log(mpmath.besselk(nu, z))
+    assert specfun.log_bessel_k(nu, z) == pytest.approx(
+        float(want), rel=1e-13, abs=1e-13)
+    want_ratio = mpmath.exp(mpmath.log(mpmath.besselk(nu + 1, z)) - want)
+    assert specfun.bessel_k_ratio(nu, z) == pytest.approx(float(want_ratio), rel=1e-10)
 
 
 def test_log_bessel_k_domain_errors():
