@@ -487,8 +487,14 @@ def theta_from_mean(nu: float, alpha: float, eta_target: float,
         if hi == u_max:
             raise ValueError("eta_target below the reachable range")
         hi = min(hi * 100.0, u_max)
-    for _ in range(200):
+    # each step either returns or narrows [lo, hi] to fewer doubles, so it ends
+    while True:
         mid = math.sqrt(lo * hi)
+        if not lo < mid < hi:
+            # no step can move the bracket, and between adjacent doubles of u
+            # (or of theta = 1 - u) the mean may step by more than the
+            # tolerance: take the end whose mean is nearer
+            return 1.0 - min(lo, hi, key=lambda u: abs(mean_at(u) - eta_target))
         value = mean_at(mid)
         if abs(value - eta_target) <= 1e-9 * eta_target:
             return 1.0 - mid
@@ -496,16 +502,6 @@ def theta_from_mean(nu: float, alpha: float, eta_target: float,
             lo = mid
         else:
             hi = mid
-        if 1.0 - lo <= math.nextafter(1.0 - hi, 1.0):
-            # theta = 1 - u takes at most two values on the bracket, and no
-            # further step can resolve it: take the one whose mean is nearer
-            return 1.0 - min(lo, hi, key=lambda u: abs(mean_at(u) - eta_target))
-        if hi - lo < 1e-16 * hi:
-            mid = math.sqrt(lo * hi)
-            if abs(mean_at(mid) - eta_target) <= 1e-8 * eta_target:
-                return 1.0 - mid
-            raise RuntimeError("theta_from_mean bisection did not converge")
-    raise RuntimeError("theta_from_mean bisection did not converge")
 
 
 def gig_density(params: GigpParams, lam: float) -> float:

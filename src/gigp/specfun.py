@@ -27,20 +27,21 @@ _RGAMMA_TAYLOR = (
     5.002007644469223e-09, -1.18127457048702e-09, 1.0434267116911005e-10,
     7.782263439905071e-12, -3.696805618642206e-12,
 )
-_RGAMMA_C1, _RGAMMA_C2, _RGAMMA_C3 = _RGAMMA_TAYLOR[:3]
 
 
 def _rgamma_pair(mu: float) -> tuple[float, float]:
-    """gam1 = [1/G(1-mu) - 1/G(1+mu)]/(2 mu), gam2 = [1/G(1-mu) + 1/G(1+mu)]/2."""
-    if abs(mu) > 1e-4:
-        rp = 1.0 / math.gamma(1.0 + mu)
-        rm = 1.0 / math.gamma(1.0 - mu)
-        return (rm - rp) / (2.0 * mu), (rm + rp) / 2.0
-    # near zero the difference cancels; use the series instead
+    """gam1 = [1/G(1-mu) - 1/G(1+mu)]/(2 mu), gam2 = [1/G(1-mu) + 1/G(1+mu)]/2.
+
+    From the odd and even parts of the Taylor series of 1/Gamma(1+mu): the
+    difference of two math.gamma values would cancel, losing up to 6e-13
+    relative in gam1 at |mu| = 3e-4.
+    """
     mu2 = mu * mu
-    gam1 = -(_RGAMMA_C1 + _RGAMMA_C3 * mu2)
-    gam2 = 1.0 + _RGAMMA_C2 * mu2
-    return gam1, gam2
+    odd = even = 0.0  # c1 + c3 mu^2 + c5 mu^4 + ..., c2 + c4 mu^2 + ...
+    for k in range(18, -1, -2):
+        odd = odd * mu2 + _RGAMMA_TAYLOR[k]
+        even = even * mu2 + _RGAMMA_TAYLOR[k + 1]
+    return -odd, 1.0 + even * mu2
 
 
 def _gamma_m1_over(nu: float) -> float:
@@ -122,15 +123,6 @@ def _cf2_k(mu: float, z: float) -> tuple[float, float]:
     return k0, k1
 
 
-def _base_k_pair(mu: float, z: float) -> tuple[float, float, float]:
-    """(K_mu, K_{mu+1}, log_scale) with the true values = pair * exp(log_scale)."""
-    if z <= 2.0:
-        k0, h1 = _temme_k(mu, z)
-        return k0, h1 * (2.0 / z), 0.0
-    k0, k1 = _cf2_k(mu, z)
-    return k0, k1, -z
-
-
 def log_bessel_k(nu: float, z: float) -> float:
     """log K_nu(z) for real order and z > 0, stable across magnitudes.
 
@@ -148,7 +140,13 @@ def log_bessel_k(nu: float, z: float) -> float:
     nu = abs(nu)
     n = int(nu + 0.5)
     mu = nu - n  # in [-1/2, 1/2]
-    k0, k1, logscale = _base_k_pair(mu, z)
+    # (K_mu, K_{mu+1}) = (k0, k1) * exp(logscale)
+    if z <= 2.0:
+        t0, h1 = _temme_k(mu, z)
+        k0, k1, logscale = t0, h1 * (2.0 / z), 0.0
+    else:
+        k0, k1 = _cf2_k(mu, z)
+        logscale = -z
     order = mu
     for _ in range(n):
         k0, k1 = k1, k0 + (2.0 * (order + 1.0) / z) * k1
@@ -163,8 +161,7 @@ def log_bessel_k(nu: float, z: float) -> float:
     if math.isfinite(out) or z > 2.0:
         return out
     # s_{o+1} = 2 (o + 1) + z^2 / s_o, from the same recurrence divided by K_{o+1}
-    k0, h1 = _temme_k(mu, z)
-    out, s, log_z = math.log(k0), 2.0 * h1 / k0, math.log(z)
+    out, s, log_z = math.log(t0), 2.0 * h1 / t0, math.log(z)
     for i in range(n):
         out += math.log(s) - log_z
         s = 2.0 * (mu + i + 1.0) + z * z / s

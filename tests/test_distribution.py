@@ -629,17 +629,22 @@ def test_theta_from_mean_bracket_exits_are_pinned():
 
 
 @pytest.mark.parametrize("nu, alpha, eta", [
-    (-0.9, 0.0, 10.0), (0.5, 0.0, 4e13), (0.5, 2.0, 4.5e13), (-0.5, 0.0, 1e4)])
+    (-0.9, 0.0, 10.0), (0.5, 0.0, 4e13), (0.5, 2.0, 4.5e13), (-0.5, 0.0, 1e4),
+    (1.0, 0.0, 1e-12), (0.5, 1.0, 1e-11)])
 def test_theta_from_mean_stops_where_theta_cannot_be_resolved(nu, alpha, eta):
-    # near theta = 1 the mean steps by more than the 1e-9 tolerance between
-    # adjacent doubles; these raised "bisection did not converge"
+    # the mean steps by more than the 1e-9 tolerance between adjacent doubles
+    # of theta (near 1) or of u = 1 - theta (near 0); these raised "bisection
+    # did not converge"
     truncated = alpha == 0.0 and nu <= 0.0
     got = theta_from_mean(nu, alpha, eta)
 
     def off(theta):
         return mean_exact(GigpParams(nu, alpha, theta, truncated)) - eta
 
-    below, above = off(math.nextafter(got, 0.0)), off(math.nextafter(got, 1.0))
+    # the nearest thetas on either side that the bisection on u can reach
+    u = 1.0 - got
+    below = off(min(math.nextafter(got, 0.0), 1.0 - math.nextafter(u, 1.0)))
+    above = off(max(math.nextafter(got, 1.0), 1.0 - math.nextafter(u, 0.0)))
     assert below < 0.0 < above
     assert abs(off(got)) <= min(-below, above)
 

@@ -71,6 +71,8 @@ def test_log_bessel_k_huge_order_no_overflow():
 @example(nu=50.0, log10_z=-30.0)
 # K_{mu+1} of the base pair itself overflows at mu = 0.4
 @example(nu=1.4, log10_z=-300.0)
+# gam1 from a difference of two math.gamma values was 2.5e-13 off here
+@example(nu=0.9996873772266973, log10_z=0.0)
 def test_log_bessel_k_at_small_z_against_mpmath(nu, log10_z):
     z = 10.0 ** log10_z
     want = mpmath.log(mpmath.besselk(nu, z))
@@ -78,6 +80,16 @@ def test_log_bessel_k_at_small_z_against_mpmath(nu, log10_z):
         float(want), rel=1e-13, abs=1e-13)
     want_ratio = mpmath.exp(mpmath.log(mpmath.besselk(nu + 1, z)) - want)
     assert specfun.bessel_k_ratio(nu, z) == pytest.approx(float(want_ratio), rel=1e-10)
+
+
+@pytest.mark.parametrize("mu", [1e-5, 1.01e-4, 3e-4, 1e-3, 1e-2, 0.1, 0.3, 0.5])
+def test_rgamma_pair_against_mpmath(mu):
+    with mpmath.workdps(40):
+        for m in (mu, -mu):
+            rp, rm = 1 / mpmath.gamma(1 + mpmath.mpf(m)), 1 / mpmath.gamma(1 - mpmath.mpf(m))
+            gam1, gam2 = specfun._rgamma_pair(m)
+            assert gam1 == pytest.approx(float((rm - rp) / (2 * m)), rel=4e-16)
+            assert gam2 == pytest.approx(float((rm + rp) / 2), rel=4e-16)
 
 
 def test_log_bessel_k_domain_errors():
