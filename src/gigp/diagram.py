@@ -88,6 +88,14 @@ def table_from_sample(values: Iterable[int]) -> FrequencyTable:
     return FrequencyTable._from_sorted(uniq, mult.astype(np.int64))
 
 
+def _table_from_sorted_values(values: np.ndarray) -> FrequencyTable:
+    """The table of nondecreasing nonnegative integer draws, read off their
+    runs, one per support value, with no sort."""
+    values = values.astype(np.int64, copy=False)
+    starts = np.flatnonzero(np.diff(values, prepend=-1))
+    return FrequencyTable._from_sorted(values[starts], np.diff(starts, append=values.size))
+
+
 def young_y(table: FrequencyTable, x):
     """Boundary height Y(x) = #{sources with value >= x}: an int for a
     number x, an int64 array for an array of them."""

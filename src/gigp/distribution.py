@@ -77,19 +77,22 @@ def _check_mean_domain(params: GigpParams) -> None:
 
 class _Tables:
     """The pmf arrays for one parameter triple (post truncation), fixed when
-    built: logf, sf and cum run to the cut jmax that the params fix; cum ends in
-    +inf, so an inverse-cdf search stops at jmax. Past the cut, logf continues
-    in an append-only extension from more, which yields (lo, stretch), stretch[k]
-    at j = lo + 1 + k, and is not started until a call reads past the cut."""
+    built: sf and cum run to the cut jmax that the params fix; cum ends in
+    +inf, so an inverse-cdf search stops at jmax; log_f_cut is log f_jmax.
+    log f is not kept with them: more yields (lo, stretch), stretch[k] =
+    log f_j at j = lo + 1 + k, from j = 0 on through the cut, bit for bit
+    the values the build took exp of, and is not started until a call reads
+    log f."""
 
-    __slots__ = ("logf", "sf", "cum", "jmax", "_more", "_long")
+    __slots__ = ("sf", "cum", "jmax", "log_f_cut", "_more", "_long")
 
-    def __init__(self, logf, sf, cum, more):
-        self.logf = self._long = logf  # _long: logf, then the extension so far
+    def __init__(self, sf, cum, log_f_cut, more):
         self.sf = sf
         self.cum = cum
-        self.jmax = len(logf) - 1
+        self.jmax = len(cum) - 1
+        self.log_f_cut = log_f_cut
         self._more = more
+        self._long = np.empty(0)  # log f from j = 0, as far as it was read
 
     def logf_through(self, j: int) -> np.ndarray:
         """log f_0, log f_1, ... at least up to log f_j, for j up to the cap."""
@@ -207,13 +210,12 @@ def _family_head(params: GigpParams) -> tuple[int, float, float, float]:
     return (*head, math.log(-math.expm1(log_p0)) if params.zero_truncated else 0.0)
 
 
-def _stretches(nu: float, alpha: float, log_theta: float, j0: int, log_f0: float,
-               lo: int, acc: float):
-    """Yield (lo, acc, stretch) from index lo, where the running step sum is acc:
-    stretch[k] is log f_j = log f_(j0) + (j - j0) log(theta) + sum_(j0 <= i < j)
-    s_i at j = lo + 1 + k, before any rescale for zero truncation. Stretches
-    double up to _MAX_STRETCH entries and end at the cap, so a generator
-    started at a yielded (lo, acc) gives the same values bit for bit."""
+def _stretches(nu: float, alpha: float, log_theta: float, j0: int, log_f0: float):
+    """Yield (lo, stretch) from lo = j0: stretch[k] is log f_j = log f_(j0) +
+    (j - j0) log(theta) + sum_(j0 <= i < j) s_i at j = lo + 1 + k, before any
+    rescale for zero truncation. Stretches double up to _MAX_STRETCH entries
+    and end at the cap; a second run gives the same values bit for bit."""
+    lo, acc = j0, 0.0
     while lo < _MAX_SUPPORT:
         hi = min(max(2 * lo, 1024), lo + _MAX_STRETCH, _MAX_SUPPORT)
         stretch = _log_steps(nu, alpha, lo, hi)
@@ -225,7 +227,7 @@ def _stretches(nu: float, alpha: float, log_theta: float, j0: int, log_f0: float
         lin += log_f0
         stretch += lin
         del lin
-        yield lo, acc, stretch
+        yield lo, stretch
         lo, acc = hi, next_acc
 
 
@@ -265,37 +267,49 @@ def _build_tables(params: GigpParams) -> _Tables:
             or _log_tail(ends, log_tail_const, nu, theta).min() >= _LOG_TAIL_EPS):
         raise RuntimeError("pmf support cutoff not reached")
 
-    # the table is the stretches up to the cut, joined once
-    chunks = [np.full(j0 + 1, -math.inf)]
-    chunks[0][j0] = log_f0
-    for lo, acc, stretch in _stretches(nu, alpha, log_theta, j0, log_f0, j0, 0.0):
-        chunks.append(stretch)
-        k0 = max(cut_from - lo - 1, 0)
-        j = np.flatnonzero(stretch[k0:] < -40.0) + (lo + 1 + k0)
-        hit = np.flatnonzero(_log_tail(j, log_tail_const, nu, theta) < _LOG_TAIL_EPS)
-        if hit.size:
-            cut = int(j[hit[0]])
-            break
-    else:
-        raise RuntimeError("pmf support cutoff not reached")
-    logf = np.concatenate(chunks[:-1] + [stretch[:cut - lo]])
-    # let the stretches go before f, sf and cum are made
-    del chunks, stretch
-    if j0 == 0 and params.zero_truncated:
-        logf -= log_norm
-        logf[0] = -math.inf
+    # log f_j for j <= j0; zero truncation leaves f_0 no mass
+    head = np.full(j0 + 1, -math.inf)
+    head[j0] = log_f0 - log_norm
+    if params.zero_truncated:
+        head[0] = -math.inf
 
+    def log_f():
+        # the head, then the stretches rescaled as below; the cut test reads
+        # them before the rescale, so it runs its own pass
+        yield -1, head
+        for lo, stretch in _stretches(nu, alpha, log_theta, j0, log_f0):
+            stretch -= log_norm
+            yield lo, stretch
+
+    # each stretch is tested for the cut, then turned into f in its own buffer,
+    # and the f pieces are joined once at the cut: the build holds at most f
+    # and one more column
     with np.errstate(under="ignore"):
-        f = np.exp(logf)
+        pieces = [np.exp(head)]
+        for lo, stretch in _stretches(nu, alpha, log_theta, j0, log_f0):
+            k0 = max(cut_from - lo - 1, 0)
+            j = np.flatnonzero(stretch[k0:] < -40.0) + (lo + 1 + k0)
+            hit = np.flatnonzero(_log_tail(j, log_tail_const, nu, theta) < _LOG_TAIL_EPS)
+            if hit.size:
+                stretch = stretch[:j[hit[0]] - lo]
+            stretch -= log_norm
+            log_f_cut = float(stretch[-1])
+            pieces.append(np.exp(stretch, out=stretch))
+            if hit.size:
+                break
+        else:
+            raise RuntimeError("pmf support cutoff not reached")
+    # the cut test's indices go before f is joined, its pieces after
+    del j
+    f = np.concatenate(pieces)
+    del pieces, stretch
     # P(X >= 0) = 1 exactly, and past the table the ccdf reads 0
     sf = _suffix_sums(f)
     sf[0] = 1.0
     # cum is accumulated in f's own buffer
     cum = np.cumsum(f, out=f)
     cum[-1] = math.inf
-    more = ((lo, s - log_norm) for lo, _, s in _stretches(nu, alpha, log_theta, j0,
-                                                          log_f0, lo, acc))
-    return _Tables(logf, sf, cum, more)
+    return _Tables(sf, cum, log_f_cut, log_f())
 
 
 def _tables(params: GigpParams) -> _Tables:
@@ -322,8 +336,9 @@ def pmf(params: GigpParams, j):
 
 def log_pmf(params: GigpParams, j):
     """log P(X = j), finite for every j in the support, for an integer j or
-    an array of them from one table lookup; past the cut it reads the
-    table's extension, and past the support cap it raises."""
+    an array of them from one table lookup. The table makes log f again up
+    to the largest j read, past its cut too, and past the support cap it
+    raises."""
     validate(params)
     js = np.asarray(j)
     if js.dtype.kind == "f":
@@ -360,7 +375,7 @@ def ccdf(params: GigpParams, x):
     step = math.ceil(span)
     # past the cut f_j falls ~theta a step, so from where f at x + 16 A
     # underflows, and from the cap on, ccdf reads 0
-    stop = min(t.jmax - span + (745.0 + t.logf[-1]) / -log_theta, _MAX_SUPPORT)
+    stop = min(t.jmax - span + (745.0 + t.log_f_cut) / -log_theta, _MAX_SUPPORT)
     near = np.flatnonzero((j > t.jmax - span) & (j < stop))
     ends = np.minimum(t.jmax + np.ceil((j[near] + span - t.jmax) / step) * step, _MAX_SUPPORT)
     # one suffix-sum pass per grid end (np.unique would import numpy.ma, ~1 MB)
@@ -659,15 +674,29 @@ def _sample_mixture(params: GigpParams, rng: np.random.Generator,
     return values
 
 
-def sample_values(params: GigpParams, seed, count: int) -> np.ndarray:
-    """count iid draws as a flat integer array."""
+def _checked_rng(params: GigpParams, seed, count: int) -> tuple[np.random.Generator, int]:
+    """The generator for seed and count as an int, after the params and count checks."""
     validate(params)
     if count < 1 or int(count) != count:
         raise ValueError("count must be a positive integer")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return _sample_values_rng(params, rng, int(count))
+    return rng, int(count)
+
+
+def sample_values(params: GigpParams, seed, count: int) -> np.ndarray:
+    """count iid draws as a flat integer array."""
+    return _sample_values_rng(params, *_checked_rng(params, seed, count))
 
 
 def sample(params: GigpParams, seed, count: int) -> "diagram.FrequencyTable":
-    """count iid draws aggregated into a frequency table."""
-    return diagram.table_from_sample(sample_values(params, seed, count))
+    """count iid draws aggregated into a frequency table: the table of
+    sample_values(params, seed, count), counted from the same uniforms sorted."""
+    rng, count = _checked_rng(params, seed, count)
+    try:
+        t = _tables(params)
+    except RuntimeError:
+        # past the cap: the GIG mixture, or the cap's error at alpha = 0
+        return diagram.table_from_sample(_sample_values_rng(params, rng, count))
+    u = rng.random(count)
+    u.sort()
+    return diagram._table_from_sorted_values(t.cum.searchsorted(u, side="right"))

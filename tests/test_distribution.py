@@ -205,7 +205,7 @@ def test_table_cut_past_the_mass_for_nu_above_one():
             for alpha in (0.0, 2.0):
                 p = GigpParams(nu, alpha, theta)
                 t = _tables(p)
-                assert abs(np.exp(t.logf).sum() - 1.0) < 1e-9
+                assert abs(np.exp(t.logf_through(t.jmax)[:t.jmax + 1]).sum() - 1.0) < 1e-9
                 values = sample_values(p, 1, 2000)
                 se = values.std() / math.sqrt(values.size)
                 assert abs(values.mean() - mean_exact(p)) < 5.0 * se
@@ -244,6 +244,36 @@ def test_build_past_the_cap_gives_up_before_it_allocates():
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+
+def test_table_holds_two_columns_and_log_f_only_once_read():
+    # at (0.5, 2, 0.9999), 322,482 entries, the build turns each stretch into
+    # f in its own buffer, joins f once and writes cum over it: its tracemalloc
+    # peak is two float64 columns (~4.9 MiB), where keeping log f took 7.75 MiB
+    p = GigpParams(0.5, 2.0, 0.9999)
+    distribution._build_tables(GigpParams(0.5, 2.0, 0.9))
+    tracemalloc.start()
+    try:
+        t = distribution._build_tables(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * 2 ** 20
+    held = {name: (getattr(t, name).dtype, getattr(t, name).shape) for name in t.__slots__
+            if isinstance(getattr(t, name), np.ndarray) and getattr(t, name).size}
+    assert held == {"sf": (np.dtype(float), (t.jmax + 2,)),
+                    "cum": (np.dtype(float), (t.jmax + 1,))}
+
+    # log f is made again only when read, and only as far as it is read
+    distribution._CACHE.pop(p, None)
+    t = _tables(p)
+    sample(p, 1, 1000)
+    ccdf(p, [0.0, 100.0, 100_000.0])
+    assert t._long.size == 0
+    pmf(p, 5)
+    assert 5 < t._long.size < 5000
+    log_pmf(p, t.jmax)
+    assert t.jmax < t._long.size < t.jmax + distribution._MAX_STRETCH
 
 
 def test_table_ends_cum_at_infinity():
@@ -600,9 +630,29 @@ def test_family_head_and_truncation_bits_are_pinned():
         h.update(repr((eta, tail_pmf_asymptotic(p, 37),
                        theta_from_mean(p.nu, p.alpha, eta, p.zero_truncated))).encode())
         t = _tables(p)
-        h.update(t.logf.tobytes())
+        h.update(t.logf_through(t.jmax)[:t.jmax + 1].tobytes())
         h.update(t.sf.tobytes())
     assert h.hexdigest() == FOLD_DIGEST
+
+
+@pytest.mark.parametrize("p", FOLD_GRID + [GigpParams(0.5, 2.0, 0.9999)])
+def test_log_f_is_made_again_bit_for_bit(p):
+    # the table keeps no log f: log_pmf, pmf and a ccdf near the cut make it
+    # again from the stretches, and read the same bits on a fresh table, after
+    # a sample and after a ccdf past the cut
+    jmax = _tables(p).jmax
+    span = -16.0 / math.log(p.theta)
+    js = np.arange(1 if p.zero_truncated else 0, jmax + 1)
+    xs = np.linspace(jmax - span, jmax + 2.0 * span, 52)[1:-1]
+    reads = [lambda: log_pmf(p, js), lambda: pmf(p, js), lambda: ccdf(p, xs)]
+    firsts = [lambda: None, lambda: sample(p, 1, 1000), lambda: ccdf(p, jmax + 3.0 * span)]
+    got = []
+    for first in firsts:
+        for read in reads:
+            distribution._CACHE.pop(p, None)
+            first()
+            got.append(read().tobytes())
+    assert got[3:6] == got[:3] and got[6:] == got[:3]
 
 
 # theta_from_mean's bracket exits that FOLD_GRID does not reach: eta too
@@ -847,3 +897,29 @@ def test_sample_returns_table_and_is_deterministic():
     assert sample(p, 43, 1000) != t1
     with pytest.raises(ValueError):
         sample(p, 1, 0)
+
+
+# bench shape cases a-d at theta = 0.9999, the alpha = 0 families (the ENB is
+# case d) and one draw; past the cap, alpha > 0 draws come from the GIG mixture
+SAMPLER_CASES = [(GigpParams(0.5, 2.0, 0.9999), 100_000),
+                 (GigpParams(0.0, 2.0, 0.9999), 100_000),
+                 (GigpParams(-0.5, 2.0, 0.9999), 100_000),
+                 (GigpParams(-0.5, 0.0, 0.9999, True), 100_000),
+                 (GigpParams(0.5, 0.0, 0.99), 20_000), (GigpParams(0.5, 0.0, 0.99, True), 20_000),
+                 (GigpParams(0.0, 0.0, 0.99, True), 20_000), (GigpParams(0.5, 2.0, 0.9), 1),
+                 (GigpParams(0.5, 2.0, 0.99999), 20_000)]
+
+
+@pytest.mark.parametrize("p, n", SAMPLER_CASES)
+def test_sample_is_the_table_of_sample_values(p, n):
+    # sample counts the same uniforms sorted, so it gives the table of the draws
+    assert sample(p, 5, n) == diagram.table_from_sample(sample_values(p, 5, n))
+    rng = np.random.default_rng(6)
+    assert sample(p, rng, n) == diagram.table_from_sample(sample_values(p, 6, n))
+
+
+def test_sample_values_keep_draw_order():
+    assert sample_values(GigpParams(0.5, 2.0, 0.9999), 1, 6).tolist() == [
+        2510, 19452, 205, 19150, 880, 1652]
+    assert sample_values(GigpParams(0.5, 2.0, 0.99999), 1, 6).tolist() == [
+        4042, 253, 46930, 656, 37812, 1267]
