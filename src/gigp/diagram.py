@@ -84,16 +84,10 @@ def table_from_sample(values: Iterable[int]) -> FrequencyTable:
     arr = _int64_column(values if isinstance(values, np.ndarray) else list(values), "values")
     if arr.size == 0:
         raise ValueError("values must be nonempty")
-    uniq, mult = np.unique(arr, return_counts=True)
-    return FrequencyTable._from_sorted(uniq, mult.astype(np.int64))
-
-
-def _table_from_sorted_values(values: np.ndarray) -> FrequencyTable:
-    """The table of nondecreasing nonnegative integer draws, read off their
-    runs, one per support value, with no sort."""
-    values = values.astype(np.int64, copy=False)
-    starts = np.flatnonzero(np.diff(values, prepend=-1))
-    return FrequencyTable._from_sorted(values[starts], np.diff(starts, append=values.size))
+    # the sorted draws come in runs, one per support value
+    arr = np.sort(arr)
+    starts = np.flatnonzero(np.diff(arr, prepend=-1))
+    return FrequencyTable._from_sorted(arr[starts], np.diff(starts, append=arr.size))
 
 
 def young_y(table: FrequencyTable, x):

@@ -674,29 +674,15 @@ def _sample_mixture(params: GigpParams, rng: np.random.Generator,
     return values
 
 
-def _checked_rng(params: GigpParams, seed, count: int) -> tuple[np.random.Generator, int]:
-    """The generator for seed and count as an int, after the params and count checks."""
+def sample_values(params: GigpParams, seed, count: int) -> np.ndarray:
+    """count iid draws as a flat integer array."""
     validate(params)
     if count < 1 or int(count) != count:
         raise ValueError("count must be a positive integer")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return rng, int(count)
-
-
-def sample_values(params: GigpParams, seed, count: int) -> np.ndarray:
-    """count iid draws as a flat integer array."""
-    return _sample_values_rng(params, *_checked_rng(params, seed, count))
+    return _sample_values_rng(params, rng, int(count))
 
 
 def sample(params: GigpParams, seed, count: int) -> "diagram.FrequencyTable":
-    """count iid draws aggregated into a frequency table: the table of
-    sample_values(params, seed, count), counted from the same uniforms sorted."""
-    rng, count = _checked_rng(params, seed, count)
-    try:
-        t = _tables(params)
-    except RuntimeError:
-        # past the cap: the GIG mixture, or the cap's error at alpha = 0
-        return diagram.table_from_sample(_sample_values_rng(params, rng, count))
-    u = rng.random(count)
-    u.sort()
-    return diagram._table_from_sorted_values(t.cum.searchsorted(u, side="right"))
+    """count iid draws aggregated into a frequency table."""
+    return diagram.table_from_sample(sample_values(params, seed, count))

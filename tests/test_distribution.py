@@ -912,7 +912,7 @@ SAMPLER_CASES = [(GigpParams(0.5, 2.0, 0.9999), 100_000),
 
 @pytest.mark.parametrize("p, n", SAMPLER_CASES)
 def test_sample_is_the_table_of_sample_values(p, n):
-    # sample counts the same uniforms sorted, so it gives the table of the draws
+    # sample is the table of the same draws, in any seed form
     assert sample(p, 5, n) == diagram.table_from_sample(sample_values(p, 5, n))
     rng = np.random.default_rng(6)
     assert sample(p, rng, n) == diagram.table_from_sample(sample_values(p, 6, n))
