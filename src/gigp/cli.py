@@ -17,15 +17,14 @@ import json
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-# the chaotic, fitgof and partition names are imported by the commands that
-# use them, so a process loads only its own command's modules
-from .diagram import FrequencyTable
-from .distribution import (GigpParams, _check_zero_row, ccdf, pmf, resolve_truncation,
-                           sample, theta_from_mean, validate)
-from .shape import classify_regime, limit_shape, scaling_b, sup_distance
+# numpy and the numeric modules are imported by the code that uses them, so
+# a process loads only its own command's modules, and one that only parses
+# its arguments (--help, a usage error) loads none of them
+if TYPE_CHECKING:
+    from .diagram import FrequencyTable
+    from .distribution import GigpParams
 
 OUTPUT_DIR_ENV = "GIGP_OUTPUT_DIR"
 
@@ -36,6 +35,7 @@ def read_frequency_csv(path: str) -> FrequencyTable:
     Lines starting with '#' are skipped so the tool's own CSV output,
     which carries a config echo comment, can be fed back in.
     """
+    from .diagram import FrequencyTable
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = [r for r in csv.reader(fh)
                 if r and not r[0].lstrip().startswith("#")]
@@ -88,6 +88,7 @@ def _cells(col, csv: bool, null_nan: bool) -> list[str]:
     col is a float or int ndarray, taken a column at a time, or a sequence
     of Python values, taken one value at a time.
     """
+    import numpy as np
     if isinstance(col, np.ndarray) and col.dtype.kind in "iu":
         return list(map(int.__repr__, col.tolist()))
     if isinstance(col, np.ndarray):
@@ -159,6 +160,8 @@ def _write(args, cfg: dict, result: dict, columns: dict, key: str | None = None,
 
 def _params_from(args, table: FrequencyTable | None = None) -> GigpParams:
     """The model the flags name; without --theta, theta matches the table's mean."""
+    from .distribution import (GigpParams, _check_zero_row, resolve_truncation,
+                               theta_from_mean, validate)
     truncated = resolve_truncation(args.nu, args.alpha, args.truncated)
     _check_zero_row(table, truncated)
     theta = args.theta
@@ -173,6 +176,7 @@ _NOT_ECHOED = frozenset({"nu", "alpha", "theta", "truncated", "out"})
 
 
 def _config_echo(args, params: GigpParams, m: int) -> dict:
+    from .shape import classify_regime, scaling_b
     pair = scaling_b(params, m)
     return {**{k: v for k, v in vars(args).items() if k not in _NOT_ECHOED},
             "nu": params.nu, "alpha": params.alpha, "theta": params.theta,
@@ -185,6 +189,7 @@ def _config_echo(args, params: GigpParams, m: int) -> dict:
 
 
 def _cmd_simulate(args) -> int:
+    from .distribution import sample
     params = _params_from(args)
     table = sample(params, args.seed, args.m)
     cfg = _config_echo(args, params, args.m)
@@ -193,6 +198,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_shape(args) -> int:
+    from .distribution import sample
+    from .shape import sup_distance
     params = _params_from(args)
     if not args.delta > 0.0:
         raise ValueError("--delta must be positive")
@@ -213,6 +220,7 @@ def _cmd_shape(args) -> int:
 
 def _cmd_fit(args) -> int:
     from .fitgof import alpha_from_b, fit_tail_line
+    from .shape import scaling_b
     table = read_frequency_csv(args.data)
     params = _params_from(args, table)
     theta = params.theta
@@ -235,6 +243,9 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_gof(args) -> int:
+    import numpy as np
+
+    from .distribution import ccdf, pmf
     from .fitgof import _open_top_chi2
     table = read_frequency_csv(args.data)
     params = _params_from(args, table)
@@ -266,6 +277,8 @@ def _cmd_chaotic(args) -> int:
 
 
 def _cmd_partition(args) -> int:
+    import numpy as np
+
     from .partition import calibrate, partition_shape, sample_partition
     config = calibrate(args.n)
     table = sample_partition(config, args.seed)
@@ -307,7 +320,11 @@ def _pane(points_sets, x_rng, y_rng, origin, size):
 
 
 def _shape_svg(table, params: GigpParams, cfg: dict) -> str:
+    import numpy as np
+
+    from .distribution import ccdf
     from .fitgof import tail_points
+    from .shape import limit_shape, scaling_b
     pair = scaling_b(params, table.M)
     # at least 1, so a sample with every source at j = 0 keeps a wide pane
     j_max = int(table.support.max(initial=1))

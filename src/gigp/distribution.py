@@ -79,33 +79,26 @@ class _Tables:
     """The pmf arrays for one parameter triple (post truncation), fixed when
     built: sf and cum run to the cut jmax that the params fix; cum ends in
     +inf, so an inverse-cdf search stops at jmax; log_f_cut is log f_jmax.
-    log f is not kept with them: more yields (lo, stretch), stretch[k] =
-    log f_j at j = lo + 1 + k, from j = 0 on through the cut, bit for bit
-    the values the build took exp of, and is not started until a call reads
-    log f."""
+    log f is not kept with them: log_f(lo, end) makes log f_lo, ..., log f_end
+    again, for end up to the cap, bit for bit the values the build took exp
+    of, from the stretch that holds lo on."""
 
-    __slots__ = ("sf", "cum", "jmax", "log_f_cut", "_more", "_long")
+    __slots__ = ("sf", "cum", "jmax", "log_f_cut", "log_f", "_long")
 
-    def __init__(self, sf, cum, log_f_cut, more):
+    def __init__(self, sf, cum, log_f_cut, log_f):
         self.sf = sf
         self.cum = cum
         self.jmax = len(cum) - 1
         self.log_f_cut = log_f_cut
-        self._more = more
-        self._long = np.empty(0)  # log f from j = 0, as far as it was read
+        self.log_f = log_f
+        self._long = np.empty(0)  # log f from j = 0, as far as log_pmf read it
 
     def logf_through(self, j: int) -> np.ndarray:
-        """log f_0, log f_1, ... at least up to log f_j, for j up to the cap."""
-        if j > _MAX_SUPPORT:
-            raise RuntimeError("pmf support cutoff not reached")
+        """log f_0, log f_1, ... at least up to log f_j, for j up to the cap,
+        kept for the next read."""
         have = len(self._long)
         if j >= have:
-            chunks = [self._long]
-            while have <= j:
-                lo, stretch = next(self._more)
-                chunks.append(stretch[have - lo - 1:])
-                have = lo + 1 + len(stretch)
-            self._long = np.concatenate(chunks)
+            self._long = np.concatenate([self._long, self.log_f(have, j)])
         return self._long
 
 
@@ -210,25 +203,29 @@ def _family_head(params: GigpParams) -> tuple[int, float, float, float]:
     return (*head, math.log(-math.expm1(log_p0)) if params.zero_truncated else 0.0)
 
 
-def _stretches(nu: float, alpha: float, log_theta: float, j0: int, log_f0: float):
-    """Yield (lo, stretch) from lo = j0: stretch[k] is log f_j = log f_(j0) +
-    (j - j0) log(theta) + sum_(j0 <= i < j) s_i at j = lo + 1 + k, before any
-    rescale for zero truncation. Stretches double up to _MAX_STRETCH entries
-    and end at the cap; a second run gives the same values bit for bit."""
-    lo, acc = j0, 0.0
+def _stretches(nu: float, alpha: float, log_theta: float, j0: int, log_f0: float,
+               marks: dict[int, float], lo: int):
+    """Yield (lo, stretch) from the stretch that starts at lo: stretch[k] is
+    log f_j = log f_(j0) + (j - j0) log(theta) + sum_(j0 <= i < j) s_i at
+    j = lo + 1 + k, before any rescale for zero truncation. marks maps the
+    lo of each stretch reached to the sum at its start, from marks = {j0: 0}
+    on, and gains the next stretch's before a stretch is yielded. Stretches
+    double up to _MAX_STRETCH entries and end at the cap; a run from any
+    mark gives the same values bit for bit."""
+    acc = marks[lo]
     while lo < _MAX_SUPPORT:
         hi = min(max(2 * lo, 1024), lo + _MAX_STRETCH, _MAX_SUPPORT)
         stretch = _log_steps(nu, alpha, lo, hi)
         stretch[0] += acc
         np.cumsum(stretch, out=stretch)
-        next_acc = float(stretch[-1])
+        marks[hi] = float(stretch[-1])
         lin = np.arange(lo + 1 - j0, hi + 1 - j0, dtype=float)
         lin *= log_theta
         lin += log_f0
         stretch += lin
         del lin
         yield lo, stretch
-        lo, acc = hi, next_acc
+        lo, acc = hi, marks[hi]
 
 
 def _suffix_sums(f: np.ndarray) -> np.ndarray:
@@ -273,20 +270,34 @@ def _build_tables(params: GigpParams) -> _Tables:
     if params.zero_truncated:
         head[0] = -math.inf
 
-    def log_f():
-        # the head, then the stretches rescaled as below; the cut test reads
-        # them before the rescale, so it runs its own pass
-        yield -1, head
-        for lo, stretch in _stretches(nu, alpha, log_theta, j0, log_f0):
-            stretch -= log_norm
-            yield lo, stretch
+    # the sum at the start of each stretch a pass has reached, so a later pass
+    # starts at the stretch it reads
+    marks = {j0: 0.0}
+
+    def log_f(lo, end):
+        # the head, then the stretches from the last mark below lo, rescaled
+        # as below; the cut test reads them before the rescale, so it runs
+        # its own pass. No stretch below lo is held
+        if end > _MAX_SUPPORT:
+            raise RuntimeError("pmf support cutoff not reached")
+        pieces = [head[lo:end + 1]]
+        if end > j0:
+            start = max(k for k in marks if k < max(lo, j0 + 1))
+            for first, stretch in _stretches(nu, alpha, log_theta, j0, log_f0, marks, start):
+                last = first + len(stretch)
+                if last >= lo:
+                    stretch -= log_norm
+                    pieces.append(stretch[max(lo - first - 1, 0):end - first])
+                if last >= end:
+                    break
+        return np.concatenate(pieces)
 
     # each stretch is tested for the cut, then turned into f in its own buffer,
     # and the f pieces are joined once at the cut: the build holds at most f
     # and one more column
     with np.errstate(under="ignore"):
         pieces = [np.exp(head)]
-        for lo, stretch in _stretches(nu, alpha, log_theta, j0, log_f0):
+        for lo, stretch in _stretches(nu, alpha, log_theta, j0, log_f0, marks, j0):
             k0 = max(cut_from - lo - 1, 0)
             j = np.flatnonzero(stretch[k0:] < -40.0) + (lo + 1 + k0)
             hit = np.flatnonzero(_log_tail(j, log_tail_const, nu, theta) < _LOG_TAIL_EPS)
@@ -309,7 +320,7 @@ def _build_tables(params: GigpParams) -> _Tables:
     # cum is accumulated in f's own buffer
     cum = np.cumsum(f, out=f)
     cum[-1] = math.inf
-    return _Tables(sf, cum, log_f_cut, log_f())
+    return _Tables(sf, cum, log_f_cut, log_f)
 
 
 def _tables(params: GigpParams) -> _Tables:
@@ -383,7 +394,7 @@ def ccdf(params: GigpParams, x):
         at = near[ends == end]
         lo = int(j[at].min())
         with np.errstate(under="ignore"):
-            f = np.exp(t.logf_through(end)[lo:end + 1])
+            f = np.exp(t.log_f(lo, end))
         out[at] = _suffix_sums(f)[j[at].astype(np.intp) - lo]
     out = out.reshape(xs.shape)
     return float(out) if out.ndim == 0 else out

@@ -246,6 +246,10 @@ def test_build_past_the_cap_gives_up_before_it_allocates():
         assert peak < 2 ** 20
 
 
+# ccdf at (0.5, 2, 0.9999) on 200 points in (jmax - 16 A, jmax + 32 A)
+NEAR_CUT_DIGEST = "e1fef05e4fd1482057a7fbf1a3a9c6ee93bf9556168dfd91ed06f2a79f04cd9e"
+
+
 def test_table_holds_two_columns_and_log_f_only_once_read():
     # at (0.5, 2, 0.9999), 322,482 entries, the build turns each stretch into
     # f in its own buffer, joins f once and writes cum over it: its tracemalloc
@@ -264,12 +268,17 @@ def test_table_holds_two_columns_and_log_f_only_once_read():
     assert held == {"sf": (np.dtype(float), (t.jmax + 2,)),
                     "cum": (np.dtype(float), (t.jmax + 1,))}
 
-    # log f is made again only when read, and only as far as it is read
+    # log f is made again only when read, and only as far as it is read; a
+    # ccdf within 16 A of the cut makes its own stretch of log f and keeps
+    # none of it; its values are those it gave when it kept the prefix
     distribution._CACHE.pop(p, None)
     t = _tables(p)
     sample(p, 1, 1000)
-    ccdf(p, [0.0, 100.0, 100_000.0])
+    ccdf(p, [0.0, 100.0, 100_000.0, t.jmax - 20_000.0])
+    span = -16.0 / math.log(p.theta)
+    near = ccdf(p, np.linspace(t.jmax - span, t.jmax + 2.0 * span, 202)[1:-1])
     assert t._long.size == 0
+    assert hashlib.sha256(near.tobytes()).hexdigest() == NEAR_CUT_DIGEST
     pmf(p, 5)
     assert 5 < t._long.size < 5000
     log_pmf(p, t.jmax)

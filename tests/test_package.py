@@ -35,32 +35,42 @@ def test_dir_lists_every_public_name_and_an_unknown_name_is_an_attribute_error()
         gigp.no_such_name
 
 
-def _loaded(argv, cwd):
-    """The gigp modules a fresh interpreter imports to run argv, sorted."""
+def _loaded(argv, cwd, code=0):
+    """The gigp modules, and numpy, that a fresh interpreter imports to run
+    argv with exit code code, sorted."""
     done = subprocess.run([sys.executable, "-X", "importtime", *argv], env=ENV, cwd=cwd,
                           capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.returncode == code, done.stderr[-2000:]
     names = [line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
              if line.startswith("import time:") and "|" in line]
-    return sorted(n for n in names if n == "gigp" or n.startswith("gigp."))
+    return sorted(n for n in names if n in ("gigp", "numpy") or n.startswith("gigp."))
 
 
 MODEL = ["--nu", "0.5", "--alpha", "2"]
-CORE = ["gigp", "gigp.cli", "gigp.diagram", "gigp.distribution", "gigp.shape", "gigp.specfun"]
+# a process that only parses its arguments loads no numeric module
+PARSE = ["gigp", "gigp.cli"]
+CORE = PARSE + ["gigp.diagram", "gigp.distribution", "gigp.shape", "gigp.specfun", "numpy"]
 
 
-@pytest.mark.parametrize("args, extra", [
-    (["shape", *MODEL, "--theta", "0.9", "--m", "100", "--seed", "1"], []),
-    (["simulate", *MODEL, "--theta", "0.9", "--m", "100", "--seed", "1"], []),
-    (["fit", "--data", "tiny.csv", *MODEL], ["gigp.fitgof"]),
-    (["gof", "--data", "tiny.csv", *MODEL], ["gigp.fitgof"]),
+@pytest.mark.parametrize("args, code, loaded", [
+    (["--help"], 0, PARSE),
+    (["shape", "--help"], 0, PARSE),
+    (["shape", "--nu", "0.5"], 1, PARSE),
+    (["shape", *MODEL, "--theta", "0.9", "--m", "100", "--seed", "1"], 0, CORE),
+    (["simulate", *MODEL, "--theta", "0.9", "--m", "100", "--seed", "1"], 0, CORE),
+    (["fit", "--data", "tiny.csv", *MODEL], 0, CORE + ["gigp.fitgof"]),
+    (["gof", "--data", "tiny.csv", *MODEL], 0, CORE + ["gigp.fitgof"]),
     (["chaotic", "--nu", "-0.5", "--alpha", "2", "--theta", "0.99", "--m", "35",
-      "--x0", "0.2", "--replicates", "20", "--seed", "1"], ["gigp.chaotic", "gigp.fitgof"]),
-    (["partition", "--n", "100", "--seed", "1"], ["gigp.partition"]),
-], ids=["shape", "simulate", "fit", "gof", "chaotic", "partition"])
-def test_a_process_loads_only_its_commands_modules(tmp_path, args, extra):
+      "--x0", "0.2", "--replicates", "20", "--seed", "1"], 0,
+     CORE + ["gigp.chaotic", "gigp.fitgof"]),
+    # partition draws no GIGP model, so it needs no distribution, shape or specfun
+    (["partition", "--n", "100", "--seed", "1"], 0,
+     PARSE + ["gigp.diagram", "gigp.partition", "numpy"]),
+], ids=["help", "shape-help", "usage-error", "shape", "simulate", "fit", "gof", "chaotic",
+        "partition"])
+def test_a_process_loads_only_its_commands_modules(tmp_path, args, code, loaded):
     (tmp_path / "tiny.csv").write_text("j,count\n1,50\n2,20\n3,14\n5,10\n8,6\n13,4\n30,3\n")
-    assert _loaded(["-m", "gigp", *args], tmp_path) == sorted(CORE + extra)
+    assert _loaded(["-m", "gigp", *args], tmp_path, code) == sorted(loaded)
 
 
 def test_importing_the_package_loads_no_submodule(tmp_path):
