@@ -26,8 +26,8 @@ _EXPORTS = {
               "sup_distance", "expected_shape_deviation"),
     "chaotic": ("PoissonApprox", "poisson_rate", "increment_rates", "integrated_rate",
                 "poisson_gof_experiment"),
-    "fitgof": ("TailFit", "GofReport", "fit_tail_line", "alpha_from_b", "estimate_theta",
-               "pearson_chi2", "pointwise_z_test", "ks_normality"),
+    "fitgof": ("TailFit", "GofReport", "fit_tail_line", "alpha_from_b", "pearson_chi2",
+               "pointwise_z_test", "ks_normality"),
     "partition": ("KAPPA", "PartitionConfig", "calibrate", "sample_partition",
                   "partition_shape"),
     "specfun": ("log_bessel_k", "bessel_k_ratio", "upper_incomplete_gamma",

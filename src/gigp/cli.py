@@ -160,10 +160,11 @@ def _write(args, cfg: dict, result: dict, columns: dict, key: str | None = None,
 
 def _params_from(args, table: FrequencyTable | None = None) -> GigpParams:
     """The model the flags name; without --theta, theta matches the table's mean."""
-    from .distribution import (GigpParams, _check_zero_row, resolve_truncation,
-                               theta_from_mean, validate)
+    from .distribution import GigpParams, resolve_truncation, theta_from_mean, validate
     truncated = resolve_truncation(args.nu, args.alpha, args.truncated)
-    _check_zero_row(table, truncated)
+    if truncated and table is not None and table.support[0] == 0:
+        raise ValueError(f"a zero-truncated model gives j = 0 no mass, but the data has "
+                         f"{int(table.mult[0])} sources in its j = 0 row")
     theta = args.theta
     if theta is None:
         theta = theta_from_mean(args.nu, args.alpha, table.N / table.M, truncated)

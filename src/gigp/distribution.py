@@ -76,30 +76,56 @@ def _check_mean_domain(params: GigpParams) -> None:
 
 
 class _Tables:
-    """The pmf arrays for one parameter triple (post truncation), fixed when
-    built: sf and cum run to the cut jmax that the params fix; cum ends in
-    +inf, so an inverse-cdf search stops at jmax; log_f_cut is log f_jmax.
-    log f is not kept with them: log_f(lo, end) makes log f_lo, ..., log f_end
-    again, for end up to the cap, bit for bit the values the build took exp
-    of, from the stretch that holds lo on."""
+    """The pmf table for one parameter triple (post truncation), read only
+    through ccdf, log_f and draw. Its arrays are fixed when built: sf and
+    cum run to the cut jmax that the params fix, cum ends in +inf, and
+    log_f_cut is log f_jmax. log f is not kept: a read makes the span of it
+    that it needs again, bit for bit the values the build took exp of, from
+    the stretch that holds the span's first index on, and keeps only the
+    running sum at each stretch start it reaches (one float a stretch)."""
 
-    __slots__ = ("sf", "cum", "jmax", "log_f_cut", "log_f", "_long")
+    __slots__ = ("sf", "cum", "jmax", "log_f_cut", "log_theta", "_span")
 
-    def __init__(self, sf, cum, log_f_cut, log_f):
+    def __init__(self, sf, cum, log_f_cut, log_theta, span):
         self.sf = sf
         self.cum = cum
         self.jmax = len(cum) - 1
         self.log_f_cut = log_f_cut
-        self.log_f = log_f
-        self._long = np.empty(0)  # log f from j = 0, as far as log_pmf read it
+        self.log_theta = log_theta
+        self._span = span  # _span(lo, end): log f_lo, ..., log f_end, up to the cap
 
-    def logf_through(self, j: int) -> np.ndarray:
-        """log f_0, log f_1, ... at least up to log f_j, for j up to the cap,
-        kept for the next read."""
-        have = len(self._long)
-        if j >= have:
-            self._long = np.concatenate([self._long, self.log_f(have, j)])
-        return self._long
+    def ccdf(self, j: np.ndarray) -> np.ndarray:
+        """P(X >= j) at a flat array of whole numbers j >= 0; see ccdf()."""
+        out = self.sf[np.minimum(j, self.jmax + 1).astype(np.intp)]
+        span = -16.0 / self.log_theta
+        step = math.ceil(span)
+        # past the cut f_j falls ~theta a step, so from where f at x + 16 A
+        # underflows, and from the cap on, ccdf reads 0
+        stop = min(self.jmax - span + (745.0 + self.log_f_cut) / -self.log_theta, _MAX_SUPPORT)
+        near = np.flatnonzero((j > self.jmax - span) & (j < stop))
+        ends = np.minimum(self.jmax + np.ceil((j[near] + span - self.jmax) / step) * step,
+                          _MAX_SUPPORT)
+        # one suffix-sum pass per grid end (np.unique would import numpy.ma, ~1 MB)
+        for end in set(ends.astype(int).tolist()):
+            at = near[ends == end]
+            lo = int(j[at].min())
+            with np.errstate(under="ignore"):
+                f = np.exp(self._span(lo, end))
+            out[at] = _suffix_sums(f)[j[at].astype(np.intp) - lo]
+        return out
+
+    def log_f(self, js: np.ndarray) -> np.ndarray:
+        """log f at an integer array js >= 0, from one span over its range;
+        past the support cap it raises."""
+        end = int(js.max(initial=0))
+        lo = int(js.min(initial=end))
+        return self._span(lo, end)[js - lo]
+
+    def draw(self, u: np.ndarray) -> np.ndarray:
+        """The inverse cdf at uniforms u in [0, 1): cum[jmax] = +inf, so no
+        u maps past jmax. The ndarray method skips np.searchsorted's
+        dispatch, ~2 us a call."""
+        return self.cum.searchsorted(u, side="right")
 
 
 # per params, its table or its build's error, so a failed build is not tried again
@@ -207,11 +233,10 @@ def _stretches(nu: float, alpha: float, log_theta: float, j0: int, log_f0: float
                marks: dict[int, float], lo: int):
     """Yield (lo, stretch) from the stretch that starts at lo: stretch[k] is
     log f_j = log f_(j0) + (j - j0) log(theta) + sum_(j0 <= i < j) s_i at
-    j = lo + 1 + k, before any rescale for zero truncation. marks maps the
-    lo of each stretch reached to the sum at its start, from marks = {j0: 0}
-    on, and gains the next stretch's before a stretch is yielded. Stretches
-    double up to _MAX_STRETCH entries and end at the cap; a run from any
-    mark gives the same values bit for bit."""
+    j = lo + 1 + k. marks maps the lo of each stretch reached to the sum at
+    its start, from marks = {j0: 0} on, and gains the next stretch's before
+    a stretch is yielded. Stretches double up to _MAX_STRETCH entries and
+    end at the cap; a run from any mark gives the same values bit for bit."""
     acc = marks[lo]
     while lo < _MAX_SUPPORT:
         hi = min(max(2 * lo, 1024), lo + _MAX_STRETCH, _MAX_SUPPORT)
@@ -245,12 +270,10 @@ def _build_tables(params: GigpParams) -> _Tables:
     nu, alpha, theta = params.nu, params.alpha, params.theta
     log_theta = math.log(theta)
     j0, log_f0, log_tail_const, log_norm = _family_head(params)
-    if j0:
-        # a table from j = 1 (an alpha = 0 family under truncation) takes the
-        # norm in its head and tail constant, one from j = 0 on the built table
-        log_f0 -= log_norm
-        log_tail_const -= log_norm
-        log_norm = 0.0
+    # zero truncation divides every mass by 1 - f_0: the head and the tail
+    # constant take it, so the stretches and the cut test read the table's masses
+    log_f0 -= log_norm
+    log_tail_const -= log_norm
 
     # the cut is the first j >= cut_from with log f_j < -40 and the tail
     # asymptote below 1e-15. For nu > 1 the asymptote rises up to the mass
@@ -266,7 +289,7 @@ def _build_tables(params: GigpParams) -> _Tables:
 
     # log f_j for j <= j0; zero truncation leaves f_0 no mass
     head = np.full(j0 + 1, -math.inf)
-    head[j0] = log_f0 - log_norm
+    head[j0] = log_f0
     if params.zero_truncated:
         head[0] = -math.inf
 
@@ -274,10 +297,9 @@ def _build_tables(params: GigpParams) -> _Tables:
     # starts at the stretch it reads
     marks = {j0: 0.0}
 
-    def log_f(lo, end):
-        # the head, then the stretches from the last mark below lo, rescaled
-        # as below; the cut test reads them before the rescale, so it runs
-        # its own pass. No stretch below lo is held
+    def span(lo, end):
+        # the head, then the stretches from the last mark below lo; no stretch
+        # below lo is held
         if end > _MAX_SUPPORT:
             raise RuntimeError("pmf support cutoff not reached")
         pieces = [head[lo:end + 1]]
@@ -286,7 +308,6 @@ def _build_tables(params: GigpParams) -> _Tables:
             for first, stretch in _stretches(nu, alpha, log_theta, j0, log_f0, marks, start):
                 last = first + len(stretch)
                 if last >= lo:
-                    stretch -= log_norm
                     pieces.append(stretch[max(lo - first - 1, 0):end - first])
                 if last >= end:
                     break
@@ -303,7 +324,6 @@ def _build_tables(params: GigpParams) -> _Tables:
             hit = np.flatnonzero(_log_tail(j, log_tail_const, nu, theta) < _LOG_TAIL_EPS)
             if hit.size:
                 stretch = stretch[:j[hit[0]] - lo]
-            stretch -= log_norm
             log_f_cut = float(stretch[-1])
             pieces.append(np.exp(stretch, out=stretch))
             if hit.size:
@@ -320,7 +340,7 @@ def _build_tables(params: GigpParams) -> _Tables:
     # cum is accumulated in f's own buffer
     cum = np.cumsum(f, out=f)
     cum[-1] = math.inf
-    return _Tables(sf, cum, log_f_cut, log_f)
+    return _Tables(sf, cum, log_f_cut, log_theta, span)
 
 
 def _tables(params: GigpParams) -> _Tables:
@@ -347,8 +367,8 @@ def pmf(params: GigpParams, j):
 
 def log_pmf(params: GigpParams, j):
     """log P(X = j), finite for every j in the support, for an integer j or
-    an array of them from one table lookup. The table makes log f again up
-    to the largest j read, past its cut too, and past the support cap it
+    an array of them from one table read. The table makes log f again over
+    the range of j read, past its cut too, and past the support cap it
     raises."""
     validate(params)
     js = np.asarray(j)
@@ -360,7 +380,7 @@ def log_pmf(params: GigpParams, j):
         raise ValueError("j must be a nonnegative integer")
     if params.zero_truncated and np.any(js == 0):
         raise ValueError("j = 0 has no mass under zero truncation")
-    out = _tables(params).logf_through(int(js.max(initial=0)))[js.astype(np.intp)]
+    out = _tables(params).log_f(js.astype(np.intp))
     return float(out) if out.ndim == 0 else out
 
 
@@ -379,24 +399,7 @@ def ccdf(params: GigpParams, x):
     if not np.all(np.isfinite(xs)):
         raise ValueError("x must be finite")
     j = np.maximum(np.ceil(xs), 0.0).ravel()
-    t = _tables(params)
-    out = t.sf[np.minimum(j, t.jmax + 1).astype(np.intp)]
-    log_theta = math.log(params.theta)
-    span = -16.0 / log_theta
-    step = math.ceil(span)
-    # past the cut f_j falls ~theta a step, so from where f at x + 16 A
-    # underflows, and from the cap on, ccdf reads 0
-    stop = min(t.jmax - span + (745.0 + t.log_f_cut) / -log_theta, _MAX_SUPPORT)
-    near = np.flatnonzero((j > t.jmax - span) & (j < stop))
-    ends = np.minimum(t.jmax + np.ceil((j[near] + span - t.jmax) / step) * step, _MAX_SUPPORT)
-    # one suffix-sum pass per grid end (np.unique would import numpy.ma, ~1 MB)
-    for end in set(ends.astype(int).tolist()):
-        at = near[ends == end]
-        lo = int(j[at].min())
-        with np.errstate(under="ignore"):
-            f = np.exp(t.log_f(lo, end))
-        out[at] = _suffix_sums(f)[j[at].astype(np.intp) - lo]
-    out = out.reshape(xs.shape)
+    out = _tables(params).ccdf(j).reshape(xs.shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -474,13 +477,6 @@ def resolve_truncation(nu: float, alpha: float, zero_truncated: bool | None) -> 
     if zero_truncated is None:
         return alpha == 0.0 and nu <= 0.0
     return zero_truncated
-
-
-def _check_zero_row(table: diagram.FrequencyTable | None, zero_truncated: bool) -> None:
-    """ValueError when a zero-truncated model meets a table with a j = 0 row."""
-    if zero_truncated and table is not None and table.support[0] == 0:
-        raise ValueError(f"a zero-truncated model gives j = 0 no mass, but the data has "
-                         f"{int(table.mult[0])} sources in its j = 0 row")
 
 
 def theta_from_mean(nu: float, alpha: float, eta_target: float,
@@ -657,10 +653,7 @@ def _sample_values_rng(params: GigpParams, rng: np.random.Generator,
         if params.alpha == 0.0:
             raise
         return _sample_mixture(params, rng, count)
-    u = rng.random(count)
-    # the ndarray method skips np.searchsorted's dispatch, ~2 us a call;
-    # cum[jmax] = +inf, so no u < 1 maps past jmax
-    return t.cum.searchsorted(u, side="right")
+    return t.draw(rng.random(count))
 
 
 def _sample_mixture(params: GigpParams, rng: np.random.Generator,

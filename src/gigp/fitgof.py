@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .diagram import FrequencyTable
-from .distribution import GigpParams, _check_zero_row, resolve_truncation, theta_from_mean
+from .distribution import GigpParams
 from .shape import classify_regime, scaling_b, tail_transform, upsilon
 from .specfun import _libm, chi2_sf, normal_cdf
 
@@ -103,16 +103,6 @@ def alpha_from_b(nu: float, theta: float, m_sources: int, b_hat: float) -> float
     if base <= 0.0:
         raise ValueError("inversion base must be positive")
     return 2.0 * math.pow(base, -1.0 / (2.0 * nu))
-
-
-def estimate_theta(nu: float, alpha: float, table: FrequencyTable,
-                   zero_truncated: bool | None = None) -> float:
-    """theta matching the sample mean N/M at fixed nu, alpha."""
-    if table.M < 1:
-        raise ValueError("table has no sources")
-    zero_truncated = resolve_truncation(nu, alpha, zero_truncated)
-    _check_zero_row(table, zero_truncated)
-    return theta_from_mean(nu, alpha, table.N / table.M, zero_truncated)
 
 
 def pearson_chi2(observed: Sequence[int], expected: Sequence[float],

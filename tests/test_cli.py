@@ -390,6 +390,9 @@ def test_exit_codes(tmp_path, capsys):
             assert capsys.readouterr() == ("", "error: a zero-truncated model gives j = 0 no "
                                                "mass, but the data has 7 sources in its j = 0 "
                                                "row\n")
+    # an untruncated model takes the j = 0 row into the matched mean
+    assert main(["fit", "--data", str(with_zeros), "--nu", "0.5", "--alpha", "2"]) == 0
+    assert 0.0 < json.loads(capsys.readouterr().out)["config"]["theta"] < 1.0
     # argparse --help raises SystemExit(0), which main maps to success
     assert main(["--help"]) == 0
 

@@ -24,7 +24,6 @@ from gigp.distribution import (GigpParams, _bessel_ratios, _gig_envelope, _gig_r
                                _tables, ccdf, cdf, gig_density, log_pmf, mean_asymptotic, mean_exact,
                                pmf, resolve_truncation, sample, sample_values,
                                tail_pmf_asymptotic, theta_from_mean, validate)
-from gigp.fitgof import estimate_theta
 from gigp.shape import expected_shape_deviation, scaling_a, scaling_b
 from gigp.specfun import bessel_k_ratio
 
@@ -205,7 +204,7 @@ def test_table_cut_past_the_mass_for_nu_above_one():
             for alpha in (0.0, 2.0):
                 p = GigpParams(nu, alpha, theta)
                 t = _tables(p)
-                assert abs(np.exp(t.logf_through(t.jmax)[:t.jmax + 1]).sum() - 1.0) < 1e-9
+                assert abs(np.exp(t.log_f(np.arange(t.jmax + 1))).sum() - 1.0) < 1e-9
                 values = sample_values(p, 1, 2000)
                 se = values.std() / math.sqrt(values.size)
                 assert abs(values.mean() - mean_exact(p)) < 5.0 * se
@@ -217,10 +216,15 @@ def test_table_cut_past_the_mass_for_nu_above_one():
 
 def test_table_cut_and_support_cap():
     # the cut is the first j >= max(16, (nu - 1) A) with log f_j < -40 and a
-    # tail asymptote below 1e-15; past _MAX_SUPPORT = 2e6 the build gives up
-    assert _tables(GigpParams(0.5, 2.0, 0.99)).jmax == 3311
-    assert _tables(GigpParams(0.5, 2.0, 0.9999)).jmax == 322481
-    assert _tables(GigpParams(-0.5, 0.0, 0.9999, True)).jmax == 239152
+    # tail asymptote below 1e-15, both read on the masses after zero
+    # truncation, so a truncated alpha -> 0+ table cuts near its alpha = 0
+    # limit (183,613 at 0.9999); past _MAX_SUPPORT = 2e6 the build gives up
+    for p, jmax in ((GigpParams(0.5, 2.0, 0.99), 3311),
+                    (GigpParams(0.5, 2.0, 0.9999), 322481),
+                    (GigpParams(-0.5, 0.0, 0.9999, True), 239152),
+                    (GigpParams(-0.9, 1e-8, 0.9999, True), 184148),
+                    (GigpParams(-0.9, 1e-8, 0.5, True), 45)):
+        assert _tables(p).jmax == jmax
     for p in (GigpParams(0.5, 0.0, 0.99999), GigpParams(0.5, 2.0, 0.99999)):
         with pytest.raises(RuntimeError, match="pmf support cutoff not reached"):
             ccdf(p, 1.0)
@@ -263,26 +267,28 @@ def test_table_holds_two_columns_and_log_f_only_once_read():
     finally:
         tracemalloc.stop()
     assert peak <= 5.5 * 2 ** 20
-    held = {name: (getattr(t, name).dtype, getattr(t, name).shape) for name in t.__slots__
-            if isinstance(getattr(t, name), np.ndarray) and getattr(t, name).size}
-    assert held == {"sf": (np.dtype(float), (t.jmax + 2,)),
-                    "cum": (np.dtype(float), (t.jmax + 1,))}
 
-    # log f is made again only when read, and only as far as it is read; a
-    # ccdf within 16 A of the cut makes its own stretch of log f and keeps
-    # none of it; its values are those it gave when it kept the prefix
+    def held():
+        return {name: (getattr(t, name).dtype, getattr(t, name).shape) for name in t.__slots__
+                if isinstance(getattr(t, name), np.ndarray)}
+
+    two_columns = {"sf": (np.dtype(float), (t.jmax + 2,)),
+                   "cum": (np.dtype(float), (t.jmax + 1,))}
+    assert held() == two_columns
+
+    # log f is made again for each read and kept by none: a sample, ccdf
+    # reads far from and near the cut, pmf and log_pmf leave the table its
+    # two columns; the near-cut values are those it gave when it kept a prefix
     distribution._CACHE.pop(p, None)
     t = _tables(p)
     sample(p, 1, 1000)
     ccdf(p, [0.0, 100.0, 100_000.0, t.jmax - 20_000.0])
     span = -16.0 / math.log(p.theta)
     near = ccdf(p, np.linspace(t.jmax - span, t.jmax + 2.0 * span, 202)[1:-1])
-    assert t._long.size == 0
     assert hashlib.sha256(near.tobytes()).hexdigest() == NEAR_CUT_DIGEST
     pmf(p, 5)
-    assert 5 < t._long.size < 5000
     log_pmf(p, t.jmax)
-    assert t.jmax < t._long.size < t.jmax + distribution._MAX_STRETCH
+    assert held() == two_columns
 
 
 def test_table_ends_cum_at_infinity():
@@ -589,8 +595,7 @@ def test_validate_domain():
 
 
 # every public entry point takes (nu, alpha, theta) through validate();
-# theta_from_mean reads the bad theta as its target mean, and estimate_theta
-# has no theta to give
+# theta_from_mean reads the bad theta as its target mean
 NON_FINITE_ENTRY_POINTS = {
     "pmf": lambda p: pmf(p, 2),
     "log_pmf": lambda p: log_pmf(p, 2),
@@ -603,16 +608,13 @@ NON_FINITE_ENTRY_POINTS = {
     "sample_values": lambda p: sample_values(p, 1, 10),
     "scaling_b": lambda p: scaling_b(p, 100),
     "theta_from_mean": lambda p: theta_from_mean(p.nu, p.alpha, 10.0 * p.theta),
-    "estimate_theta": lambda p: estimate_theta(p.nu, p.alpha,
-                                               diagram.FrequencyTable({1: 3, 4: 2})),
 }
 
 
 @pytest.mark.parametrize("entry, field, value", [
     (entry, field, value) for entry in NON_FINITE_ENTRY_POINTS
     for field in ("nu", "alpha", "theta")
-    for value in (math.nan, math.inf, -math.inf)
-    if not (entry == "estimate_theta" and field == "theta")])
+    for value in (math.nan, math.inf, -math.inf)])
 def test_non_finite_parameters_are_rejected(entry, field, value):
     fields = {"nu": 0.5, "alpha": 1.0, "theta": 0.5, field: value}
     with pytest.raises(ValueError):
@@ -621,15 +623,16 @@ def test_non_finite_parameters_are_rejected(entry, field, value):
 
 # one triple per alpha = 0 family, truncated and not where it exists, and
 # at alpha > 0; no pinned CLI document covers a truncated nu > 0 or a
-# truncated alpha > 0 table. Digest taken before the truncation norm moved
-# into _family_head.
+# truncated alpha > 0 table. Digest re-taken when the alpha > 0 tables took
+# the truncation norm before their cut test, as the alpha = 0 ones did: the
+# three truncated alpha > 0 triples moved, each cutting one or more entries later.
 FOLD_GRID = [GigpParams(0.5, 0.0, 0.9), GigpParams(0.5, 0.0, 0.9, True),
              GigpParams(2.5, 0.0, 0.7, True), GigpParams(0.0, 0.0, 0.9, True),
              GigpParams(0.0, 0.0, 0.3, True), GigpParams(-0.5, 0.0, 0.9, True),
              GigpParams(-0.9, 0.0, 0.5, True), GigpParams(0.5, 2.0, 0.9),
              GigpParams(0.5, 2.0, 0.9, True), GigpParams(-0.5, 1.0, 0.99, True),
              GigpParams(-1.0, 2.0, 0.5, True), GigpParams(0.0, 2.0, 0.8)]
-FOLD_DIGEST = "7d17c20ea42eea10c1637855551726929fed79d70b2b85b805d492302aeae5ea"
+FOLD_DIGEST = "ac8bb3e887154eff9534adc282fe05c2160c09843a34f21b8f37912580ccadb9"
 
 
 def test_family_head_and_truncation_bits_are_pinned():
@@ -639,7 +642,7 @@ def test_family_head_and_truncation_bits_are_pinned():
         h.update(repr((eta, tail_pmf_asymptotic(p, 37),
                        theta_from_mean(p.nu, p.alpha, eta, p.zero_truncated))).encode())
         t = _tables(p)
-        h.update(t.logf_through(t.jmax)[:t.jmax + 1].tobytes())
+        h.update(t.log_f(np.arange(t.jmax + 1)).tobytes())
         h.update(t.sf.tobytes())
     assert h.hexdigest() == FOLD_DIGEST
 

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gigp.diagram import FrequencyTable, table_from_sample
-from gigp.distribution import GigpParams, ccdf, pmf, sample_values
-from gigp.fitgof import (alpha_from_b, estimate_theta, fit_tail_line,
-                         ks_normality, pearson_chi2, pointwise_z_test)
+from gigp.distribution import GigpParams, ccdf, pmf, sample_values, theta_from_mean
+from gigp.fitgof import alpha_from_b, fit_tail_line, ks_normality, pearson_chi2, pointwise_z_test
 from gigp.shape import scaling_b
 from gigp.specfun import chi2_sf, normal_cdf
 
@@ -130,34 +129,20 @@ def test_alpha_from_b_not_identifiable():
         alpha_from_b(-0.5, 1.0, 1000, 50.0)
 
 
-def test_estimate_theta_closed_form():
-    # eta-hat = 50 with nu = 0.5, alpha = 0: theta = 50 / 50.5
+def test_theta_from_mean_matches_a_sample_mean():
+    # theta matching a table's mean N/M, as fit and gof take it without
+    # --theta. eta-hat = 50 with nu = 0.5, alpha = 0: theta = 50 / 50.5
     t = FrequencyTable({50: 2})
-    assert estimate_theta(0.5, 0.0, t) == pytest.approx(0.990099, abs=1e-6)
-
-
-def test_estimate_theta_consistency():
+    assert theta_from_mean(0.5, 0.0, t.N / t.M) == pytest.approx(0.990099, abs=1e-6)
     p = GigpParams(0.5, 2.0, 0.99)
     rng = np.random.default_rng(7)
     for _ in range(5):
         t = table_from_sample(sample_values(p, rng, 20_000))
-        assert estimate_theta(0.5, 2.0, t) == pytest.approx(0.99, abs=0.005)
+        assert theta_from_mean(0.5, 2.0, t.N / t.M) == pytest.approx(0.99, abs=0.005)
     pt = GigpParams(-0.5, 0.0, 0.95, zero_truncated=True)
     for _ in range(3):
         t = table_from_sample(sample_values(pt, rng, 20_000))
-        assert estimate_theta(-0.5, 0.0, t) == pytest.approx(0.95, abs=0.01)
-
-
-def test_estimate_theta_degenerate():
-    with pytest.raises(ValueError):
-        estimate_theta(0.5, 0.0, FrequencyTable({}))
-    # a zero-truncated model has no mass at j = 0, so a j = 0 row would
-    # pull the matched mean down; truncation auto (alpha = 0, nu <= 0) or asked
-    with_zeros = FrequencyTable({0: 7, 1: 10, 2: 4, 5: 1})
-    for nu, alpha, truncated in ((-0.5, 0.0, None), (0.5, 2.0, True)):
-        with pytest.raises(ValueError, match="7 sources in its j = 0 row"):
-            estimate_theta(nu, alpha, with_zeros, truncated)
-    assert 0.0 < estimate_theta(0.5, 2.0, with_zeros) < 1.0
+        assert theta_from_mean(-0.5, 0.0, t.N / t.M) == pytest.approx(0.95, abs=0.01)
 
 
 def test_pearson_chi2_exact_match():
