@@ -129,11 +129,16 @@ def test_alpha_from_b_not_identifiable():
         alpha_from_b(-0.5, 1.0, 1000, 50.0)
 
 
-def test_theta_from_mean_matches_a_sample_mean():
-    # theta matching a table's mean N/M, as fit and gof take it without
-    # --theta. eta-hat = 50 with nu = 0.5, alpha = 0: theta = 50 / 50.5
+# theta matching a table's mean N/M, as fit and gof estimate it without --theta
+
+
+def test_estimate_theta_closed_form():
+    # eta-hat = 50 with nu = 0.5, alpha = 0: theta = 50 / 50.5
     t = FrequencyTable({50: 2})
     assert theta_from_mean(0.5, 0.0, t.N / t.M) == pytest.approx(0.990099, abs=1e-6)
+
+
+def test_estimate_theta_consistency():
     p = GigpParams(0.5, 2.0, 0.99)
     rng = np.random.default_rng(7)
     for _ in range(5):
