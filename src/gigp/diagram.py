@@ -84,9 +84,11 @@ def table_from_sample(values: Iterable[int]) -> FrequencyTable:
     arr = _int64_column(values if isinstance(values, np.ndarray) else list(values), "values")
     if arr.size == 0:
         raise ValueError("values must be nonempty")
-    # the sorted draws come in runs, one per support value
-    arr = np.sort(arr)
-    starts = np.flatnonzero(np.diff(arr, prepend=-1))
+    # sorted draws come in runs, one per support value; draws already sorted
+    # (as sample makes them) are counted in place
+    if np.any(arr[1:] < arr[:-1]):
+        arr = np.sort(arr)
+    starts = np.concatenate([[0], np.flatnonzero(arr[1:] != arr[:-1]) + 1])
     return FrequencyTable._from_sorted(arr[starts], np.diff(starts, append=arr.size))
 
 

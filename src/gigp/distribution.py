@@ -15,7 +15,6 @@ alpha = 0 is excluded.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -28,10 +27,10 @@ from .specfun import bessel_k_ratio, log_bessel_k
 _LOG_TAIL_EPS = math.log(1e-15)
 _MAX_SUPPORT = 2_000_000
 _MAX_STRETCH = 65_536  # the table is built this many entries at a time, at most
+# the build keeps the table's columns for j <= _SEGMENT_0, a stretch end; past
+# it a table is made _BLOCK entries at a time, on read
+_SEGMENT_0, _BLOCK = 16_384, 4_096
 _J_WINDOW = 12  # forward steps that settle a crude Bessel ratio seed
-# a GIG rejection round draws need // 4 + 8 spare candidates beyond the
-# need values still missing
-_GIG_SPARE_DIV, _GIG_SPARE_MIN = 4, 8
 
 
 @dataclass(frozen=True)
@@ -77,32 +76,60 @@ def _check_mean_domain(params: GigpParams) -> None:
 
 class _Tables:
     """The pmf table for one parameter triple (post truncation), read only
-    through ccdf, log_f and draw. Its arrays are fixed when built: sf and
-    cum run to the cut jmax that the params fix, cum ends in +inf, and
-    log_f_cut is log f_jmax. log f is not kept: a read makes the span of it
-    that it needs again, bit for bit the values the build took exp of, from
-    the stretch that holds the span's first index on, and keeps only the
-    running sum at each stretch start it reaches (one float a stretch)."""
+    through ccdf, log_f and draw. Its columns sf and cum run to the cut jmax
+    that the params fix, cum ends in +inf, and log_f_cut is log f_jmax.
 
-    __slots__ = ("sf", "cum", "jmax", "log_f_cut", "log_theta", "_span")
+    The build keeps sf and cum for j <= _SEGMENT_0 (segment 0). Past it, for
+    each block b of _BLOCK entries from j = _SEGMENT_0 + b _BLOCK + 1 on, it
+    keeps the cum just below and the suffix sum just past the block; the
+    first read of a block makes its two columns from its span of log f and
+    keeps them. A cumsum seeded with its carry is the same sequential
+    sum, so they hold the dense table's bits. log f is not kept: a read makes
+    the span it needs again, bit for bit the values the build took exp of,
+    from the mark below the span (each stretch start, and from _BLOCK on each
+    _BLOCK-th order) to the mark at or past its end, and keeps the running
+    sum at each mark it reaches (one float a mark)."""
 
-    def __init__(self, sf, cum, log_f_cut, log_theta, span):
-        self.sf = sf
-        self.cum = cum
-        self.jmax = len(cum) - 1
-        self.log_f_cut = log_f_cut
-        self.log_theta = log_theta
+    __slots__ = ("sf", "cum", "jmax", "log_f_cut", "log_theta", "_span", "_tail",
+                 "_below", "_past", "_blocks")
+
+    def __init__(self, sf, cum, jmax, log_f_cut, log_theta, span, tail, below, past):
+        self.sf, self.cum, self.jmax = sf, cum, jmax
+        self.log_f_cut, self.log_theta = log_f_cut, log_theta
         self._span = span  # _span(lo, end): log f_lo, ..., log f_end, up to the cap
+        self._tail = tail  # the geometric mass past jmax, in every sf entry
+        self._below, self._past = below, past  # per block, empty without blocks
+        self._blocks = {}  # block b -> its (cum, sf), once read
+
+    def _block(self, b: int) -> tuple[np.ndarray, np.ndarray]:
+        """Block b's (cum, sf); the last block's sf ends in the 0 at jmax + 1."""
+        cols = self._blocks.get(b)
+        if cols is None:
+            lo = _SEGMENT_0 + b * _BLOCK
+            hi = min(lo + _BLOCK, self.jmax)
+            with np.errstate(under="ignore"):
+                f = np.exp(self._span(lo + 1, hi))
+            cols = self._blocks[b] = _columns(f, self._below[b], self._past[b], self._tail,
+                                              hi == self.jmax)
+        return cols
 
     def ccdf(self, j: np.ndarray) -> np.ndarray:
         """P(X >= j) at a flat array of whole numbers j >= 0; see ccdf()."""
-        out = self.sf[np.minimum(j, self.jmax + 1).astype(np.intp)]
         span = -16.0 / self.log_theta
         step = math.ceil(span)
         # past the cut f_j falls ~theta a step, so from where f at x + 16 A
         # underflows, and from the cap on, ccdf reads 0
         stop = min(self.jmax - span + (745.0 + self.log_f_cut) / -self.log_theta, _MAX_SUPPORT)
-        near = np.flatnonzero((j > self.jmax - span) & (j < stop))
+        is_near = (j > self.jmax - span) & (j < stop)
+        k = np.minimum(j, self.jmax + 1).astype(np.intp)
+        out = self.sf[np.minimum(k, len(self.sf) - 1)]
+        # past segment 0 a block is read where the near-cut sums below do not
+        # replace the value (the last block's sf ends in the 0 past jmax)
+        far = np.flatnonzero((k >= len(self.sf)) & ~is_near)
+        firsts = np.arange(_SEGMENT_0 + 1 + _BLOCK, self.jmax + 1, _BLOCK)
+        for b, at, kb in _by_block(far, k[far], firsts):
+            out[at] = self._block(b)[1][kb - (_SEGMENT_0 + 1 + b * _BLOCK)]
+        near = np.flatnonzero(is_near)
         ends = np.minimum(self.jmax + np.ceil((j[near] + span - self.jmax) / step) * step,
                           _MAX_SUPPORT)
         # one suffix-sum pass per grid end (np.unique would import numpy.ma, ~1 MB)
@@ -111,7 +138,8 @@ class _Tables:
             lo = int(j[at].min())
             with np.errstate(under="ignore"):
                 f = np.exp(self._span(lo, end))
-            out[at] = _suffix_sums(f)[j[at].astype(np.intp) - lo]
+            sf = _columns(f, 0.0, 0.0, _geometric_tail(f), True)[1]
+            out[at] = sf[j[at].astype(np.intp) - lo]
         return out
 
     def log_f(self, js: np.ndarray) -> np.ndarray:
@@ -122,17 +150,25 @@ class _Tables:
         return self._span(lo, end)[js - lo]
 
     def draw(self, u: np.ndarray) -> np.ndarray:
-        """The inverse cdf at uniforms u in [0, 1): cum[jmax] = +inf, so no
-        u maps past jmax. The ndarray method skips np.searchsorted's
-        dispatch, ~2 us a call."""
-        return self.cum.searchsorted(u, side="right")
+        """The inverse cdf at uniforms u in [0, 1), by one search in segment
+        0's cum (the ndarray method skips np.searchsorted's dispatch, ~2 us
+        a call), then for a u past it in the block whose carries bracket it."""
+        out = self.cum.searchsorted(u, side="right")
+        if self.jmax > _SEGMENT_0:
+            far = np.flatnonzero(out > _SEGMENT_0)
+            for b, at, ub in _by_block(far, u[far], self._below[1:]):
+                got = self._block(b)[0].searchsorted(ub, side="right")
+                got += _SEGMENT_0 + 1 + b * _BLOCK
+                out[at] = got
+        return out
 
 
 # per params, its table or its build's error, so a failed build is not tried again
 _CACHE: dict[GigpParams, _Tables | RuntimeError] = {}
 
 
-def _bessel_ratios(nu: float, alpha: float, j: np.ndarray) -> np.ndarray:
+def _bessel_ratios(nu: float, alpha: float, j: np.ndarray, first: int | None = None
+                   ) -> np.ndarray:
     """r_j = K_(nu+j+1)(alpha) / K_(nu+j)(alpha) at the consecutive orders j.
 
     The forward recurrence r_j = 2 (nu+j)/alpha + 1/r_(j-1) shrinks an
@@ -140,11 +176,12 @@ def _bessel_ratios(nu: float, alpha: float, j: np.ndarray) -> np.ndarray:
     from _J_WINDOW steps past the order where nu + j >= 4 alpha, every r_j
     is reached, bit for bit as the sequential loop gives it, from the crude
     seed 2 (nu+j-w)/alpha at j - w, one whole-array pass per step. The
-    window w is sized by the stretch's first order j_1: with
-    r_min = 2 (nu+j_1-_J_WINDOW)/alpha, w = ceil(36 ln 2 / ln r_min) steps,
-    between 2 and _J_WINDOW, shrink the seed's error by at least 2^-72,
-    as _J_WINDOW steps at r_min = 8 do. Below that order the scalar loop
-    runs from r_0.
+    window w is sized by the stretch's first such order j_1, where the
+    stretch starts at first (j[0] when not given), so a block of a stretch
+    takes the stretch's window and bits: with r_min = 2 (nu+j_1-_J_WINDOW)
+    / alpha, w = ceil(36 ln 2 / ln r_min) steps, between 2 and _J_WINDOW,
+    shrink the seed's error by at least 2^-72, as _J_WINDOW steps at
+    r_min = 8 do. Below that order the scalar loop runs from r_0.
     """
     r = np.empty_like(j)
     lo, hi = int(j[0]), int(j[-1]) + 1
@@ -162,7 +199,8 @@ def _bessel_ratios(nu: float, alpha: float, j: np.ndarray) -> np.ndarray:
         r[:len(head) - lo] = head[lo:]
     tail, jt = r[j_star - lo:], j[j_star - lo:]
     if tail.size:
-        r_min = 2.0 * (nu + float(jt[0]) - _J_WINDOW) / alpha
+        j_1 = max(j_first + _J_WINDOW, lo if first is None else first)
+        r_min = 2.0 * (nu + j_1 - _J_WINDOW) / alpha
         w = min(_J_WINDOW, max(2, math.ceil(36.0 * math.log(2.0) / math.log(r_min))))
         step = np.empty_like(jt)
         np.subtract(jt, w - nu, out=tail)
@@ -187,7 +225,10 @@ def _log_steps(nu: float, alpha: float, lo: int, hi: int) -> np.ndarray:
     """
     j = np.arange(lo, hi, dtype=float)
     if alpha > 0.0:
-        s = _bessel_ratios(nu, alpha, j)
+        # the window of the stretch that holds lo: from 1024 the stretches
+        # start at powers of 2, and past _MAX_STRETCH at its multiples
+        first = lo if lo < 1024 else max(1 << (lo.bit_length() - 1), lo - lo % _MAX_STRETCH)
+        s = _bessel_ratios(nu, alpha, j, first)
         s *= 0.5 * alpha
     else:
         s = j + nu
@@ -230,19 +271,27 @@ def _family_head(params: GigpParams) -> tuple[int, float, float, float]:
 
 
 def _stretches(nu: float, alpha: float, log_theta: float, j0: int, log_f0: float,
-               marks: dict[int, float], lo: int):
-    """Yield (lo, stretch) from the stretch that starts at lo: stretch[k] is
-    log f_j = log f_(j0) + (j - j0) log(theta) + sum_(j0 <= i < j) s_i at
-    j = lo + 1 + k. marks maps the lo of each stretch reached to the sum at
-    its start, from marks = {j0: 0} on, and gains the next stretch's before
-    a stretch is yielded. Stretches double up to _MAX_STRETCH entries and
-    end at the cap; a run from any mark gives the same values bit for bit."""
+               marks: dict[int, float], lo: int, end: int = _MAX_SUPPORT):
+    """Yield (lo, stretch) from the mark at lo: stretch[k] is log f_j =
+    log f_(j0) + (j - j0) log(theta) + sum_(j0 <= i < j) s_i at j = lo + 1 + k.
+    marks maps each order reached to the sum there, from marks = {j0: 0} on:
+    each stretch's end, and from _BLOCK on each _BLOCK-th order; they are
+    added before a stretch is yielded. Stretches double from 1024 entries up
+    to _MAX_STRETCH, start at its multiples past it and end at the cap; from
+    _BLOCK on a stretch that reaches end stops at the first mark at or past
+    it. A run from any mark gives the same values bit for bit."""
     acc = marks[lo]
     while lo < _MAX_SUPPORT:
-        hi = min(max(2 * lo, 1024), lo + _MAX_STRETCH, _MAX_SUPPORT)
+        hi = min(max(1 << lo.bit_length(), 1024), lo - lo % _MAX_STRETCH + _MAX_STRETCH,
+                 _MAX_SUPPORT)
+        if lo >= _BLOCK:
+            hi = min(hi, -(-end // _BLOCK) * _BLOCK)
         stretch = _log_steps(nu, alpha, lo, hi)
         stretch[0] += acc
         np.cumsum(stretch, out=stretch)
+        if lo >= _BLOCK:
+            marks.update(zip(range(lo + _BLOCK, hi, _BLOCK),
+                             stretch[_BLOCK - 1::_BLOCK].tolist()))
         marks[hi] = float(stretch[-1])
         lin = np.arange(lo + 1 - j0, hi + 1 - j0, dtype=float)
         lin *= log_theta
@@ -253,17 +302,44 @@ def _stretches(nu: float, alpha: float, log_theta: float, j0: int, log_f0: float
         lo, acc = hi, marks[hi]
 
 
-def _suffix_sums(f: np.ndarray) -> np.ndarray:
-    """sum_(i >= k) f_i plus the mass past the last f, at each k, then a 0.
-    The sums accumulate smallest terms first, then take the mass past the end,
-    a geometric series with the last step's ratio r = f_J / f_(J-1)."""
+def _geometric_tail(f: np.ndarray) -> float:
+    """The mass past the last f: a geometric series at the last ratio f_J / f_(J-1)."""
     r = f[-1] / f[-2] if 0.0 < f[-1] < f[-2] else 0.0
-    tail = f[-1] * r / (1.0 - r)
-    sf = np.empty(len(f) + 1)
-    sf[-1] = 0.0
-    np.cumsum(f[::-1], out=sf[-2::-1])
-    sf[:-1] += tail
-    return sf
+    return f[-1] * r / (1.0 - r)
+
+
+def _columns(f: np.ndarray, below: float, past: float, tail: float, end: bool
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """(cum, sf) over a run of f, from below, the cum just before it, and
+    past, the suffix sum just after it: the sums of one pass over the whole
+    table, bit for bit, as the suffix sums take the smallest terms first.
+    Each sf adds tail, the mass past the table; where the run ends the table,
+    cum ends in +inf and sf in a 0. cum is accumulated in f's own buffer."""
+    n = len(f)
+    sf = np.zeros(n + end)
+    sf[:n] = f
+    sf[n - 1] += past
+    np.cumsum(sf[n - 1::-1], out=sf[n - 1::-1])
+    sf[:n] += tail
+    f[0] += below
+    cum = np.cumsum(f, out=f)
+    if end:
+        cum[-1] = math.inf
+    return cum, sf
+
+
+def _by_block(at: np.ndarray, keys: np.ndarray, bounds: np.ndarray):
+    """(b, at, keys) for each block b that keys reach, where block b takes
+    keys in [bounds[b - 1], bounds[b]), in block order (a stable sort leaves
+    sorted keys as they are)."""
+    if not keys.size:
+        return
+    order = keys.argsort(kind="stable")
+    at, keys = at[order], keys[order]
+    cuts = keys.searchsorted(bounds, side="left").tolist()
+    for b, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, keys.size])):
+        if lo < hi:
+            yield b, at[lo:hi], keys[lo:hi]
 
 
 def _build_tables(params: GigpParams) -> _Tables:
@@ -293,8 +369,8 @@ def _build_tables(params: GigpParams) -> _Tables:
     if params.zero_truncated:
         head[0] = -math.inf
 
-    # the sum at the start of each stretch a pass has reached, so a later pass
-    # starts at the stretch it reads
+    # the sum at each mark a pass has reached, so a later pass starts at the
+    # mark below what it reads
     marks = {j0: 0.0}
 
     def span(lo, end):
@@ -305,7 +381,8 @@ def _build_tables(params: GigpParams) -> _Tables:
         pieces = [head[lo:end + 1]]
         if end > j0:
             start = max(k for k in marks if k < max(lo, j0 + 1))
-            for first, stretch in _stretches(nu, alpha, log_theta, j0, log_f0, marks, start):
+            for first, stretch in _stretches(nu, alpha, log_theta, j0, log_f0, marks, start,
+                                             end):
                 last = first + len(stretch)
                 if last >= lo:
                     pieces.append(stretch[max(lo - first - 1, 0):end - first])
@@ -313,12 +390,12 @@ def _build_tables(params: GigpParams) -> _Tables:
                     break
         return np.concatenate(pieces)
 
-    # each stretch is tested for the cut, then turned into f in its own buffer,
-    # and the f pieces are joined once at the cut: the build holds at most f
-    # and one more column
+    # each stretch is tested for the cut, then turned into f in its own
+    # buffer; segment 0 is the head and the first n0 - 1 stretches
     with np.errstate(under="ignore"):
-        pieces = [np.exp(head)]
+        pieces, n0 = [np.exp(head)], 1
         for lo, stretch in _stretches(nu, alpha, log_theta, j0, log_f0, marks, j0):
+            n0 += lo < _SEGMENT_0
             k0 = max(cut_from - lo - 1, 0)
             j = np.flatnonzero(stretch[k0:] < -40.0) + (lo + 1 + k0)
             hit = np.flatnonzero(_log_tail(j, log_tail_const, nu, theta) < _LOG_TAIL_EPS)
@@ -327,20 +404,39 @@ def _build_tables(params: GigpParams) -> _Tables:
             log_f_cut = float(stretch[-1])
             pieces.append(np.exp(stretch, out=stretch))
             if hit.size:
+                jmax = int(j[hit[0]])
                 break
         else:
             raise RuntimeError("pmf support cutoff not reached")
-    # the cut test's indices go before f is joined, its pieces after
-    del j
-    f = np.concatenate(pieces)
-    del pieces, stretch
+    del j, stretch
+    last = pieces[-1]
+    tail = _geometric_tail(last[-2:] if last.size > 1 else np.append(pieces[-2][-1:], last))
+    f0 = np.concatenate(pieces[:n0])
+    far = pieces[n0:]
+    del pieces, last
+    # past segment 0 each stretch is a run of whole blocks, the last cut at
+    # jmax: the suffix sums from the cut down, through one scratch buffer, then
+    # cum in each stretch's own buffer, keep only their carry at each block
+    below, past, carry = [], [], 0.0
+    scratch = np.empty(max(map(len, far), default=0))
+    for f in reversed(far):
+        s = scratch[:len(f)]
+        np.copyto(s, f[::-1])
+        s[0] += carry
+        np.cumsum(s, out=s)
+        past[:0] = [*s[::-1][_BLOCK::_BLOCK].tolist(), carry]
+        carry = float(s[-1])
+    del scratch
+    cum, sf = _columns(f0, 0.0, carry, tail, not far)
     # P(X >= 0) = 1 exactly, and past the table the ccdf reads 0
-    sf = _suffix_sums(f)
     sf[0] = 1.0
-    # cum is accumulated in f's own buffer
-    cum = np.cumsum(f, out=f)
-    cum[-1] = math.inf
-    return _Tables(sf, cum, log_f_cut, log_theta, span)
+    carry = float(cum[-1])
+    for f in far:
+        f[0] += carry
+        below += [carry, *np.cumsum(f, out=f)[_BLOCK - 1:-1:_BLOCK].tolist()]
+        carry = float(f[-1])
+    return _Tables(sf, cum, jmax, log_f_cut, log_theta, span, tail, np.array(below),
+                   np.array(past))
 
 
 def _tables(params: GigpParams) -> _Tables:
@@ -551,142 +647,45 @@ def tail_pmf_asymptotic(params: GigpParams, j: int) -> float:
     return math.exp(logv) if logv > -745.0 else 0.0
 
 
-@functools.lru_cache(maxsize=64)
-def _gig_envelope(p: float, a: float, b: float) -> tuple[float, ...]:
-    """Devroye's envelope for GIG(p, a, b), set up once per triple.
-
-    Returns (lam, alpha_d, q, td, sd, rr, pp, u_mid, u_right, sign, scale).
-    The candidate x is -sd + q v on the flat middle piece [-sd, td] when
-    u < u_mid, td - rr log v on the right tail when u < u_right, and
-    -sd + pp log v on the left tail; an accepted x maps to the variate
-    exp(sign x) scale.
-    """
-    lam = abs(p)
-    omega = math.sqrt(a * b)
-    alpha_d = math.sqrt(omega * omega + lam * lam) - lam
-
-    def psi(x):
-        return -alpha_d * (math.cosh(x) - 1.0) - lam * (math.exp(x) - x - 1.0)
-
-    def dpsi(x):
-        return -alpha_d * math.sinh(x) - lam * (math.exp(x) - 1.0)
-
-    x = -psi(1.0)
-    if 0.5 <= x <= 2.0:
-        t = 1.0
-    elif x > 2.0:
-        t = math.sqrt(2.0 / (alpha_d + lam))
-    else:
-        t = math.log(4.0 / (alpha_d + 2.0 * lam))
-    x = -psi(-1.0)
-    if 0.5 <= x <= 2.0:
-        s = 1.0
-    elif x > 2.0:
-        s = math.sqrt(4.0 / (alpha_d * math.cosh(1.0) + lam))
-    elif alpha_d == 0.0:
-        s = 1.0 / lam
-    elif lam == 0.0:
-        s = math.log(1.0 + 1.0 / alpha_d + math.sqrt(1.0 / alpha_d ** 2 + 2.0 / alpha_d))
-    else:
-        s = min(1.0 / lam,
-                math.log(1.0 + 1.0 / alpha_d + math.sqrt(1.0 / alpha_d ** 2 + 2.0 / alpha_d)))
-
-    eta = -psi(t)
-    zeta = -dpsi(t)
-    theta_d = -psi(-s)
-    xi = dpsi(-s)
-    pp = 1.0 / xi
-    rr = 1.0 / zeta
-    td = t - rr * eta
-    sd = s - pp * theta_d
-    q = td + sd
-    total = pp + q + rr
-    # the mode-centred variate is exp(x) c; p < 0 takes its reciprocal
-    c = lam / omega + math.sqrt(1.0 + (lam / omega) ** 2)
-    scale = c / math.sqrt(a / b) if p >= 0 else 1.0 / (c * math.sqrt(a / b))
-    return (lam, alpha_d, q, td, sd, rr, pp, q / total, (q + rr) / total,
-            -1.0 if p < 0 else 1.0, scale)
-
-
-def _gig_rvs(rng: np.random.Generator, p: float, a: float, b: float,
-             size: int) -> np.ndarray:
-    """GIG(p, a, b) variates, density ~ x^(p-1) exp(-(a x + b / x) / 2).
-
-    Devroye's rejection scheme for the two-parameter version, a, b > 0.
-    Each round oversamples the need values still missing and keeps the
-    first need accepted candidates, in order: accepted candidates are iid
-    from the target whatever their count, so stopping at need does not
-    bias them, and at acceptance rates of 0.85-0.90 one round nearly
-    always fills the batch.
-    """
-    lam, alpha_d, q, td, sd, rr, pp, u_mid, u_right, sign, scale = _gig_envelope(p, a, b)
-    out = np.empty(size)
-    filled = 0
-    while filled < size:
-        need = size - filled
-        u, v, w = rng.random((3, need + need // _GIG_SPARE_DIV + _GIG_SPARE_MIN))
-        logv = np.log(v)
-        mid = u < u_mid
-        x = np.where(mid, q * v - sd,
-                     np.where(u < u_right, td - rr * logv, pp * logv - sd))
-        # the envelope is 1 on the middle piece, and on either tail its
-        # value at the candidate drawn from v is v itself
-        bound = np.where(mid, w, w * v)
-        psi = -alpha_d * (np.cosh(x) - 1.0) - lam * (np.exp(x) - x - 1.0)
-        got = x[bound <= np.exp(psi)][:need]
-        out[filled:filled + got.size] = got
-        filled += got.size
-    out *= sign
-    np.exp(out, out=out)
-    out *= scale
-    return out
-
-
 def _sample_values_rng(params: GigpParams, rng: np.random.Generator,
-                       count: int) -> np.ndarray:
+                       count: int, ordered: bool = False) -> np.ndarray:
     """count draws by inverse cdf on the cached pmf table; zero truncation
     is already in the table, whose f_0 is 0. For alpha > 0 past the
-    table's support cap they come from the GIG mixture of Poissons."""
+    table's support cap they come from the GIG mixture of Poissons in
+    gigp._mixture. ordered gives them sorted, from sorted uniforms, so the
+    table reads its blocks in order."""
     try:
         t = _tables(params)
     except RuntimeError:
         if params.alpha == 0.0:
             raise
-        return _sample_mixture(params, rng, count)
-    return t.draw(rng.random(count))
+        from ._mixture import _sample_mixture
+        values = _sample_mixture(params, rng, count)
+        if ordered:
+            values.sort()
+        return values
+    u = rng.random(count)
+    if ordered:
+        u.sort()
+    return t.draw(u)
 
 
-def _sample_mixture(params: GigpParams, rng: np.random.Generator,
-                    count: int) -> np.ndarray:
-    """count draws X ~ Poisson(Lambda), Lambda ~ GIG, for alpha > 0."""
-    nu, alpha, theta = params.nu, params.alpha, params.theta
-    a = 2.0 * (1.0 - theta) / theta
-    b = 0.5 * alpha * alpha * theta
-    if not math.isfinite(b):
-        raise ValueError("alpha is too large to sample: the GIG parameter "
-                         "alpha^2 theta / 2 overflows")
-    lam = _gig_rvs(rng, nu, a, b, count)
-    values = rng.poisson(lam)
-    if params.zero_truncated:
-        # condition on X >= 1 by redrawing the (lambda, X) pairs that hit zero
-        pending = np.flatnonzero(values == 0)
-        while pending.size:
-            lam = _gig_rvs(rng, nu, a, b, pending.size)
-            redraw = rng.poisson(lam)
-            values[pending] = redraw
-            pending = pending[redraw == 0]
-    return values
-
-
-def sample_values(params: GigpParams, seed, count: int) -> np.ndarray:
-    """count iid draws as a flat integer array."""
+def _rng(params: GigpParams, seed, count: int) -> np.random.Generator:
+    """The generator for count draws from params, after checking both."""
     validate(params)
     if count < 1 or int(count) != count:
         raise ValueError("count must be a positive integer")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return _sample_values_rng(params, rng, int(count))
+    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+
+
+def sample_values(params: GigpParams, seed, count: int) -> np.ndarray:
+    """count iid draws as a flat integer array, in the order drawn."""
+    return _sample_values_rng(params, _rng(params, seed, count), int(count))
 
 
 def sample(params: GigpParams, seed, count: int) -> "diagram.FrequencyTable":
-    """count iid draws aggregated into a frequency table."""
-    return diagram.table_from_sample(sample_values(params, seed, count))
+    """count iid draws aggregated into a frequency table: the draws of
+    sample_values, made in increasing order, so the table is counted
+    without a sort."""
+    rng = _rng(params, seed, count)
+    return diagram.table_from_sample(_sample_values_rng(params, rng, int(count), True))

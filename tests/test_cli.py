@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gigp import cli, distribution
+from gigp import _mixture, cli
 from gigp.chaotic import poisson_gof_experiment
 from gigp.cli import _csv_doc, _json_doc, main, read_frequency_csv
 from gigp.diagram import FrequencyTable
@@ -300,7 +300,7 @@ def test_alpha_positive_draws_below_the_cap_skip_the_gig_sampler(tmp_path, monke
     def no_gig(*args):
         raise AssertionError("the GIG sampler ran below the table cap")
 
-    monkeypatch.setattr(distribution, "_gig_rvs", no_gig)
+    monkeypatch.setattr(_mixture, "_gig_rvs", no_gig)
     rep = poisson_gof_experiment(GigpParams(-0.5, 2.0, 0.99), 35, 0.2, 100, seed=1)
     assert rep.observed.sum() == 100
     _run_to_file(tmp_path, "fast.json", ["shape", "--nu", "0.5", "--alpha", "2",

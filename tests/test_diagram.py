@@ -93,6 +93,10 @@ def test_frequency_table_arrays():
     from_dict = FrequencyTable({int(j): int((values == j).sum()) for j in set(values.tolist())})
     assert table_from_sample(values) == from_dict
     assert table_from_sample(values.tolist()) == from_dict
+    # sorted draws are counted in place, unsorted ones in a sorted copy
+    ordered, drawn = np.sort(values), values.copy()
+    assert table_from_sample(ordered) == from_dict and np.array_equal(values, drawn)
+    assert table_from_sample(np.array([3])).counts == {3: 1}
     assert FrequencyTable({}).M == 0 and FrequencyTable({}).support.size == 0
 
 

@@ -19,12 +19,13 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from gigp import diagram, distribution
-from gigp.distribution import (GigpParams, _bessel_ratios, _gig_envelope, _gig_rvs,
-                               _tables, ccdf, cdf, gig_density, log_pmf, mean_asymptotic, mean_exact,
-                               pmf, resolve_truncation, sample, sample_values,
-                               tail_pmf_asymptotic, theta_from_mean, validate)
-from gigp.shape import expected_shape_deviation, scaling_a, scaling_b
+from gigp import _mixture, diagram, distribution
+from gigp._mixture import _gig_envelope, _gig_rvs
+from gigp.distribution import (GigpParams, _bessel_ratios, _tables, ccdf, cdf, gig_density,
+                               log_pmf, mean_asymptotic, mean_exact, pmf, resolve_truncation,
+                               sample, sample_values, tail_pmf_asymptotic, theta_from_mean,
+                               validate)
+from gigp.shape import expected_shape_deviation, scaling_a, scaling_b, sup_distance
 from gigp.specfun import bessel_k_ratio
 
 mpmath.mp.dps = 40
@@ -256,8 +257,9 @@ NEAR_CUT_DIGEST = "e1fef05e4fd1482057a7fbf1a3a9c6ee93bf9556168dfd91ed06f2a79f04c
 
 def test_table_holds_two_columns_and_log_f_only_once_read():
     # at (0.5, 2, 0.9999), 322,482 entries, the build turns each stretch into
-    # f in its own buffer, joins f once and writes cum over it: its tracemalloc
-    # peak is two float64 columns (~4.9 MiB), where keeping log f took 7.75 MiB
+    # f in its own buffer and keeps the two columns for segment 0 (j <= 16,384)
+    # only, with two carries per 4,096-entry block past it: its tracemalloc
+    # peak stays under the two dense columns (~4.9 MiB)
     p = GigpParams(0.5, 2.0, 0.9999)
     distribution._build_tables(GigpParams(0.5, 2.0, 0.9))
     tracemalloc.start()
@@ -272,23 +274,59 @@ def test_table_holds_two_columns_and_log_f_only_once_read():
         return {name: (getattr(t, name).dtype, getattr(t, name).shape) for name in t.__slots__
                 if isinstance(getattr(t, name), np.ndarray)}
 
-    two_columns = {"sf": (np.dtype(float), (t.jmax + 2,)),
-                   "cum": (np.dtype(float), (t.jmax + 1,))}
-    assert held() == two_columns
+    seg, size = distribution._SEGMENT_0, distribution._BLOCK
+    blocks = -(-(t.jmax - seg) // size)
+    segment_0 = {"sf": (np.dtype(float), (seg + 1,)), "cum": (np.dtype(float), (seg + 1,)),
+                 "_below": (np.dtype(float), (blocks,)), "_past": (np.dtype(float), (blocks,))}
+    assert held() == segment_0 and t._blocks == {}
 
-    # log f is made again for each read and kept by none: a sample, ccdf
-    # reads far from and near the cut, pmf and log_pmf leave the table its
-    # two columns; the near-cut values are those it gave when it kept a prefix
+    # log f is made again for each read and kept by none, and a block's two
+    # columns only once a draw or a ccdf reads it: a sample, sup_distance,
+    # ccdf reads far from and near the cut, pmf and log_pmf leave segment 0
+    # and the blocks of the draws past it and of x = 100,000, under half the
+    # dense columns. The near-cut values are those the table gave when it
+    # kept a prefix
     distribution._CACHE.pop(p, None)
     t = _tables(p)
-    sample(p, 1, 1000)
+    table = sample(p, 1, 100_000)
+    sup_distance(table, p, 0.2)
     ccdf(p, [0.0, 100.0, 100_000.0, t.jmax - 20_000.0])
     span = -16.0 / math.log(p.theta)
     near = ccdf(p, np.linspace(t.jmax - span, t.jmax + 2.0 * span, 202)[1:-1])
     assert hashlib.sha256(near.tobytes()).hexdigest() == NEAR_CUT_DIGEST
     pmf(p, 5)
     log_pmf(p, t.jmax)
-    assert held() == two_columns
+    assert held() == segment_0
+    reached = {(j - seg - 1) // size for j in [*table.support.tolist(), 100_000] if j > seg}
+    assert sorted(t._blocks) == sorted(reached) and len(reached) < blocks // 2
+    for cum, sf in t._blocks.values():
+        assert cum.shape == sf.shape == (size,)
+
+
+def test_a_scalar_read_makes_at_most_one_block(monkeypatch):
+    # log_pmf at one j starts at the mark below it and stops at the first mark
+    # at or past it: from j = 4,096 on one 4,096-order span of log steps, below
+    # it the stretch that holds j. The value is the one a span from 0 gives
+    p = GigpParams(0.5, 2.0, 0.9999)
+    spans = {300_000: 4_096, 70_000: 4_096, 131_073: 4_096, 50_000: 4_096, 8_193: 4_096,
+             3_000: 2_048, 5: 1_024}
+    distribution._CACHE.pop(p, None)
+    want = log_pmf(p, np.arange(300_001))
+    computed = []
+    log_steps = distribution._log_steps
+
+    def counted(nu, alpha, lo, hi):
+        computed.append(hi - lo)
+        return log_steps(nu, alpha, lo, hi)
+
+    monkeypatch.setattr(distribution, "_log_steps", counted)
+    try:
+        for j, orders in spans.items():
+            computed.clear()
+            assert log_pmf(p, j) == want[j]
+            assert computed == [orders]
+    finally:
+        distribution._CACHE.pop(p, None)
 
 
 def test_table_ends_cum_at_infinity():
@@ -667,6 +705,59 @@ def test_log_f_is_made_again_bit_for_bit(p):
     assert got[3:6] == got[:3] and got[6:] == got[:3]
 
 
+# FOLD_GRID's tables stay in segment 0; these pass it: the four bench shape
+# cases, nu > 1, and the truncated alpha -> 0+ tables
+BLOCK_GRID = [GigpParams(0.5, 2.0, 0.9999), GigpParams(0.0, 2.0, 0.9999),
+              GigpParams(-0.5, 2.0, 0.9999), GigpParams(-0.5, 0.0, 0.9999, True),
+              GigpParams(20.0, 2.0, 0.999), GigpParams(-1.0, 0.5, 0.9999, True),
+              GigpParams(-0.9, 1e-8, 0.9999, True)]
+
+
+def _dense_columns(t):
+    """The table's dense cum and sf, made from f = exp(log f) in one pass each."""
+    with np.errstate(under="ignore"):
+        f = np.exp(t.log_f(np.arange(t.jmax + 1)))
+    r = f[-1] / f[-2] if 0.0 < f[-1] < f[-2] else 0.0
+    sf = np.append(np.cumsum(f[::-1])[::-1] + f[-1] * r / (1.0 - r), 0.0)
+    sf[0] = 1.0
+    cum = np.cumsum(f)
+    cum[-1] = math.inf
+    return cum, sf
+
+
+@pytest.mark.parametrize("p", FOLD_GRID + BLOCK_GRID)
+def test_blocks_match_the_dense_table_bit_for_bit(p):
+    distribution._CACHE.pop(p, None)
+    try:
+        t = _tables(p)
+        cum, sf = _dense_columns(t)
+        # segment 0, then every block, holds the dense columns' bits
+        seg, size = distribution._SEGMENT_0, distribution._BLOCK
+        assert np.array_equal(t.cum, cum[:seg + 1]) and np.array_equal(t.sf, sf[:len(t.sf)])
+        carries = t._below.tolist()
+        for b in range(len(carries)):
+            lo = seg + 1 + size * b
+            block_cum, block_sf = t._block(b)
+            assert np.array_equal(block_cum, cum[lo:lo + size])
+            assert np.array_equal(block_sf, sf[lo:lo + len(block_sf)])
+        assert len(t.cum) + sum(len(t._block(b)[0]) for b in range(len(carries))) == t.jmax + 1
+        # draws, sorted or not, on the table with every block made and on a fresh one
+        u = np.random.default_rng(17).random(20_000)
+        u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], carries, u])
+        for draw_u in (u, np.sort(u)):
+            want = cum.searchsorted(draw_u, side="right")
+            assert np.array_equal(t.draw(draw_u), want)
+            distribution._CACHE.pop(p, None)
+            assert np.array_equal(_tables(p).draw(draw_u), want)
+        # ccdf away from the cut reads sf
+        distribution._CACHE.pop(p, None)
+        js = np.arange(t.jmax + 2, dtype=float)
+        js = js[js <= t.jmax + 16.0 / math.log(p.theta)]
+        assert np.array_equal(ccdf(p, js[::-1])[::-1], sf[:len(js)])
+    finally:
+        distribution._CACHE.pop(p, None)
+
+
 # theta_from_mean's bracket exits that FOLD_GRID does not reach: eta too
 # large and too small, with the seed clamped at u = 1e-14 or 1 - 1e-14 or
 # walked there, and a bracket found only at either clamp. Digest taken before
@@ -870,7 +961,7 @@ def test_mixture_sampler_matches_pmf():
     rng = np.random.default_rng(5)
     n = 20000
     for p in (GigpParams(0.5, 2.0, 0.9), GigpParams(0.5, 2.0, 0.3, zero_truncated=True)):
-        values = distribution._sample_mixture(p, rng, n)
+        values = _mixture._sample_mixture(p, rng, n)
         assert values.shape == (n,)
         assert values.min() >= (1 if p.zero_truncated else 0)
         for j in (1, 2, 5):
@@ -928,6 +1019,15 @@ def test_sample_is_the_table_of_sample_values(p, n):
     assert sample(p, 5, n) == diagram.table_from_sample(sample_values(p, 5, n))
     rng = np.random.default_rng(6)
     assert sample(p, rng, n) == diagram.table_from_sample(sample_values(p, 6, n))
+
+
+@pytest.mark.parametrize("p", [GigpParams(0.5, 2.0, 0.9999), GigpParams(-0.5, 2.0, 0.99),
+                               GigpParams(0.5, 2.0, 0.99999, True)])
+def test_ordered_draws_are_the_sorted_draws(p):
+    # sample draws from sorted uniforms (or sorts the mixture's values past
+    # the cap): the same draws as sample_values, in increasing order
+    got = distribution._sample_values_rng(p, np.random.default_rng(8), 5_000, ordered=True)
+    assert np.array_equal(got, np.sort(sample_values(p, 8, 5_000)))
 
 
 def test_sample_values_keep_draw_order():

@@ -58,6 +58,9 @@ CORE = PARSE + ["gigp.diagram", "gigp.distribution", "gigp.shape", "gigp.specfun
     (["shape", "--nu", "0.5"], 1, PARSE),
     (["shape", *MODEL, "--theta", "0.9", "--m", "100", "--seed", "1"], 0, CORE),
     (["simulate", *MODEL, "--theta", "0.9", "--m", "100", "--seed", "1"], 0, CORE),
+    # past the table cap the draws come from the GIG mixture sampler
+    (["simulate", *MODEL, "--theta", "0.99999", "--m", "100", "--seed", "1"], 0,
+     CORE + ["gigp._mixture"]),
     (["fit", "--data", "tiny.csv", *MODEL], 0, CORE + ["gigp.fitgof"]),
     (["gof", "--data", "tiny.csv", *MODEL], 0, CORE + ["gigp.fitgof"]),
     (["chaotic", "--nu", "-0.5", "--alpha", "2", "--theta", "0.99", "--m", "35",
@@ -66,8 +69,8 @@ CORE = PARSE + ["gigp.diagram", "gigp.distribution", "gigp.shape", "gigp.specfun
     # partition draws no GIGP model, so it needs no distribution, shape or specfun
     (["partition", "--n", "100", "--seed", "1"], 0,
      PARSE + ["gigp.diagram", "gigp.partition", "numpy"]),
-], ids=["help", "shape-help", "usage-error", "shape", "simulate", "fit", "gof", "chaotic",
-        "partition"])
+], ids=["help", "shape-help", "usage-error", "shape", "simulate", "simulate-past-cap", "fit",
+        "gof", "chaotic", "partition"])
 def test_a_process_loads_only_its_commands_modules(tmp_path, args, code, loaded):
     (tmp_path / "tiny.csv").write_text("j,count\n1,50\n2,20\n3,14\n5,10\n8,6\n13,4\n30,3\n")
     assert _loaded(["-m", "gigp", *args], tmp_path, code) == sorted(loaded)
