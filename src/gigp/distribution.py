@@ -26,9 +26,8 @@ from .specfun import bessel_k_ratio, log_bessel_k
 
 _LOG_TAIL_EPS = math.log(1e-15)
 _MAX_SUPPORT = 2_000_000
-_MAX_STRETCH = 65_536  # the table is built this many entries at a time, at most
-# the build keeps the table's columns for j <= _SEGMENT_0, a stretch end; past
-# it a table is made _BLOCK entries at a time, on read
+# log f is made _BLOCK orders at a time; the build keeps the table's columns
+# for j <= _SEGMENT_0, four blocks, and past it a block's columns are made on read
 _SEGMENT_0, _BLOCK = 16_384, 4_096
 _J_WINDOW = 12  # forward steps that settle a crude Bessel ratio seed
 
@@ -85,10 +84,8 @@ class _Tables:
     first read of a block makes its two columns from its span of log f and
     keeps them. A cumsum seeded with its carry is the same sequential
     sum, so they hold the dense table's bits. log f is not kept: a read makes
-    the span it needs again, bit for bit the values the build took exp of,
-    from the mark below the span (each stretch start, and from _BLOCK on each
-    _BLOCK-th order) to the mark at or past its end, and keeps the running
-    sum at each mark it reaches (one float a mark)."""
+    the blocks of log f that its span meets again, bit for bit the values the
+    build took exp of, each from its block's mark (see _blocks)."""
 
     __slots__ = ("sf", "cum", "jmax", "log_f_cut", "log_theta", "_span", "_tail",
                  "_below", "_past", "_blocks")
@@ -167,7 +164,7 @@ class _Tables:
 _CACHE: dict[GigpParams, _Tables | RuntimeError] = {}
 
 
-def _bessel_ratios(nu: float, alpha: float, j: np.ndarray, first: int | None = None
+def _bessel_ratios(nu: float, alpha: float, j: np.ndarray, r_prev: float | None = None
                    ) -> np.ndarray:
     """r_j = K_(nu+j+1)(alpha) / K_(nu+j)(alpha) at the consecutive orders j.
 
@@ -176,12 +173,11 @@ def _bessel_ratios(nu: float, alpha: float, j: np.ndarray, first: int | None = N
     from _J_WINDOW steps past the order where nu + j >= 4 alpha, every r_j
     is reached, bit for bit as the sequential loop gives it, from the crude
     seed 2 (nu+j-w)/alpha at j - w, one whole-array pass per step. The
-    window w is sized by the stretch's first such order j_1, where the
-    stretch starts at first (j[0] when not given), so a block of a stretch
-    takes the stretch's window and bits: with r_min = 2 (nu+j_1-_J_WINDOW)
-    / alpha, w = ceil(36 ln 2 / ln r_min) steps, between 2 and _J_WINDOW,
-    shrink the seed's error by at least 2^-72, as _J_WINDOW steps at
-    r_min = 8 do. Below that order the scalar loop runs from r_0.
+    window w is sized by the first such order j_1 in j: with r_min =
+    2 (nu+j_1-_J_WINDOW) / alpha, w = ceil(36 ln 2 / ln r_min) steps,
+    between 2 and _J_WINDOW, shrink the seed's error by at least 2^-72, as
+    _J_WINDOW steps at r_min = 8 do. Below that order the scalar loop runs,
+    on from r_prev = r_(j[0]-1) when given and from r_0 otherwise.
     """
     r = np.empty_like(j)
     lo, hi = int(j[0]), int(j[-1]) + 1
@@ -191,16 +187,15 @@ def _bessel_ratios(nu: float, alpha: float, j: np.ndarray, first: int | None = N
         j_first += 1
     j_star = max(j_first + _J_WINDOW, lo)
     if lo < j_star:
-        ratio = bessel_k_ratio(nu, alpha)
+        k0, ratio = (0, bessel_k_ratio(nu, alpha)) if r_prev is None else (lo - 1, r_prev)
         head = [ratio]
-        for k in range(1, min(hi, j_star)):
+        for k in range(k0 + 1, min(hi, j_star)):
             ratio = 2.0 * (nu + k) / alpha + 1.0 / ratio
             head.append(ratio)
-        r[:len(head) - lo] = head[lo:]
+        r[:j_star - lo] = head[lo - k0:]
     tail, jt = r[j_star - lo:], j[j_star - lo:]
     if tail.size:
-        j_1 = max(j_first + _J_WINDOW, lo if first is None else first)
-        r_min = 2.0 * (nu + j_1 - _J_WINDOW) / alpha
+        r_min = 2.0 * (nu + j_star - _J_WINDOW) / alpha
         w = min(_J_WINDOW, max(2, math.ceil(36.0 * math.log(2.0) / math.log(r_min))))
         step = np.empty_like(jt)
         np.subtract(jt, w - nu, out=tail)
@@ -215,26 +210,27 @@ def _bessel_ratios(nu: float, alpha: float, j: np.ndarray, first: int | None = N
     return r
 
 
-def _log_steps(nu: float, alpha: float, lo: int, hi: int) -> np.ndarray:
-    """s_j = log(f_(j+1) / (theta f_j)) for lo <= j < hi.
+def _log_steps(nu: float, alpha: float, lo: int, hi: int, r_prev: float | None = None
+               ) -> tuple[np.ndarray, float | None]:
+    """s_j = log(f_(j+1) / (theta f_j)) for lo <= j < hi, and for alpha > 0
+    the Bessel ratio r_(hi-1) that the steps from hi on continue from.
 
     This is the O(1/j) part of each log-pmf step: log((nu+j)/(j+1)) at
     alpha = 0, log(alpha r_j / (2 (j+1))) with the Bessel ratio r_j
-    otherwise. Summing only these keeps the running sum small; the
-    linear j log(theta) part is added per index.
+    otherwise, on from r_prev = r_(lo-1) as in _bessel_ratios. Summing only
+    these keeps the running sum small; the linear j log(theta) part is
+    added per index.
     """
     j = np.arange(lo, hi, dtype=float)
     if alpha > 0.0:
-        # the window of the stretch that holds lo: from 1024 the stretches
-        # start at powers of 2, and past _MAX_STRETCH at its multiples
-        first = lo if lo < 1024 else max(1 << (lo.bit_length() - 1), lo - lo % _MAX_STRETCH)
-        s = _bessel_ratios(nu, alpha, j, first)
+        s = _bessel_ratios(nu, alpha, j, r_prev)
+        r_prev = float(s[-1])
         s *= 0.5 * alpha
     else:
         s = j + nu
     j += 1.0
     s /= j
-    return np.log(s, out=s)
+    return np.log(s, out=s), r_prev
 
 
 def _log_tail(j: np.ndarray, log_tail_const: float, nu: float, theta: float) -> np.ndarray:
@@ -270,36 +266,29 @@ def _family_head(params: GigpParams) -> tuple[int, float, float, float]:
     return (*head, math.log(-math.expm1(log_p0)) if params.zero_truncated else 0.0)
 
 
-def _stretches(nu: float, alpha: float, log_theta: float, j0: int, log_f0: float,
-               marks: dict[int, float], lo: int, end: int = _MAX_SUPPORT):
-    """Yield (lo, stretch) from the mark at lo: stretch[k] is log f_j =
-    log f_(j0) + (j - j0) log(theta) + sum_(j0 <= i < j) s_i at j = lo + 1 + k.
-    marks maps each order reached to the sum there, from marks = {j0: 0} on:
-    each stretch's end, and from _BLOCK on each _BLOCK-th order; they are
-    added before a stretch is yielded. Stretches double from 1024 entries up
-    to _MAX_STRETCH, start at its multiples past it and end at the cap; from
-    _BLOCK on a stretch that reaches end stops at the first mark at or past
-    it. A run from any mark gives the same values bit for bit."""
-    acc = marks[lo]
-    while lo < _MAX_SUPPORT:
-        hi = min(max(1 << lo.bit_length(), 1024), lo - lo % _MAX_STRETCH + _MAX_STRETCH,
-                 _MAX_SUPPORT)
-        if lo >= _BLOCK:
-            hi = min(hi, -(-end // _BLOCK) * _BLOCK)
-        stretch = _log_steps(nu, alpha, lo, hi)
-        stretch[0] += acc
-        np.cumsum(stretch, out=stretch)
-        if lo >= _BLOCK:
-            marks.update(zip(range(lo + _BLOCK, hi, _BLOCK),
-                             stretch[_BLOCK - 1::_BLOCK].tolist()))
-        marks[hi] = float(stretch[-1])
+def _blocks(nu: float, alpha: float, log_theta: float, j0: int, log_f0: float,
+            marks: list, b: int):
+    """Yield (lo, block) for block b on: block[k] is log f_j = log f_(j0) +
+    (j - j0) log(theta) + sum_(j0 <= i < j) s_i at j = lo + 1 + k, from lo =
+    max(b _BLOCK, j0) to (b + 1) _BLOCK or the cap. marks[b] is block b's
+    mark, the sum at lo and the Bessel ratio r_(lo-1) (None at block 0 and
+    for alpha = 0), from marks = [(0.0, None)] on; a block appends the next
+    block's mark when first made. A run from any mark gives the same values
+    bit for bit."""
+    while b * _BLOCK < _MAX_SUPPORT:
+        lo, hi = max(b * _BLOCK, j0), min((b + 1) * _BLOCK, _MAX_SUPPORT)
+        acc, r = marks[b]
+        block, r = _log_steps(nu, alpha, lo, hi, r)
+        block[0] += acc
+        np.cumsum(block, out=block)
+        if b + 1 == len(marks):
+            marks.append((float(block[-1]), r))
         lin = np.arange(lo + 1 - j0, hi + 1 - j0, dtype=float)
         lin *= log_theta
         lin += log_f0
-        stretch += lin
-        del lin
-        yield lo, stretch
-        lo, acc = hi, marks[hi]
+        block += lin
+        yield lo, block
+        b += 1
 
 
 def _geometric_tail(f: np.ndarray) -> float:
@@ -347,7 +336,7 @@ def _build_tables(params: GigpParams) -> _Tables:
     log_theta = math.log(theta)
     j0, log_f0, log_tail_const, log_norm = _family_head(params)
     # zero truncation divides every mass by 1 - f_0: the head and the tail
-    # constant take it, so the stretches and the cut test read the table's masses
+    # constant take it, so the blocks and the cut test read the table's masses
     log_f0 -= log_norm
     log_tail_const -= log_norm
 
@@ -369,74 +358,64 @@ def _build_tables(params: GigpParams) -> _Tables:
     if params.zero_truncated:
         head[0] = -math.inf
 
-    # the sum at each mark a pass has reached, so a later pass starts at the
-    # mark below what it reads
-    marks = {j0: 0.0}
+    # each block's mark, once a pass has reached the block
+    marks = [(0.0, None)]
 
     def span(lo, end):
-        # the head, then the stretches from the last mark below lo; no stretch
-        # below lo is held
+        # the head, then the blocks from the one that holds lo, or from the
+        # last one reached if that is below it
         if end > _MAX_SUPPORT:
             raise RuntimeError("pmf support cutoff not reached")
         pieces = [head[lo:end + 1]]
         if end > j0:
-            start = max(k for k in marks if k < max(lo, j0 + 1))
-            for first, stretch in _stretches(nu, alpha, log_theta, j0, log_f0, marks, start,
-                                             end):
-                last = first + len(stretch)
+            b = min(max(lo - 1, j0) // _BLOCK, len(marks) - 1)
+            for first, block in _blocks(nu, alpha, log_theta, j0, log_f0, marks, b):
+                last = first + len(block)
                 if last >= lo:
-                    pieces.append(stretch[max(lo - first - 1, 0):end - first])
+                    pieces.append(block[max(lo - first - 1, 0):end - first])
                 if last >= end:
                     break
         return np.concatenate(pieces)
 
-    # each stretch is tested for the cut, then turned into f in its own
-    # buffer; segment 0 is the head and the first n0 - 1 stretches
+    # each block is tested for the cut, then turned into f in its own buffer
     with np.errstate(under="ignore"):
-        pieces, n0 = [np.exp(head)], 1
-        for lo, stretch in _stretches(nu, alpha, log_theta, j0, log_f0, marks, j0):
-            n0 += lo < _SEGMENT_0
+        pieces = [np.exp(head)]
+        for lo, block in _blocks(nu, alpha, log_theta, j0, log_f0, marks, 0):
             k0 = max(cut_from - lo - 1, 0)
-            j = np.flatnonzero(stretch[k0:] < -40.0) + (lo + 1 + k0)
+            j = np.flatnonzero(block[k0:] < -40.0) + (lo + 1 + k0)
             hit = np.flatnonzero(_log_tail(j, log_tail_const, nu, theta) < _LOG_TAIL_EPS)
             if hit.size:
-                stretch = stretch[:j[hit[0]] - lo]
-            log_f_cut = float(stretch[-1])
-            pieces.append(np.exp(stretch, out=stretch))
+                block = block[:j[hit[0]] - lo]
+            log_f_cut = float(block[-1])
+            pieces.append(np.exp(block, out=block))
             if hit.size:
                 jmax = int(j[hit[0]])
                 break
         else:
             raise RuntimeError("pmf support cutoff not reached")
-    del j, stretch
     last = pieces[-1]
     tail = _geometric_tail(last[-2:] if last.size > 1 else np.append(pieces[-2][-1:], last))
-    f0 = np.concatenate(pieces[:n0])
-    far = pieces[n0:]
+    # segment 0 is the head and blocks 0-3
+    n0 = 1 + _SEGMENT_0 // _BLOCK
+    f0, far = np.concatenate(pieces[:n0]), pieces[n0:]
     del pieces, last
-    # past segment 0 each stretch is a run of whole blocks, the last cut at
-    # jmax: the suffix sums from the cut down, through one scratch buffer, then
-    # cum in each stretch's own buffer, keep only their carry at each block
-    below, past, carry = [], [], 0.0
-    scratch = np.empty(max(map(len, far), default=0))
+    # past segment 0 each block keeps two carries, each one sequential sum:
+    # the suffix sum just past it, summed from the cut down, and the cum
+    # just below it, summed in the block's own buffer
+    past, carry = [], 0.0
     for f in reversed(far):
-        s = scratch[:len(f)]
-        np.copyto(s, f[::-1])
-        s[0] += carry
-        np.cumsum(s, out=s)
-        past[:0] = [*s[::-1][_BLOCK::_BLOCK].tolist(), carry]
-        carry = float(s[-1])
-    del scratch
+        past.append(carry)
+        carry = float(np.cumsum(np.append(carry, f[::-1]))[-1])
     cum, sf = _columns(f0, 0.0, carry, tail, not far)
     # P(X >= 0) = 1 exactly, and past the table the ccdf reads 0
     sf[0] = 1.0
-    carry = float(cum[-1])
+    below, carry = [], float(cum[-1])
     for f in far:
+        below.append(carry)
         f[0] += carry
-        below += [carry, *np.cumsum(f, out=f)[_BLOCK - 1:-1:_BLOCK].tolist()]
-        carry = float(f[-1])
+        carry = float(np.cumsum(f, out=f)[-1])
     return _Tables(sf, cum, jmax, log_f_cut, log_theta, span, tail, np.array(below),
-                   np.array(past))
+                   np.array(past[::-1]))
 
 
 def _tables(params: GigpParams) -> _Tables:

@@ -148,9 +148,9 @@ def test_ccdf_just_below_the_support_cap(monkeypatch):
     computed = []
     log_steps = distribution._log_steps
 
-    def counted(nu, alpha, lo, hi):
+    def counted(nu, alpha, lo, hi, *rest):
         computed.append(hi - lo)
-        return log_steps(nu, alpha, lo, hi)
+        return log_steps(nu, alpha, lo, hi, *rest)
 
     monkeypatch.setattr(distribution, "_log_steps", counted)
     distribution._CACHE.pop(p, None)
@@ -162,6 +162,32 @@ def test_ccdf_just_below_the_support_cap(monkeypatch):
             if x > 1.8e6:
                 assert sum(computed) < 500_000
         assert ccdf(p, 3e6) == 0.0
+    finally:
+        distribution._CACHE.pop(p, None)
+
+
+def test_blocks_below_j_star_carry_the_bessel_ratio(monkeypatch):
+    # at (0.5, 3e4, 0.9) every block lies below j* ~ 120,012, where the Bessel
+    # ratios come from the scalar loop: each block runs it on from its mark's
+    # ratio, so only block 0 starts it from K_(nu+1)/K_nu: once a table, across
+    # the build, the blocks that a ccdf and a sample read, and scalar log_pmf
+    # reads past block 0
+    p = GigpParams(0.5, 3e4, 0.9)
+    calls = []
+
+    def counted(nu, alpha):
+        calls.append((nu, alpha))
+        return bessel_k_ratio(nu, alpha)
+
+    monkeypatch.setattr(distribution, "bessel_k_ratio", counted)
+    distribution._CACHE.pop(p, None)
+    try:
+        assert _tables(p).jmax == 90_321
+        ccdf(p, np.arange(70_000))
+        sample(p, 1, 100_000)
+        for j in (20_000, 50_000, 90_000):
+            log_pmf(p, j)
+        assert calls == [(0.5, 3e4)]
     finally:
         distribution._CACHE.pop(p, None)
 
@@ -195,6 +221,22 @@ def test_bessel_ratios_match_the_sequential_recurrence():
         for lo in (1024, 3000, 65_536, 300_000):
             later = _bessel_ratios(nu, alpha, np.arange(lo, lo + 1000, dtype=float))
             assert later.tolist() == want[lo:lo + 1000]
+        # a block sizes its window from its own first order: at (0.5, 2) the
+        # window has 2 steps from r_min = 2^18 on, so the block from 266,240
+        # takes 2 where one sized from the power of 2 below it took 3
+        got = _bessel_ratios(nu, alpha, np.arange(266_240, 270_336, dtype=float))
+        assert got.tolist() == want[266_240:270_336]
+    # at alpha = 3e4, j* ~ 120,012: blocks below it, and the one across it,
+    # run the scalar loop on from the ratio carried from the block below
+    nu, alpha = 0.5, 3e4
+    ratio = bessel_k_ratio(nu, alpha)
+    want = [ratio]
+    for k in range(1, 126_976):
+        ratio = 2.0 * (nu + k) / alpha + 1.0 / ratio
+        want.append(ratio)
+    for lo in (4096, 69_632, 118_784, 122_880):
+        got = _bessel_ratios(nu, alpha, np.arange(lo, lo + 4096, dtype=float), want[lo - 1])
+        assert got.tolist() == want[lo:lo + 4096]
 
 
 def test_table_cut_past_the_mass_for_nu_above_one():
@@ -256,7 +298,7 @@ NEAR_CUT_DIGEST = "e1fef05e4fd1482057a7fbf1a3a9c6ee93bf9556168dfd91ed06f2a79f04c
 
 
 def test_table_holds_two_columns_and_log_f_only_once_read():
-    # at (0.5, 2, 0.9999), 322,482 entries, the build turns each stretch into
+    # at (0.5, 2, 0.9999), 322,482 entries, the build turns each block into
     # f in its own buffer and keeps the two columns for segment 0 (j <= 16,384)
     # only, with two carries per 4,096-entry block past it: its tracemalloc
     # peak stays under the two dense columns (~4.9 MiB)
@@ -304,20 +346,19 @@ def test_table_holds_two_columns_and_log_f_only_once_read():
 
 
 def test_a_scalar_read_makes_at_most_one_block(monkeypatch):
-    # log_pmf at one j starts at the mark below it and stops at the first mark
-    # at or past it: from j = 4,096 on one 4,096-order span of log steps, below
-    # it the stretch that holds j. The value is the one a span from 0 gives
+    # log_pmf at one j makes the 4,096-order block that holds it, from that
+    # block's mark. The value is the one a span from 0 gives
     p = GigpParams(0.5, 2.0, 0.9999)
     spans = {300_000: 4_096, 70_000: 4_096, 131_073: 4_096, 50_000: 4_096, 8_193: 4_096,
-             3_000: 2_048, 5: 1_024}
+             3_000: 4_096, 5: 4_096}
     distribution._CACHE.pop(p, None)
     want = log_pmf(p, np.arange(300_001))
     computed = []
     log_steps = distribution._log_steps
 
-    def counted(nu, alpha, lo, hi):
+    def counted(nu, alpha, lo, hi, *rest):
         computed.append(hi - lo)
-        return log_steps(nu, alpha, lo, hi)
+        return log_steps(nu, alpha, lo, hi, *rest)
 
     monkeypatch.setattr(distribution, "_log_steps", counted)
     try:
@@ -688,7 +729,7 @@ def test_family_head_and_truncation_bits_are_pinned():
 @pytest.mark.parametrize("p", FOLD_GRID + [GigpParams(0.5, 2.0, 0.9999)])
 def test_log_f_is_made_again_bit_for_bit(p):
     # the table keeps no log f: log_pmf, pmf and a ccdf near the cut make it
-    # again from the stretches, and read the same bits on a fresh table, after
+    # again from the blocks, and read the same bits on a fresh table, after
     # a sample and after a ccdf past the cut
     jmax = _tables(p).jmax
     span = -16.0 / math.log(p.theta)
@@ -706,11 +747,12 @@ def test_log_f_is_made_again_bit_for_bit(p):
 
 
 # FOLD_GRID's tables stay in segment 0; these pass it: the four bench shape
-# cases, nu > 1, and the truncated alpha -> 0+ tables
+# cases, nu > 1, the truncated alpha -> 0+ tables, and a table whose blocks
+# all lie below j* and so run on from a carried Bessel ratio
 BLOCK_GRID = [GigpParams(0.5, 2.0, 0.9999), GigpParams(0.0, 2.0, 0.9999),
               GigpParams(-0.5, 2.0, 0.9999), GigpParams(-0.5, 0.0, 0.9999, True),
               GigpParams(20.0, 2.0, 0.999), GigpParams(-1.0, 0.5, 0.9999, True),
-              GigpParams(-0.9, 1e-8, 0.9999, True)]
+              GigpParams(-0.9, 1e-8, 0.9999, True), GigpParams(0.5, 3e4, 0.9)]
 
 
 def _dense_columns(t):
