@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .diagram import table_from_sample
 from .distribution import GigpParams, _sample_values_rng, ccdf, validate
 from .fitgof import GofReport, _open_top_chi2
 from .shape import _check_m_sources, classify_regime, scaling_a, scaling_b
@@ -121,6 +122,6 @@ def poisson_gof_experiment(params: GigpParams, m_sources: int, x0: float,
     ys = _replicate_counts(params, np.random.default_rng(seed), m_sources,
                            threshold, replicates)
     lam = float(np.mean(ys)) if fit_lambda else m_sources * ccdf(params, threshold)
-    return _open_top_chi2(*np.unique(ys, return_counts=True), 0, lambda jmax: np.array(
+    return _open_top_chi2(table_from_sample(ys), 0, lambda jmax: np.array(
         [_poisson_pmf(j, lam) for j in range(jmax)] + [_poisson_sf(jmax, lam)]),
         1 if fit_lambda else 0, min_expected)

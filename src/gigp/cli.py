@@ -200,10 +200,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_shape(args) -> int:
     from .distribution import sample
-    from .shape import sup_distance
+    from .shape import _check_delta, sup_distance
     params = _params_from(args)
-    if not args.delta > 0.0:
-        raise ValueError("--delta must be positive")
+    _check_delta(args.delta, params.theta)
     table = sample(params, args.seed, args.m)
     cfg = _config_echo(args, params, args.m)
     if args.format == "svg":
@@ -253,7 +252,7 @@ def _cmd_gof(args) -> int:
     fitted = int(args.theta is None)
     j_lo = 1 if params.zero_truncated else 0
     rep = _open_top_chi2(
-        table.support, table.mult, j_lo,
+        table, j_lo,
         lambda j_hi: np.append(pmf(params, np.arange(j_lo, j_hi)), ccdf(params, j_hi)),
         fitted, args.min_expected)
     cfg = _config_echo(args, params, table.M)

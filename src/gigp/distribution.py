@@ -26,9 +26,8 @@ from .specfun import bessel_k_ratio, log_bessel_k
 
 _LOG_TAIL_EPS = math.log(1e-15)
 _MAX_SUPPORT = 2_000_000
-# log f is made _BLOCK orders at a time; the build keeps the table's columns
-# for j <= _SEGMENT_0, four blocks, and past it a block's columns are made on read
-_SEGMENT_0, _BLOCK = 16_384, 4_096
+# the pmf table is made and read in blocks of _BLOCK orders (see _Tables)
+_BLOCK = 4_096
 _J_WINDOW = 12  # forward steps that settle a crude Bessel ratio seed
 
 
@@ -75,39 +74,90 @@ def _check_mean_domain(params: GigpParams) -> None:
 
 class _Tables:
     """The pmf table for one parameter triple (post truncation), read only
-    through ccdf, log_f and draw. Its columns sf and cum run to the cut jmax
-    that the params fix, cum ends in +inf, and log_f_cut is log f_jmax.
+    through ccdf, log_f and draw. It runs to the cut jmax that the params
+    fix; log_f_cut is log f_jmax and tail the geometric mass past jmax.
 
-    The build keeps sf and cum for j <= _SEGMENT_0 (segment 0). Past it, for
-    each block b of _BLOCK entries from j = _SEGMENT_0 + b _BLOCK + 1 on, it
-    keeps the cum just below and the suffix sum just past the block; the
-    first read of a block makes its two columns from its span of log f and
-    keeps them. A cumsum seeded with its carry is the same sequential
-    sum, so they hold the dense table's bits. log f is not kept: a read makes
-    the blocks of log f that its span meets again, bit for bit the values the
-    build took exp of, each from its block's mark (see _blocks)."""
+    Block 0 holds j = 0, ..., _BLOCK and block b > 0 holds j in (b _BLOCK,
+    (b + 1) _BLOCK], in log f and in the two columns, cum and sf; cum ends
+    in +inf and sf in the 0 at jmax + 1. The build keeps, per block, the cum
+    just below it and the suffix sum just past it, and block 0's columns,
+    also held as cum and sf. The first read of a later block makes its
+    columns from its span of log f and keeps them. A cumsum seeded with its
+    carry is the same sequential sum, so they hold the dense table's bits.
+    log f is not kept: a read makes the blocks of log f that its span meets
+    again, bit for bit the values the build took exp of, each from its
+    block's mark (see _log_blocks)."""
 
-    __slots__ = ("sf", "cum", "jmax", "log_f_cut", "log_theta", "_span", "_tail",
-                 "_below", "_past", "_blocks")
+    __slots__ = ("nu", "alpha", "log_theta", "j0", "log_f0", "head", "marks", "jmax",
+                 "log_f_cut", "tail", "below", "past", "cum", "sf", "_blocks")
 
-    def __init__(self, sf, cum, jmax, log_f_cut, log_theta, span, tail, below, past):
-        self.sf, self.cum, self.jmax = sf, cum, jmax
-        self.log_f_cut, self.log_theta = log_f_cut, log_theta
-        self._span = span  # _span(lo, end): log f_lo, ..., log f_end, up to the cap
-        self._tail = tail  # the geometric mass past jmax, in every sf entry
-        self._below, self._past = below, past  # per block, empty without blocks
+    def __init__(self, params: GigpParams, j0: int, log_f0: float):
+        # what log f is made from; the build sets the rest
+        self.nu, self.alpha, self.log_theta = params.nu, params.alpha, math.log(params.theta)
+        self.j0, self.log_f0 = j0, log_f0
+        # log f_j for j <= j0; zero truncation leaves f_0 no mass
+        self.head = np.full(j0 + 1, -math.inf)
+        self.head[j0] = log_f0
+        if params.zero_truncated:
+            self.head[0] = -math.inf
+        self.marks = [(0.0, None)]  # each block's mark, once a pass has reached the block
         self._blocks = {}  # block b -> its (cum, sf), once read
 
-    def _block(self, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """Block b's (cum, sf); the last block's sf ends in the 0 at jmax + 1."""
+    def _log_blocks(self, b: int):
+        """Yield (first, block) for block b on: block[k] is log f_j at j = first
+        + k, the head at j <= j0 and past it log f_(j0) + (j - j0) log(theta) +
+        sum_(j0 <= i < j) s_i, summed from lo = max(b _BLOCK, j0) to (b + 1)
+        _BLOCK or the cap. marks[b] is block b's mark, the sum at lo and the
+        Bessel ratio r_(lo-1) (None at block 0 and for alpha = 0); a block
+        appends the next block's mark when first made. A run from any mark
+        gives the same values bit for bit."""
+        j0 = self.j0
+        while b * _BLOCK < _MAX_SUPPORT:
+            lo, hi = max(b * _BLOCK, j0), min((b + 1) * _BLOCK, _MAX_SUPPORT)
+            acc, r = self.marks[b]
+            block, r = _log_steps(self.nu, self.alpha, lo, hi, r)
+            block[0] += acc
+            np.cumsum(block, out=block)
+            if b + 1 == len(self.marks):
+                self.marks.append((float(block[-1]), r))
+            lin = np.arange(lo + 1 - j0, hi + 1 - j0, dtype=float)
+            lin *= self.log_theta
+            lin += self.log_f0
+            block += lin
+            if not b:
+                block = np.concatenate([self.head, block])
+            yield _first(b), block
+            b += 1
+
+    def _span(self, lo: int, end: int) -> np.ndarray:
+        """log f_lo, ..., log f_end, from the blocks from the one that holds
+        lo, or from the last one reached if that is below it; past the cap it
+        raises."""
+        if end > _MAX_SUPPORT:
+            raise RuntimeError("pmf support cutoff not reached")
+        pieces, b = [], min(max(lo - 1, 0) // _BLOCK, len(self.marks) - 1)
+        for first, block in self._log_blocks(b):
+            last = first + len(block)
+            if last > lo:
+                pieces.append(block[max(lo - first, 0):end + 1 - first])
+            if last > end:
+                break
+        return np.concatenate(pieces)
+
+    def _block(self, b: int, f: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Block b's (cum, sf), made on first read from f, its masses when
+        the caller has them, or else from its span of log f."""
         cols = self._blocks.get(b)
         if cols is None:
-            lo = _SEGMENT_0 + b * _BLOCK
-            hi = min(lo + _BLOCK, self.jmax)
-            with np.errstate(under="ignore"):
-                f = np.exp(self._span(lo + 1, hi))
-            cols = self._blocks[b] = _columns(f, self._below[b], self._past[b], self._tail,
-                                              hi == self.jmax)
+            end = b + 1 == len(self.below)
+            if f is None:
+                with np.errstate(under="ignore"):
+                    f = np.exp(self._span(_first(b), min((b + 1) * _BLOCK, self.jmax)))
+            sf = _suffix(f, self.past[b], self.tail, end)
+            cum = _cum(f, self.below[b])
+            if end:
+                cum[-1] = math.inf
+            cols = self._blocks[b] = cum, sf
         return cols
 
     def ccdf(self, j: np.ndarray) -> np.ndarray:
@@ -118,14 +168,14 @@ class _Tables:
         # underflows, and from the cap on, ccdf reads 0
         stop = min(self.jmax - span + (745.0 + self.log_f_cut) / -self.log_theta, _MAX_SUPPORT)
         is_near = (j > self.jmax - span) & (j < stop)
+        # where the near-cut sums below do not replace the value, it is read
+        # in its block's sf, past jmax in the 0 that ends the last block's
         k = np.minimum(j, self.jmax + 1).astype(np.intp)
-        out = self.sf[np.minimum(k, len(self.sf) - 1)]
-        # past segment 0 a block is read where the near-cut sums below do not
-        # replace the value (the last block's sf ends in the 0 past jmax)
-        far = np.flatnonzero((k >= len(self.sf)) & ~is_near)
-        firsts = np.arange(_SEGMENT_0 + 1 + _BLOCK, self.jmax + 1, _BLOCK)
+        out = np.empty(len(j))
+        far = np.flatnonzero(~is_near)
+        firsts = np.arange(_BLOCK + 1, self.jmax + 1, _BLOCK)
         for b, at, kb in _by_block(far, k[far], firsts):
-            out[at] = self._block(b)[1][kb - (_SEGMENT_0 + 1 + b * _BLOCK)]
+            out[at] = self._block(b)[1][kb - _first(b)]
         near = np.flatnonzero(is_near)
         ends = np.minimum(self.jmax + np.ceil((j[near] + span - self.jmax) / step) * step,
                           _MAX_SUPPORT)
@@ -135,8 +185,7 @@ class _Tables:
             lo = int(j[at].min())
             with np.errstate(under="ignore"):
                 f = np.exp(self._span(lo, end))
-            sf = _columns(f, 0.0, 0.0, _geometric_tail(f), True)[1]
-            out[at] = sf[j[at].astype(np.intp) - lo]
+            out[at] = _suffix(f, 0.0, _geometric_tail(f))[j[at].astype(np.intp) - lo]
         return out
 
     def log_f(self, js: np.ndarray) -> np.ndarray:
@@ -147,16 +196,14 @@ class _Tables:
         return self._span(lo, end)[js - lo]
 
     def draw(self, u: np.ndarray) -> np.ndarray:
-        """The inverse cdf at uniforms u in [0, 1), by one search in segment
+        """The inverse cdf at uniforms u in [0, 1), by one search in block
         0's cum (the ndarray method skips np.searchsorted's dispatch, ~2 us
         a call), then for a u past it in the block whose carries bracket it."""
         out = self.cum.searchsorted(u, side="right")
-        if self.jmax > _SEGMENT_0:
-            far = np.flatnonzero(out > _SEGMENT_0)
-            for b, at, ub in _by_block(far, u[far], self._below[1:]):
-                got = self._block(b)[0].searchsorted(ub, side="right")
-                got += _SEGMENT_0 + 1 + b * _BLOCK
-                out[at] = got
+        if self.jmax > _BLOCK:
+            far = np.flatnonzero(out > _BLOCK)
+            for b, at, ub in _by_block(far, u[far], self.below[1:]):
+                out[at] = self._block(b)[0].searchsorted(ub, side="right") + _first(b)
         return out
 
 
@@ -266,55 +313,36 @@ def _family_head(params: GigpParams) -> tuple[int, float, float, float]:
     return (*head, math.log(-math.expm1(log_p0)) if params.zero_truncated else 0.0)
 
 
-def _blocks(nu: float, alpha: float, log_theta: float, j0: int, log_f0: float,
-            marks: list, b: int):
-    """Yield (lo, block) for block b on: block[k] is log f_j = log f_(j0) +
-    (j - j0) log(theta) + sum_(j0 <= i < j) s_i at j = lo + 1 + k, from lo =
-    max(b _BLOCK, j0) to (b + 1) _BLOCK or the cap. marks[b] is block b's
-    mark, the sum at lo and the Bessel ratio r_(lo-1) (None at block 0 and
-    for alpha = 0), from marks = [(0.0, None)] on; a block appends the next
-    block's mark when first made. A run from any mark gives the same values
-    bit for bit."""
-    while b * _BLOCK < _MAX_SUPPORT:
-        lo, hi = max(b * _BLOCK, j0), min((b + 1) * _BLOCK, _MAX_SUPPORT)
-        acc, r = marks[b]
-        block, r = _log_steps(nu, alpha, lo, hi, r)
-        block[0] += acc
-        np.cumsum(block, out=block)
-        if b + 1 == len(marks):
-            marks.append((float(block[-1]), r))
-        lin = np.arange(lo + 1 - j0, hi + 1 - j0, dtype=float)
-        lin *= log_theta
-        lin += log_f0
-        block += lin
-        yield lo, block
-        b += 1
-
-
 def _geometric_tail(f: np.ndarray) -> float:
     """The mass past the last f: a geometric series at the last ratio f_J / f_(J-1)."""
     r = f[-1] / f[-2] if 0.0 < f[-1] < f[-2] else 0.0
     return f[-1] * r / (1.0 - r)
 
 
-def _columns(f: np.ndarray, below: float, past: float, tail: float, end: bool
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """(cum, sf) over a run of f, from below, the cum just before it, and
-    past, the suffix sum just after it: the sums of one pass over the whole
-    table, bit for bit, as the suffix sums take the smallest terms first.
-    Each sf adds tail, the mass past the table; where the run ends the table,
-    cum ends in +inf and sf in a 0. cum is accumulated in f's own buffer."""
+def _first(b: int) -> int:
+    """The first j of block b."""
+    return b * _BLOCK + (b > 0)
+
+
+def _cum(f: np.ndarray, below: float) -> np.ndarray:
+    """The running sum of f on from below, the cum just before it: the sums
+    of one pass over the whole table, bit for bit."""
+    cum = np.append(below, f)
+    return np.cumsum(cum, out=cum)[1:]
+
+
+def _suffix(f: np.ndarray, past: float, tail: float, end: bool = False) -> np.ndarray:
+    """The suffix sums of f on from past, the suffix sum just after it, plus
+    tail, the mass past the table: the sums of one pass over the whole table,
+    bit for bit, as they take the smallest terms first. end appends the 0
+    past the table."""
     n = len(f)
     sf = np.zeros(n + end)
     sf[:n] = f
     sf[n - 1] += past
     np.cumsum(sf[n - 1::-1], out=sf[n - 1::-1])
     sf[:n] += tail
-    f[0] += below
-    cum = np.cumsum(f, out=f)
-    if end:
-        cum[-1] = math.inf
-    return cum, sf
+    return sf
 
 
 def _by_block(at: np.ndarray, keys: np.ndarray, bounds: np.ndarray):
@@ -332,12 +360,10 @@ def _by_block(at: np.ndarray, keys: np.ndarray, bounds: np.ndarray):
 
 
 def _build_tables(params: GigpParams) -> _Tables:
-    nu, alpha, theta = params.nu, params.alpha, params.theta
-    log_theta = math.log(theta)
+    nu, theta = params.nu, params.theta
     j0, log_f0, log_tail_const, log_norm = _family_head(params)
     # zero truncation divides every mass by 1 - f_0: the head and the tail
     # constant take it, so the blocks and the cut test read the table's masses
-    log_f0 -= log_norm
     log_tail_const -= log_norm
 
     # the cut is the first j >= cut_from with log f_j < -40 and the tail
@@ -346,76 +372,43 @@ def _build_tables(params: GigpParams) -> _Tables:
     # up before building when no j up to the cap can have it: the asymptote
     # is decreasing (nu <= 1) or concave (nu > 1) in j, so its least value
     # on [cut_from, cap] is at an end
-    cut_from = max(16, math.ceil(min((1.0 - nu) / log_theta, _MAX_SUPPORT + 1.0)))
+    cut_from = max(16, math.ceil(min((1.0 - nu) / math.log(theta), _MAX_SUPPORT + 1.0)))
     ends = np.array([cut_from, _MAX_SUPPORT])
     if (cut_from > _MAX_SUPPORT
             or _log_tail(ends, log_tail_const, nu, theta).min() >= _LOG_TAIL_EPS):
         raise RuntimeError("pmf support cutoff not reached")
+    t = _Tables(params, j0, log_f0 - log_norm)
 
-    # log f_j for j <= j0; zero truncation leaves f_0 no mass
-    head = np.full(j0 + 1, -math.inf)
-    head[j0] = log_f0
-    if params.zero_truncated:
-        head[0] = -math.inf
-
-    # each block's mark, once a pass has reached the block
-    marks = [(0.0, None)]
-
-    def span(lo, end):
-        # the head, then the blocks from the one that holds lo, or from the
-        # last one reached if that is below it
-        if end > _MAX_SUPPORT:
-            raise RuntimeError("pmf support cutoff not reached")
-        pieces = [head[lo:end + 1]]
-        if end > j0:
-            b = min(max(lo - 1, j0) // _BLOCK, len(marks) - 1)
-            for first, block in _blocks(nu, alpha, log_theta, j0, log_f0, marks, b):
-                last = first + len(block)
-                if last >= lo:
-                    pieces.append(block[max(lo - first - 1, 0):end - first])
-                if last >= end:
-                    break
-        return np.concatenate(pieces)
-
-    # each block is tested for the cut, then turned into f in its own buffer
+    # each block of log f is tested for the cut, then turned into f in its own buffer
     with np.errstate(under="ignore"):
-        pieces = [np.exp(head)]
-        for lo, block in _blocks(nu, alpha, log_theta, j0, log_f0, marks, 0):
-            k0 = max(cut_from - lo - 1, 0)
-            j = np.flatnonzero(block[k0:] < -40.0) + (lo + 1 + k0)
+        pieces = []
+        for first, block in t._log_blocks(0):
+            k0 = max(cut_from - first, 0)
+            j = np.flatnonzero(block[k0:] < -40.0) + (first + k0)
             hit = np.flatnonzero(_log_tail(j, log_tail_const, nu, theta) < _LOG_TAIL_EPS)
             if hit.size:
-                block = block[:j[hit[0]] - lo]
-            log_f_cut = float(block[-1])
+                block = block[:j[hit[0]] + 1 - first]
+            t.log_f_cut = float(block[-1])
             pieces.append(np.exp(block, out=block))
             if hit.size:
-                jmax = int(j[hit[0]])
+                t.jmax = int(j[hit[0]])
                 break
         else:
             raise RuntimeError("pmf support cutoff not reached")
     last = pieces[-1]
-    tail = _geometric_tail(last[-2:] if last.size > 1 else np.append(pieces[-2][-1:], last))
-    # segment 0 is the head and blocks 0-3
-    n0 = 1 + _SEGMENT_0 // _BLOCK
-    f0, far = np.concatenate(pieces[:n0]), pieces[n0:]
-    del pieces, last
-    # past segment 0 each block keeps two carries, each one sequential sum:
-    # the suffix sum just past it, summed from the cut down, and the cum
-    # just below it, summed in the block's own buffer
-    past, carry = [], 0.0
-    for f in reversed(far):
-        past.append(carry)
-        carry = float(np.cumsum(np.append(carry, f[::-1]))[-1])
-    cum, sf = _columns(f0, 0.0, carry, tail, not far)
-    # P(X >= 0) = 1 exactly, and past the table the ccdf reads 0
-    sf[0] = 1.0
-    below, carry = [], float(cum[-1])
-    for f in far:
-        below.append(carry)
-        f[0] += carry
-        carry = float(np.cumsum(f, out=f)[-1])
-    return _Tables(sf, cum, jmax, log_f_cut, log_theta, span, tail, np.array(below),
-                   np.array(past[::-1]))
+    t.tail = _geometric_tail(last[-2:] if last.size > 1 else np.append(pieces[-2][-1:], last))
+    # per block two carries, each one sequential sum: the suffix sum just
+    # past it, summed from the cut down, and the cum just below it
+    past, below = [0.0], [0.0]
+    for f in pieces[:0:-1]:
+        past.append(float(_suffix(f, past[-1], 0.0)[0]))
+    for f in pieces[:-1]:
+        below.append(float(_cum(f, below[-1])[-1]))
+    t.below, t.past = np.array(below), np.array(past[::-1])
+    t.cum, t.sf = t._block(0, pieces[0])
+    # P(X >= 0) = 1 exactly
+    t.sf[0] = 1.0
+    return t
 
 
 def _tables(params: GigpParams) -> _Tables:

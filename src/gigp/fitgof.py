@@ -172,17 +172,17 @@ def pearson_chi2(observed: Sequence[int], expected: Sequence[float],
                      np.array(out_o, dtype=np.int64), np.array(out_e))
 
 
-def _open_top_chi2(support: np.ndarray, mult: np.ndarray, j_lo: int, probs,
-                   n_fitted_params: int, min_expected: float) -> GofReport:
-    """pearson_chi2 of the counts mult of the distinct values support (in
-    increasing order, none below j_lo) over the bins j_lo, ..., j_hi - 1 and
-    "j_hi+" from the largest value j_hi, whose probabilities are probs(j_hi)."""
-    j_hi = int(support[-1])
+def _open_top_chi2(table: FrequencyTable, j_lo: int, probs, n_fitted_params: int,
+                   min_expected: float) -> GofReport:
+    """pearson_chi2 of a table with no value below j_lo over the bins j_lo,
+    ..., j_hi - 1 and "j_hi+" from its largest value j_hi, whose
+    probabilities are probs(j_hi)."""
+    j_hi = int(table.support[-1])
     observed = np.zeros(j_hi - j_lo + 1, dtype=np.int64)
-    observed[support - j_lo] = mult
+    observed[table.support - j_lo] = table.mult
     labels = [str(j) for j in range(j_lo, j_hi)] + [f"{j_hi}+"]
-    return pearson_chi2(observed, int(mult.sum()) * probs(j_hi), n_fitted_params,
-                        min_expected, labels)
+    return pearson_chi2(observed, table.M * probs(j_hi), n_fitted_params, min_expected,
+                        labels)
 
 
 def pointwise_z_test(table: FrequencyTable, params: GigpParams,

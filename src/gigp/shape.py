@@ -61,6 +61,12 @@ def scaling_a(theta: float) -> float:
     return -1.0 / math.log(theta)
 
 
+def _check_delta(delta: float, theta: float) -> None:
+    """sup_distance reads the model at j = A delta, so delta > 0 with A delta finite."""
+    if not (delta > 0.0 and math.isfinite(scaling_a(theta) * delta)):
+        raise ValueError("delta must be positive, with A delta finite")
+
+
 def _check_m_sources(m_sources: int) -> None:
     if m_sources < 1 or int(m_sources) != m_sources:
         raise ValueError("m_sources must be a positive integer")
@@ -168,8 +174,7 @@ def sup_distance(table: FrequencyTable, params: GigpParams, delta: float) -> Sha
     Var(Y-tilde) + bias^2, with the model mean M F-bar(j)/B read at the
     same integer j as Y(j). Every column is one whole-array pass.
     """
-    if not delta > 0.0:
-        raise ValueError("delta must be positive")
+    _check_delta(delta, params.theta)
     pair = scaling_b(params, table.M)
     a, b, m = pair.a, pair.b, table.M
     support, suffix = table.support, table.suffix

@@ -422,6 +422,40 @@ def test_a_nan_min_expected_is_one_error_line(tmp_path, capsys):
         assert not out.exists()
 
 
+BAD_FLAG_BASE = {
+    "simulate": ["simulate", "--nu", "0.5", "--alpha", "2", "--theta", "0.9", "--m", "5",
+                 "--seed", "1"],
+    "shape": ["shape", "--nu", "0.5", "--alpha", "2", "--theta", "0.9", "--m", "5",
+              "--seed", "1"],
+    "chaotic": ["chaotic", "--nu", "-0.5", "--alpha", "2", "--theta", "0.99", "--m", "35",
+                "--x0", "0.2", "--replicates", "100", "--seed", "1"],
+    "gof": ["gof", "--data", "small.csv", "--nu", "0.5", "--alpha", "2", "--theta", "0.9"],
+    "partition": ["partition", "--n", "10", "--seed", "1"],
+}
+# (command, flag, value): a later flag overrides the base's
+BAD_FLAGS = [("simulate", "--m", "0"),
+             *(("shape", "--delta", v) for v in ("nan", "inf", "1e308", "0")),
+             ("shape", "--seed", "-1"),
+             *(("chaotic", "--x0", v) for v in ("nan", "inf", "0")),
+             ("chaotic", "--replicates", "1"), ("chaotic", "--m", "0"),
+             ("chaotic", "--min-expected", "nan"), ("gof", "--min-expected", "nan"),
+             ("partition", "--n", "0"), ("partition", "--n", "-4"),
+             *(("simulate", "--theta", v) for v in ("nan", "inf", "0", "1")),
+             ("simulate", "--alpha", "inf"), ("simulate", "--alpha", "-1"),
+             ("simulate", "--nu", "inf")]
+
+
+@pytest.mark.parametrize("cmd, flag, value", BAD_FLAGS,
+                         ids=[f"{cmd}{flag}={value}" for cmd, flag, value in BAD_FLAGS])
+def test_a_bad_numeric_flag_is_one_error_line(tmp_path, monkeypatch, capsys, cmd, flag, value):
+    monkeypatch.chdir(tmp_path)
+    _write_csv(tmp_path, "small.csv", [(1, 50), (2, 20), (5, 10), (30, 3)])
+    assert main([*BAD_FLAG_BASE[cmd], flag, value]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    assert err.endswith("\n") and (flag != "--delta" or "delta" in err), err
+
+
 @pytest.mark.parametrize("args, line", [
     # alpha^2 theta / 2 overflows in the GIG mixture that samples past the cap
     (["shape", "--nu", "0.5", "--alpha", "1e200", "--theta", "0.5", "--m", "10", "--seed", "1"],

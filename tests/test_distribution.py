@@ -299,9 +299,9 @@ NEAR_CUT_DIGEST = "e1fef05e4fd1482057a7fbf1a3a9c6ee93bf9556168dfd91ed06f2a79f04c
 
 def test_table_holds_two_columns_and_log_f_only_once_read():
     # at (0.5, 2, 0.9999), 322,482 entries, the build turns each block into
-    # f in its own buffer and keeps the two columns for segment 0 (j <= 16,384)
-    # only, with two carries per 4,096-entry block past it: its tracemalloc
-    # peak stays under the two dense columns (~4.9 MiB)
+    # f in its own buffer and keeps the two columns for block 0 (j <= 4,096)
+    # only, with two carries per 4,096-entry block: its tracemalloc peak
+    # stays under the two dense columns (~4.9 MiB)
     p = GigpParams(0.5, 2.0, 0.9999)
     distribution._build_tables(GigpParams(0.5, 2.0, 0.9))
     tracemalloc.start()
@@ -316,18 +316,19 @@ def test_table_holds_two_columns_and_log_f_only_once_read():
         return {name: (getattr(t, name).dtype, getattr(t, name).shape) for name in t.__slots__
                 if isinstance(getattr(t, name), np.ndarray)}
 
-    seg, size = distribution._SEGMENT_0, distribution._BLOCK
-    blocks = -(-(t.jmax - seg) // size)
-    segment_0 = {"sf": (np.dtype(float), (seg + 1,)), "cum": (np.dtype(float), (seg + 1,)),
-                 "_below": (np.dtype(float), (blocks,)), "_past": (np.dtype(float), (blocks,))}
-    assert held() == segment_0 and t._blocks == {}
+    size = distribution._BLOCK
+    blocks = -(-t.jmax // size)
+    block_0 = {"head": (np.dtype(float), (1,)), "sf": (np.dtype(float), (size + 1,)),
+               "cum": (np.dtype(float), (size + 1,)), "below": (np.dtype(float), (blocks,)),
+               "past": (np.dtype(float), (blocks,))}
+    assert held() == block_0 and list(t._blocks) == [0] and t._blocks[0][0] is t.cum
 
     # log f is made again for each read and kept by none, and a block's two
     # columns only once a draw or a ccdf reads it: a sample, sup_distance,
-    # ccdf reads far from and near the cut, pmf and log_pmf leave segment 0
-    # and the blocks of the draws past it and of x = 100,000, under half the
-    # dense columns. The near-cut values are those the table gave when it
-    # kept a prefix
+    # ccdf reads far from and near the cut, pmf and log_pmf leave block 0
+    # and the blocks of the draws and of x = 100,000, under half the dense
+    # columns. The near-cut values are those the table gave when it kept a
+    # prefix
     distribution._CACHE.pop(p, None)
     t = _tables(p)
     table = sample(p, 1, 100_000)
@@ -338,11 +339,11 @@ def test_table_holds_two_columns_and_log_f_only_once_read():
     assert hashlib.sha256(near.tobytes()).hexdigest() == NEAR_CUT_DIGEST
     pmf(p, 5)
     log_pmf(p, t.jmax)
-    assert held() == segment_0
-    reached = {(j - seg - 1) // size for j in [*table.support.tolist(), 100_000] if j > seg}
+    assert held() == block_0
+    reached = {max(j - 1, 0) // size for j in [*table.support.tolist(), 100_000]}
     assert sorted(t._blocks) == sorted(reached) and len(reached) < blocks // 2
-    for cum, sf in t._blocks.values():
-        assert cum.shape == sf.shape == (size,)
+    for b, (cum, sf) in t._blocks.items():
+        assert cum.shape == sf.shape == ((size,) if b else (size + 1,))
 
 
 def test_a_scalar_read_makes_at_most_one_block(monkeypatch):
@@ -746,7 +747,7 @@ def test_log_f_is_made_again_bit_for_bit(p):
     assert got[3:6] == got[:3] and got[6:] == got[:3]
 
 
-# FOLD_GRID's tables stay in segment 0; these pass it: the four bench shape
+# FOLD_GRID's tables stay in block 0; these pass it: the four bench shape
 # cases, nu > 1, the truncated alpha -> 0+ tables, and a table whose blocks
 # all lie below j* and so run on from a carried Bessel ratio
 BLOCK_GRID = [GigpParams(0.5, 2.0, 0.9999), GigpParams(0.0, 2.0, 0.9999),
@@ -773,16 +774,15 @@ def test_blocks_match_the_dense_table_bit_for_bit(p):
     try:
         t = _tables(p)
         cum, sf = _dense_columns(t)
-        # segment 0, then every block, holds the dense columns' bits
-        seg, size = distribution._SEGMENT_0, distribution._BLOCK
-        assert np.array_equal(t.cum, cum[:seg + 1]) and np.array_equal(t.sf, sf[:len(t.sf)])
-        carries = t._below.tolist()
-        for b in range(len(carries)):
-            lo = seg + 1 + size * b
+        # block 0, then every later block, holds the dense columns' bits
+        assert np.array_equal(t.cum, cum[:len(t.cum)]) and np.array_equal(t.sf, sf[:len(t.sf)])
+        carries = t.below.tolist()
+        for b in range(1, len(carries)):
+            lo = distribution._first(b)
             block_cum, block_sf = t._block(b)
-            assert np.array_equal(block_cum, cum[lo:lo + size])
+            assert np.array_equal(block_cum, cum[lo:lo + len(block_cum)])
             assert np.array_equal(block_sf, sf[lo:lo + len(block_sf)])
-        assert len(t.cum) + sum(len(t._block(b)[0]) for b in range(len(carries))) == t.jmax + 1
+        assert sum(len(t._block(b)[0]) for b in range(len(carries))) == t.jmax + 1
         # draws, sorted or not, on the table with every block made and on a fresh one
         u = np.random.default_rng(17).random(20_000)
         u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], carries, u])

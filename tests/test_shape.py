@@ -105,8 +105,10 @@ def test_sup_distance_synthetic_exact_curve():
     assert worst_point <= 3.0 / b
     max_step = max(counts.values())
     assert report.sup_distance <= max_step / b + 3.0 / b
-    with pytest.raises(ValueError):
-        sup_distance(table, p, delta=0.0)
+    # A delta must be finite too, as the model is read at j = A delta
+    for delta in (0.0, math.nan, math.inf, 1e308):
+        with pytest.raises(ValueError, match="delta must be positive, with A delta finite"):
+            sup_distance(table, p, delta=delta)
 
 
 def test_sup_distance_fills_upsilon_and_msd():
