@@ -36,26 +36,28 @@ def read_frequency_csv(path: str) -> FrequencyTable:
     which carries a config echo comment, can be fed back in.
     """
     from .diagram import FrequencyTable
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [r for r in csv.reader(fh)
-                if r and not r[0].lstrip().startswith("#")]
-    if not rows:
-        raise ValueError("input CSV is empty; expected a 'j,count' header")
-    header = [c.strip() for c in rows[0]]
-    if header != ["j", "count"]:
-        raise ValueError("input CSV must have exactly the columns 'j,count', "
-                         f"got {header}")
     counts: dict[int, int] = {}
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            raise ValueError(f"line {i}: expected two fields, got {len(row)}")
-        try:
-            j, c = int(row[0]), int(row[1])
-        except ValueError:
-            raise ValueError(f"line {i}: j and count must be integers") from None
-        if j in counts:
-            raise ValueError(f"line {i}: duplicate support point j={j}")
-        counts[j] = c
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        rows = (r for r in reader if r and not r[0].lstrip().startswith("#"))
+        header = [c.strip() for c in next(rows, [])]
+        if not header:
+            raise ValueError("input CSV is empty; expected a 'j,count' header")
+        if header != ["j", "count"]:
+            raise ValueError("input CSV must have exactly the columns 'j,count', "
+                             f"got {header}")
+        for row in rows:
+            # the number of the row's last line in the file
+            i = reader.line_num
+            if len(row) != 2:
+                raise ValueError(f"line {i}: expected two fields, got {len(row)}")
+            try:
+                j, c = int(row[0]), int(row[1])
+            except ValueError:
+                raise ValueError(f"line {i}: j and count must be integers") from None
+            if j in counts:
+                raise ValueError(f"line {i}: duplicate support point j={j}")
+            counts[j] = c
     table = FrequencyTable(counts)
     if table.M == 0:
         raise ValueError("input CSV holds no sources")
@@ -220,17 +222,15 @@ def _cmd_shape(args) -> int:
 
 def _cmd_fit(args) -> int:
     from .fitgof import alpha_from_b, fit_tail_line
-    from .shape import scaling_b
     table = read_frequency_csv(args.data)
     params = _params_from(args, table)
     theta = params.theta
-    pair = scaling_b(params, table.M)
-    fit = fit_tail_line(table, pair.a, args.u_min, args.u_max)
+    cfg = _config_echo(args, params, table.M)
+    fit = fit_tail_line(table, cfg["scaling"]["a"], args.u_min, args.u_max)
     # the intercept determines alpha only in case (c); a declared alpha = 0
     # model is case (d), whose B carries no alpha
     alpha_hat = (alpha_from_b(args.nu, theta, table.M, math.exp(fit.logB_hat))
                  if args.alpha > 0.0 else None)
-    cfg = _config_echo(args, params, table.M)
     result = {"m": table.M, "n": table.N, "eta_hat": table.N / table.M,
               "theta": theta,
               "theta_source": "given" if args.theta is not None else "estimated",
@@ -297,8 +297,9 @@ def _cmd_partition(args) -> int:
 # ---------------------------------------------------------------- svg
 
 
-def _pane(points_sets, x_rng, y_rng, origin, size):
-    # map data coordinates into one svg pane, y up
+def _pane(curves, x_rng, y_rng, origin, size):
+    # map data coordinates into one svg pane, y up; each curve is
+    # (xs, ys, color, dash) with xs and ys arrays, drawn where both are in range
     x0, x1 = x_rng
     y0, y1 = y_rng
     ox, oy = origin
@@ -306,10 +307,11 @@ def _pane(points_sets, x_rng, y_rng, origin, size):
     sx = w / (x1 - x0) if x1 > x0 else 1.0
     sy = h / (y1 - y0) if y1 > y0 else 1.0
     paths = []
-    for pts, color, dash in points_sets:
-        coords = " ".join(
-            f"{ox + (x - x0) * sx:.3f},{oy + h - (y - y0) * sy:.3f}"
-            for x, y in pts if x0 <= x <= x1 and y0 <= y <= y1)
+    for xs, ys, color, dash in curves:
+        kept = (x0 <= xs) & (xs <= x1) & (y0 <= ys) & (ys <= y1)
+        coords = " ".join(map("{:.3f},{:.3f}".format,
+                              (ox + (xs[kept] - x0) * sx).tolist(),
+                              (oy + h - (ys[kept] - y0) * sy).tolist()))
         if coords:
             extra = f' stroke-dasharray="{dash}"' if dash else ""
             paths.append(f'<polyline fill="none" stroke="{color}" '
@@ -324,39 +326,33 @@ def _shape_svg(table, params: GigpParams, cfg: dict) -> str:
 
     from .distribution import ccdf
     from .fitgof import tail_points
-    from .shape import limit_shape, scaling_b
-    pair = scaling_b(params, table.M)
+    from .shape import limit_shape
+    a, b = cfg["scaling"]["a"], cfg["scaling"]["b"]
     # at least 1, so a sample with every source at j = 0 keeps a wide pane
     j_max = int(table.support.max(initial=1))
-    # left pane: data step, model ccdf, scaled-back limit shape
-    steps = []
-    prev_y = float(table.M)
-    for j, y in zip(table.support, table.suffix):
-        steps.append((float(j), prev_y))
-        steps.append((float(j), float(y)))
-        prev_y = float(y)
+    # left pane: data step, model ccdf, scaled-back limit shape; at each j_i
+    # the step drops from the height before it (M at the first) to Y(j_i)
+    steps = np.repeat(table.support, 2)
+    heights = np.concatenate([[table.M], np.repeat(table.suffix[:-1], 2)[:-1]])
     ts = j_max * np.arange(1, 201) / 200.0
-    model = list(zip(ts.tolist(), (table.M * ccdf(params, ts)).tolist()))
-    shape_y = (pair.b * limit_shape(params.nu, ts / pair.a)).tolist()
-    shape_curve = list(zip(ts.tolist(), shape_y))
-    y_top = max(table.M, max(shape_y)) * 1.05
-    left = _pane([(steps, "#1f77b4", None), (model, "#d62728", None),
-                  (shape_curve, "#2ca02c", "4 3")],
+    shape_y = b * limit_shape(params.nu, ts / a)
+    y_top = max(table.M, shape_y.max()) * 1.05
+    left = _pane([(steps, heights, "#1f77b4", None),
+                  (ts, table.M * ccdf(params, ts), "#d62728", None),
+                  (ts, shape_y, "#2ca02c", "4 3")],
                  (0.0, float(j_max)), (0.0, y_top), (40, 20), (360, 300))
     # right pane: transformed tail with the model line; only its frame
     # when no source sits at j >= 1
-    u, v = tail_points(table, pair.a)
+    u, v = tail_points(table, a)
     if not len(u):
         right = _pane([], (0.0, 1.0), (0.0, 1.0), (460, 20), (360, 300))
     else:
-        us, vs = u.tolist(), v.tolist()
-        line_u = min(us) + (max(us) - min(us)) * np.arange(101) / 100.0
-        line_v = math.log(pair.b) + (params.nu - 1.0) * line_u
-        line = list(zip(line_u.tolist(), line_v.tolist()))
-        lo_v = min(vs + line_v.tolist())
-        hi_v = max(vs + line_v.tolist())
-        right = _pane([(list(zip(us, vs)), "#1f77b4", None), (line, "#2ca02c", "4 3")],
-                      (min(us), max(us) + 1e-9), (lo_v, hi_v + 1e-9),
+        line_u = u.min() + (u.max() - u.min()) * np.arange(101) / 100.0
+        line_v = math.log(b) + (params.nu - 1.0) * line_u
+        lo_v = min(v.min(), line_v.min())
+        hi_v = max(v.max(), line_v.max())
+        right = _pane([(u, v, "#1f77b4", None), (line_u, line_v, "#2ca02c", "4 3")],
+                      (u.min(), u.max() + 1e-9), (lo_v, hi_v + 1e-9),
                       (460, 20), (360, 300))
     title = ("data / model / limit shape; right: tail coordinates "
              "(u, v) with slope nu-1")

@@ -106,6 +106,8 @@ PINNED = [
     ("chaotic-alpha2", "json", "ce8ff1fe7cbabb8e4a9affe19ba8151e0b9c1ba08a928da989543050f847451d"),
     ("chaotic-fit-lambda", "json", "e24983f0089998a18afdf3b7f2d382dacf98ca01a1611b71c728b9318b4eec6e"),
     ("gof-sparse", "json", "a491465e7e9d9f5ae8bfe2a2cd9fa3731ace1efbac313f51149d6618bcd97dbb"),
+    ("shape", "svg", "5daedd42cf3216794bfcbb5f5b968f2d1f3cdc4aeba4f105c6110d566c4ef321"),
+    ("shape-alpha2", "svg", "c2f02f2c62adb8e6c15b2fc9f3a368a182b0e0d54202654bb4120dc62ce308fd"),
 ]
 
 
@@ -486,6 +488,10 @@ def test_a_row_with_three_fields_is_one_error_line(tmp_path, capsys):
     data.write_text("j,count\n1,50\n2,20,7\n5,10\n")
     assert main(["fit", "--data", str(data), "--nu", "0.5", "--alpha", "2"]) == 1
     assert capsys.readouterr() == ("", "error: line 3: expected two fields, got 3\n")
+    # the number is the line's in the file: comment and blank lines count
+    data.write_text('# config: {"command": "simulate"}\nj,count\n1,50\n\n2,20,7\n')
+    assert main(["fit", "--data", str(data), "--nu", "0.5", "--alpha", "2"]) == 1
+    assert capsys.readouterr() == ("", "error: line 5: expected two fields, got 3\n")
 
 
 def test_theta_solve_survives_a_seed_overflow_near_nu_minus_one(tmp_path, monkeypatch, capsys):
