@@ -80,16 +80,15 @@ class _Tables:
     Block 0 holds j = 0, ..., _BLOCK and block b > 0 holds j in (b _BLOCK,
     (b + 1) _BLOCK], in log f and in the two columns, cum and sf; cum ends
     in +inf and sf in the 0 at jmax + 1. The build keeps, per block, the cum
-    just below it and the suffix sum just past it, and block 0's columns,
-    also held as cum and sf. The first read of a later block makes its
-    columns from its span of log f and keeps them. A cumsum seeded with its
-    carry is the same sequential sum, so they hold the dense table's bits.
-    log f is not kept: a read makes the blocks of log f that its span meets
-    again, bit for bit the values the build took exp of, each from its
-    block's mark (see _log_blocks)."""
+    just below it and the suffix sum just past it, both running sums of the
+    block masses, and block 0's columns, also held as cum and sf. The first
+    read of a later block makes its columns from its span of log f and its
+    two carries, and keeps them. log f is not kept: a read makes the blocks
+    of log f that its span meets again, each from its block's mark (see
+    _log_blocks)."""
 
-    __slots__ = ("nu", "alpha", "log_theta", "j0", "log_f0", "head", "marks", "jmax",
-                 "log_f_cut", "tail", "below", "past", "cum", "sf", "_blocks")
+    __slots__ = ("nu", "alpha", "log_theta", "j0", "log_f0", "head", "log_norm_low", "marks",
+                 "jmax", "log_f_cut", "tail", "below", "past", "cum", "sf", "_blocks")
 
     def __init__(self, params: GigpParams, j0: int, log_f0: float):
         # what log f is made from; the build sets the rest
@@ -100,17 +99,19 @@ class _Tables:
         self.head[j0] = log_f0
         if params.zero_truncated:
             self.head[0] = -math.inf
-        self.marks = [(0.0, None)]  # each block's mark, once a pass has reached the block
+        self.log_norm_low = 0.0  # see _build_tables
+        self.marks = [(0.0, bessel_k_ratio(self.nu, self.alpha) if self.alpha else None)]
         self._blocks = {}  # block b -> its (cum, sf), once read
 
     def _log_blocks(self, b: int):
         """Yield (first, block) for block b on: block[k] is log f_j at j = first
         + k, the head at j <= j0 and past it log f_(j0) + (j - j0) log(theta) +
         sum_(j0 <= i < j) s_i, summed from lo = max(b _BLOCK, j0) to (b + 1)
-        _BLOCK or the cap. marks[b] is block b's mark, the sum at lo and the
-        Bessel ratio r_(lo-1) (None at block 0 and for alpha = 0); a block
-        appends the next block's mark when first made. A run from any mark
-        gives the same values bit for bit."""
+        _BLOCK or the cap, less log_norm_low. marks[b] is block b's mark, once
+        a pass has reached it: the sum at lo and the Bessel ratio r_(lo-1)
+        (r_0 at block 0, None for alpha = 0); a block appends the next block's
+        mark when first made. A run from any mark gives the same values bit
+        for bit."""
         j0 = self.j0
         while b * _BLOCK < _MAX_SUPPORT:
             lo, hi = max(b * _BLOCK, j0), min((b + 1) * _BLOCK, _MAX_SUPPORT)
@@ -126,6 +127,7 @@ class _Tables:
             block += lin
             if not b:
                 block = np.concatenate([self.head, block])
+            block -= self.log_norm_low
             yield _first(b), block
             b += 1
 
@@ -144,17 +146,18 @@ class _Tables:
                 break
         return np.concatenate(pieces)
 
-    def _block(self, b: int, f: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Block b's (cum, sf), made on first read from f, its masses when
-        the caller has them, or else from its span of log f."""
+    def _block(self, b: int) -> tuple[np.ndarray, np.ndarray]:
+        """Block b's (cum, sf), made on first read from its span of log f.
+        P(X >= j) = 1 exactly up to the first j with mass."""
         cols = self._blocks.get(b)
         if cols is None:
             end = b + 1 == len(self.below)
-            if f is None:
-                with np.errstate(under="ignore"):
-                    f = np.exp(self._span(_first(b), min((b + 1) * _BLOCK, self.jmax)))
+            with np.errstate(under="ignore"):
+                f = np.exp(self._span(_first(b), min((b + 1) * _BLOCK, self.jmax)))
             sf = _suffix(f, self.past[b], self.tail, end)
-            cum = _cum(f, self.below[b])
+            cum = np.cumsum(np.append(self.below[b], f))[1:]
+            if not self.below[b]:
+                sf[:cum.searchsorted(0.0, side="right") + 1] = 1.0
             if end:
                 cum[-1] = math.inf
             cols = self._blocks[b] = cum, sf
@@ -167,7 +170,9 @@ class _Tables:
         # past the cut f_j falls ~theta a step, so from where f at x + 16 A
         # underflows, and from the cap on, ccdf reads 0
         stop = min(self.jmax - span + (745.0 + self.log_f_cut) / -self.log_theta, _MAX_SUPPORT)
-        is_near = (j > self.jmax - span) & (j < stop)
+        # up to the first j with mass it reads sf, which is 1 there
+        first = int(self.cum.searchsorted(0.0, side="right"))
+        is_near = (j > max(self.jmax - span, first)) & (j < stop)
         # where the near-cut sums below do not replace the value, it is read
         # in its block's sf, past jmax in the 0 that ends the last block's
         k = np.minimum(j, self.jmax + 1).astype(np.intp)
@@ -224,7 +229,8 @@ def _bessel_ratios(nu: float, alpha: float, j: np.ndarray, r_prev: float | None 
     2 (nu+j_1-_J_WINDOW) / alpha, w = ceil(36 ln 2 / ln r_min) steps,
     between 2 and _J_WINDOW, shrink the seed's error by at least 2^-72, as
     _J_WINDOW steps at r_min = 8 do. Below that order the scalar loop runs,
-    on from r_prev = r_(j[0]-1) when given and from r_0 otherwise.
+    on from r_prev = r_(j[0]-1) (r_0 at j[0] = 0) when given and from r_0
+    otherwise.
     """
     r = np.empty_like(j)
     lo, hi = int(j[0]), int(j[-1]) + 1
@@ -234,7 +240,7 @@ def _bessel_ratios(nu: float, alpha: float, j: np.ndarray, r_prev: float | None 
         j_first += 1
     j_star = max(j_first + _J_WINDOW, lo)
     if lo < j_star:
-        k0, ratio = (0, bessel_k_ratio(nu, alpha)) if r_prev is None else (lo - 1, r_prev)
+        k0, ratio = (0, bessel_k_ratio(nu, alpha)) if r_prev is None else (max(lo - 1, 0), r_prev)
         head = [ratio]
         for k in range(k0 + 1, min(hi, j_star)):
             ratio = 2.0 * (nu + k) / alpha + 1.0 / ratio
@@ -291,26 +297,30 @@ def _log_tail(j: np.ndarray, log_tail_const: float, nu: float, theta: float) -> 
 def _family_head(params: GigpParams) -> tuple[int, float, float, float]:
     """Each family's first supported index j0, log f_(j0) and log c of the tail
     asymptote f_j ~ c j^(nu-1) theta^j, all before zero truncation, and the
-    log(1 - f_0) that truncation divides the pmf by (log L, L = -log(1 - theta),
-    for the log-series f_j = theta^j / (j L)); 0 for an untruncated model."""
+    log f_0 that truncation leaves out. The log-series f_j = theta^j / (j L),
+    L = -log(1 - theta), which exists only truncated, comes normalized, with
+    log f_0 = -inf. Before truncation these tables sum to at most 1."""
     nu, alpha, theta = params.nu, params.alpha, params.theta
     log_theta, log1m = math.log(theta), math.log1p(-theta)
     if alpha > 0.0:
         logk_small = log_bessel_k(nu, alpha * math.sqrt(1.0 - theta))
         log_p0 = 0.5 * nu * log1m + log_bessel_k(nu, alpha) - logk_small
-        head = (0, log_p0, 0.5 * nu * log1m - nu * math.log(0.5 * alpha)
-                - math.log(2.0) - logk_small)
-    elif nu == 0.0:
-        return 1, log_theta, 0.0, math.log(-log1m)
-    elif nu > 0.0:
+        return (0, log_p0, 0.5 * nu * log1m - nu * math.log(0.5 * alpha)
+                - math.log(2.0) - logk_small, log_p0)
+    if nu == 0.0:
+        log_l = math.log(-log1m)
+        return 1, log_theta - log_l, -log_l, -math.inf
+    if nu > 0.0:
         log_p0 = nu * log1m
         log_c = log_p0 - math.lgamma(nu)
-        head = ((1, math.log(nu) + log_p0 + log_theta, log_c) if params.zero_truncated
-                else (0, log_p0, log_c))
-    else:
-        log_p0 = -nu * log1m
-        head = 1, math.log(-nu) + log_theta, math.log(-nu) - math.lgamma(nu + 1.0)
-    return (*head, math.log(-math.expm1(log_p0)) if params.zero_truncated else 0.0)
+        return ((1, math.log(nu) + log_p0 + log_theta, log_c, log_p0) if params.zero_truncated
+                else (0, log_p0, log_c, log_p0))
+    return 1, math.log(-nu) + log_theta, math.log(-nu) - math.lgamma(nu + 1.0), -nu * log1m
+
+
+def _log_norm(params: GigpParams) -> float:
+    """log(1 - f_0) in closed form, 0 untruncated; the table divides by its own total."""
+    return math.log(-math.expm1(_family_head(params)[3])) if params.zero_truncated else 0.0
 
 
 def _geometric_tail(f: np.ndarray) -> float:
@@ -324,18 +334,10 @@ def _first(b: int) -> int:
     return b * _BLOCK + (b > 0)
 
 
-def _cum(f: np.ndarray, below: float) -> np.ndarray:
-    """The running sum of f on from below, the cum just before it: the sums
-    of one pass over the whole table, bit for bit."""
-    cum = np.append(below, f)
-    return np.cumsum(cum, out=cum)[1:]
-
-
 def _suffix(f: np.ndarray, past: float, tail: float, end: bool = False) -> np.ndarray:
     """The suffix sums of f on from past, the suffix sum just after it, plus
-    tail, the mass past the table: the sums of one pass over the whole table,
-    bit for bit, as they take the smallest terms first. end appends the 0
-    past the table."""
+    tail, the mass past the table; they take the smallest terms first. end
+    appends the 0 past the table."""
     n = len(f)
     sf = np.zeros(n + end)
     sf[:n] = f
@@ -361,53 +363,63 @@ def _by_block(at: np.ndarray, keys: np.ndarray, bounds: np.ndarray):
 
 def _build_tables(params: GigpParams) -> _Tables:
     nu, theta = params.nu, params.theta
-    j0, log_f0, log_tail_const, log_norm = _family_head(params)
-    # zero truncation divides every mass by 1 - f_0: the head and the tail
-    # constant take it, so the blocks and the cut test read the table's masses
-    log_tail_const -= log_norm
+    j0, log_f0, log_tail_const, _ = _family_head(params)
 
-    # the cut is the first j >= cut_from with log f_j < -40 and the tail
-    # asymptote below 1e-15. For nu > 1 the asymptote rises up to the mass
-    # at j = (nu - 1) A, A = -1 / log(theta), so the search starts there. Give
-    # up before building when no j up to the cap can have it: the asymptote
-    # is decreasing (nu <= 1) or concave (nu > 1) in j, so its least value
-    # on [cut_from, cap] is at an end
+    # the cut is the first j >= cut_from with f_j < e^-40 and the tail
+    # asymptote below 1e-15, both relative to the table's total. For nu > 1
+    # the asymptote rises up to the mass at j = (nu - 1) A, A = -1 / log(theta),
+    # so the search starts there. Give up before building when no j up to the
+    # cap can have it: the asymptote is decreasing (nu <= 1) or concave
+    # (nu > 1), so least at an end, and the total is at most 1 (_family_head)
     cut_from = max(16, math.ceil(min((1.0 - nu) / math.log(theta), _MAX_SUPPORT + 1.0)))
     ends = np.array([cut_from, _MAX_SUPPORT])
     if (cut_from > _MAX_SUPPORT
             or _log_tail(ends, log_tail_const, nu, theta).min() >= _LOG_TAIL_EPS):
         raise RuntimeError("pmf support cutoff not reached")
-    t = _Tables(params, j0, log_f0 - log_norm)
+    t = _Tables(params, j0, log_f0)
 
-    # each block of log f is tested for the cut, then turned into f in its own buffer
+    # each block of log f becomes f once and is summed once; only its mass is
+    # kept. The cut test reads against the running total, which only grows,
+    # so the cut can come late but never early, and none comes before any mass
+    masses, total, last = [], 0.0, 0.0
     with np.errstate(under="ignore"):
-        pieces = []
         for first, block in t._log_blocks(0):
+            f = np.exp(block)
+            mass = float(np.sum(f))
+            log_total = math.log(total + mass) if total + mass else -math.inf
             k0 = max(cut_from - first, 0)
-            j = np.flatnonzero(block[k0:] < -40.0) + (first + k0)
-            hit = np.flatnonzero(_log_tail(j, log_tail_const, nu, theta) < _LOG_TAIL_EPS)
+            j = np.flatnonzero(block[k0:] < log_total - 40.0) + (first + k0)
+            hit = np.flatnonzero(_log_tail(j, log_tail_const, nu, theta)
+                                 < log_total + _LOG_TAIL_EPS)
             if hit.size:
-                block = block[:j[hit[0]] + 1 - first]
-            t.log_f_cut = float(block[-1])
-            pieces.append(np.exp(block, out=block))
-            if hit.size:
-                t.jmax = int(j[hit[0]])
                 break
+            masses.append(mass)
+            total += mass
+            last = float(f[-1])
         else:
             raise RuntimeError("pmf support cutoff not reached")
-    last = pieces[-1]
-    t.tail = _geometric_tail(last[-2:] if last.size > 1 else np.append(pieces[-2][-1:], last))
-    # per block two carries, each one sequential sum: the suffix sum just
-    # past it, summed from the cut down, and the cum just below it
-    past, below = [0.0], [0.0]
-    for f in pieces[:0:-1]:
-        past.append(float(_suffix(f, past[-1], 0.0)[0]))
-    for f in pieces[:-1]:
-        below.append(float(_cum(f, below[-1])[-1]))
-    t.below, t.past = np.array(below), np.array(past[::-1])
-    t.cum, t.sf = t._block(0, pieces[0])
-    # P(X >= 0) = 1 exactly
-    t.sf[0] = 1.0
+        t.jmax = int(j[hit[0]])
+        f = f[:t.jmax + 1 - first]
+        masses.append(float(np.sum(f)))
+        total += masses[-1]
+        tail = _geometric_tail(np.append(last, f[-2:]))
+        # a zero-truncated table divides by its own total, the block masses
+        # plus the tail past the cut: log f_(j0) takes its log, and each block
+        # takes off, after its sums, what that rounding left (up to 1.8e-12
+        # where |log f_(j0)| ~ 2e4)
+        norm = total + tail if params.zero_truncated else 1.0
+        log_norm = math.log(norm)
+        t.log_f0 = log_f0 - log_norm
+        t.head -= log_norm
+        t.log_norm_low = math.fsum([log_norm, t.log_f0, -log_f0])
+        t.log_f_cut = float(block[t.jmax - first]) - log_norm
+        t.tail = tail / norm
+        # per block two carries: the cum just below it and the suffix sum
+        # just past it, summed from the cut down
+        m = np.array(masses) / norm
+        t.below = np.cumsum(np.append(0.0, m[:-1]))
+        t.past = np.append(np.cumsum(m[:0:-1])[::-1], 0.0)
+    t.cum, t.sf = t._block(0)
     return t
 
 
@@ -493,9 +505,7 @@ def mean_exact(params: GigpParams) -> float:
         return theta / ((1.0 - theta) * (-math.log1p(-theta)))
     else:
         eta = (-nu) * theta * math.pow(1.0 - theta, -nu - 1.0)
-    if params.zero_truncated:
-        eta /= math.exp(_family_head(params)[3])
-    return eta
+    return eta / math.exp(_log_norm(params))
 
 
 def mean_asymptotic(params: GigpParams) -> float:
@@ -614,8 +624,8 @@ def tail_pmf_asymptotic(params: GigpParams, j: int) -> float:
     validate(params)
     if int(j) != j or j < 1:
         raise ValueError("j must be a positive integer")
-    _, _, log_c, log_norm = _family_head(params)
-    logv = log_c - log_norm + (params.nu - 1.0) * math.log(j) + j * math.log(params.theta)
+    logv = (_family_head(params)[2] - _log_norm(params) + (params.nu - 1.0) * math.log(j)
+            + j * math.log(params.theta))
     return math.exp(logv) if logv > -745.0 else 0.0
 
 

@@ -258,15 +258,15 @@ def test_table_cut_past_the_mass_for_nu_above_one():
 
 
 def test_table_cut_and_support_cap():
-    # the cut is the first j >= max(16, (nu - 1) A) with log f_j < -40 and a
-    # tail asymptote below 1e-15, both read on the masses after zero
-    # truncation, so a truncated alpha -> 0+ table cuts near its alpha = 0
+    # the cut is the first j >= max(16, (nu - 1) A) with f_j < e^-40 and a
+    # tail asymptote below 1e-15, both relative to the running total of the
+    # table's masses, so a truncated alpha -> 0+ table cuts near its alpha = 0
     # limit (183,613 at 0.9999); past _MAX_SUPPORT = 2e6 the build gives up
     for p, jmax in ((GigpParams(0.5, 2.0, 0.99), 3311),
                     (GigpParams(0.5, 2.0, 0.9999), 322481),
                     (GigpParams(-0.5, 0.0, 0.9999, True), 239152),
-                    (GigpParams(-0.9, 1e-8, 0.9999, True), 184148),
-                    (GigpParams(-0.9, 1e-8, 0.5, True), 45)):
+                    (GigpParams(-0.9, 1e-8, 0.9999, True), 183816),
+                    (GigpParams(-0.9, 1e-8, 0.5, True), 46)):
         assert _tables(p).jmax == jmax
     for p in (GigpParams(0.5, 0.0, 0.99999), GigpParams(0.5, 2.0, 0.99999)):
         with pytest.raises(RuntimeError, match="pmf support cutoff not reached"):
@@ -298,10 +298,10 @@ NEAR_CUT_DIGEST = "e1fef05e4fd1482057a7fbf1a3a9c6ee93bf9556168dfd91ed06f2a79f04c
 
 
 def test_table_holds_two_columns_and_log_f_only_once_read():
-    # at (0.5, 2, 0.9999), 322,482 entries, the build turns each block into
-    # f in its own buffer and keeps the two columns for block 0 (j <= 4,096)
-    # only, with two carries per 4,096-entry block: its tracemalloc peak
-    # stays under the two dense columns (~4.9 MiB)
+    # at (0.5, 2, 0.9999), 322,482 entries, the build holds one block of f
+    # at a time and keeps its mass, then the two columns for block 0
+    # (j <= 4,096) only, with two carries per 4,096-entry block: its
+    # tracemalloc peak stays under 1 MiB, a fifth of the two dense columns
     p = GigpParams(0.5, 2.0, 0.9999)
     distribution._build_tables(GigpParams(0.5, 2.0, 0.9))
     tracemalloc.start()
@@ -310,7 +310,7 @@ def test_table_holds_two_columns_and_log_f_only_once_read():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5.5 * 2 ** 20
+    assert peak <= 2 ** 20
 
     def held():
         return {name: (getattr(t, name).dtype, getattr(t, name).shape) for name in t.__slots__
@@ -436,21 +436,21 @@ def _in_domain(p):
     return True
 
 
-# zero truncation divides by 1 - f0, which is taken as -expm1 of a difference
-# of two log K values and loses its digits as f0 -> 1 (alpha -> 0+, nu < 0);
-# not strict, because some of these cases sit just over the bound
-DEFECT_B = pytest.mark.xfail(reason="defect B of ROADMAP item 2: the norm 1 - f0 of "
-                                    "zero truncation as alpha -> 0+ with nu < 0")
-NORM_CASES = [
-    pytest.param(p, id=f"{p.nu}-{p.alpha}-{p.theta}-{'trunc' if p.zero_truncated else 'plain'}",
-                 marks=DEFECT_B if p.zero_truncated and p.nu < 0.0 and 0.0 < p.alpha <= 0.01
-                 else ())
-    for p in (GigpParams(nu, alpha, theta, truncated)
-              for nu in (-1.0, -0.9, -0.5, -0.1, 0.0, 0.5, 1.0, 3.0)
-              for alpha in (0.0, 1e-6, 0.01, 0.5, 2.0, 10.0)
-              for theta in (0.01, 0.5, 0.9, 0.99, 0.9999)
-              for truncated in (False, True))
-    if _in_domain(p)]
+def _norm_case(p):
+    return pytest.param(
+        p, id=f"{p.nu}-{p.alpha}-{p.theta}-{'trunc' if p.zero_truncated else 'plain'}")
+
+
+NORM_CASES = [_norm_case(p) for p in (GigpParams(nu, alpha, theta, truncated)
+                                      for nu in (-1.0, -0.9, -0.5, -0.1, 0.0, 0.5, 1.0, 3.0)
+                                      for alpha in (0.0, 1e-6, 0.01, 0.5, 2.0, 10.0)
+                                      for theta in (0.01, 0.5, 0.9, 0.99, 0.9999)
+                                      for truncated in (False, True))
+              if _in_domain(p)]
+# zero-truncated tables at large alpha, whose first masses are tiny (log f_1
+# is -84 to -204 at alpha = 300) or underflow (all of block 0 at 3e4)
+NORM_CASES += [_norm_case(GigpParams(nu, alpha, theta, True)) for nu in (-0.5, 0.5, 3.0)
+               for alpha in (300.0, 3e4) for theta in (0.5, 0.9)]
 NORM_CASES.append(pytest.param(
     GigpParams(0.5, 3e4, 0.9), id="0.5-30000.0-0.9-plain", marks=pytest.mark.xfail(
         strict=True, reason="untruncated tables drift off 1 at large alpha, 1 + 2.2e-10 "
@@ -459,11 +459,32 @@ NORM_CASES.append(pytest.param(
 
 @pytest.mark.parametrize("p", NORM_CASES)
 def test_pmf_sums_to_one_over_the_domain(p):
-    # the table's pmf up to its cut plus the ccdf past it
+    # the table's pmf up to its cut plus the ccdf past it; P(X >= j) is 1
+    # exactly up to j0, the first j with mass
     jmax = _tables(p).jmax
-    j0 = 1 if p.zero_truncated else 0
-    total = math.fsum(pmf(p, np.arange(j0, jmax + 1)).tolist()) + ccdf(p, jmax + 1)
+    js = np.arange(1 if p.zero_truncated else 0, jmax + 1)
+    f = pmf(p, js)
+    assert ccdf(p, 0.0) == 1.0 and ccdf(p, float(js[np.flatnonzero(f)[0]])) == 1.0
+    total = math.fsum(f.tolist()) + ccdf(p, jmax + 1)
     assert abs(total - 1.0) <= 1e-12
+
+
+# zero truncation as alpha -> 0+ with nu < 0, where f0 -> 1 and the closed
+# form 1 - f0 cancels (the table summed to 0.72 at the first triple); at
+# nu = -1 the closed form is not even positive
+TRUNCATED_NEAR_ALPHA_0 = [(-0.9, 1e-8, 0.5), (-0.9, 1e-8, 0.99), (-0.999, 1e-6, 0.9),
+                          (-0.9, 1e-4, 0.9), (-0.5, 1e-6, 0.5), (-1.0, 1e-8, 0.9)]
+
+
+@pytest.mark.parametrize("nu, alpha, theta", TRUNCATED_NEAR_ALPHA_0)
+def test_truncated_pmf_near_alpha_zero_against_mpmath(nu, alpha, theta):
+    # the table divides by its own total; the oracle by 1 - f0 at 30 digits
+    p = GigpParams(nu, alpha, theta, True)
+    jmax = _tables(p).jmax
+    masses = _bessel_sum_masses(nu, alpha, theta, jmax)
+    js = np.unique(np.geomspace(1, jmax, 30).round().astype(int))
+    want = [float(masses[j] / (1 - masses[0])) for j in js]
+    assert pmf(p, js) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_log_pmf_matches_pmf():
@@ -741,16 +762,18 @@ def test_non_finite_parameters_are_rejected(entry, field, value):
 
 # one triple per alpha = 0 family, truncated and not where it exists, and
 # at alpha > 0; no pinned CLI document covers a truncated nu > 0 or a
-# truncated alpha > 0 table. Digest re-taken when the alpha > 0 tables took
-# the truncation norm before their cut test, as the alpha = 0 ones did: the
-# three truncated alpha > 0 triples moved, each cutting one or more entries later.
+# truncated alpha > 0 table. Digest re-taken when zero-truncated tables came
+# to divide by their own total, not the closed-form 1 - f0: the sf of the
+# eight truncated triples moved, by 1.6e-14 relative at most, and the f of
+# five of them by 7.1e-15; none cut elsewhere. The untruncated tables, and
+# the means, tail constants and thetas of all twelve, kept their bits.
 FOLD_GRID = [GigpParams(0.5, 0.0, 0.9), GigpParams(0.5, 0.0, 0.9, True),
              GigpParams(2.5, 0.0, 0.7, True), GigpParams(0.0, 0.0, 0.9, True),
              GigpParams(0.0, 0.0, 0.3, True), GigpParams(-0.5, 0.0, 0.9, True),
              GigpParams(-0.9, 0.0, 0.5, True), GigpParams(0.5, 2.0, 0.9),
              GigpParams(0.5, 2.0, 0.9, True), GigpParams(-0.5, 1.0, 0.99, True),
              GigpParams(-1.0, 2.0, 0.5, True), GigpParams(0.0, 2.0, 0.8)]
-FOLD_DIGEST = "ac8bb3e887154eff9534adc282fe05c2160c09843a34f21b8f37912580ccadb9"
+FOLD_DIGEST = "316d2966d556a0ce6fc9f93710698b4083339edc360a8410268f6196faff6eb3"
 
 
 def test_family_head_and_truncation_bits_are_pinned():
@@ -794,16 +817,17 @@ BLOCK_GRID = [GigpParams(0.5, 2.0, 0.9999), GigpParams(0.0, 2.0, 0.9999),
               GigpParams(-0.9, 1e-8, 0.9999, True), GigpParams(0.5, 3e4, 0.9)]
 
 
-def _dense_columns(t):
-    """The table's dense cum and sf, made from f = exp(log f) in one pass each."""
-    with np.errstate(under="ignore"):
-        f = np.exp(t.log_f(np.arange(t.jmax + 1)))
-    r = f[-1] / f[-2] if 0.0 < f[-1] < f[-2] else 0.0
-    sf = np.append(np.cumsum(f[::-1])[::-1] + f[-1] * r / (1.0 - r), 0.0)
-    sf[0] = 1.0
-    cum = np.cumsum(f)
-    cum[-1] = math.inf
-    return cum, sf
+def _fsum_prefixes(f, ends):
+    """math.fsum(f[:end]) at each of the increasing ends, carried exactly
+    from one end to the next as a pair of floats."""
+    out, hi, lo, at = [], 0.0, 0.0, 0
+    for end in ends:
+        part = [hi, lo, *f[at:end]]
+        hi = math.fsum(part)
+        lo = math.fsum([*part, -hi])
+        out.append(hi)
+        at = end
+    return np.array(out)
 
 
 @pytest.mark.parametrize("p", FOLD_GRID + BLOCK_GRID)
@@ -811,24 +835,42 @@ def test_blocks_match_the_dense_table_bit_for_bit(p):
     distribution._CACHE.pop(p, None)
     try:
         t = _tables(p)
-        cum, sf = _dense_columns(t)
-        # block 0, then every later block, holds the dense columns' bits
-        assert np.array_equal(t.cum, cum[:len(t.cum)]) and np.array_equal(t.sf, sf[:len(t.sf)])
-        carries = t.below.tolist()
-        for b in range(1, len(carries)):
-            lo = distribution._first(b)
-            block_cum, block_sf = t._block(b)
-            assert np.array_equal(block_cum, cum[lo:lo + len(block_cum)])
-            assert np.array_equal(block_sf, sf[lo:lo + len(block_sf)])
-        assert sum(len(t._block(b)[0]) for b in range(len(carries))) == t.jmax + 1
+        n, blocks = t.jmax + 1, range(len(t.below))
+        cum = np.concatenate([t._block(b)[0] for b in blocks])
+        sf = np.concatenate([t._block(b)[1] for b in blocks])
+        assert len(cum) == n and len(sf) == n + 1 and cum[-1] == math.inf and sf[-1] == 0.0
+        # against exact sums of the dense f, at every block edge and every
+        # 97th j: cum, and sf with the table's tail past the cut; P(X >= j) is
+        # 1 exactly up to the first j with mass. Each block's cumsum rounds
+        # up to 4,097 times near 1, so cum is held to 5e-13 (the dense
+        # sequential cumsum is off by 3.8e-13 at (0.5, 2, 0.9999))
+        with np.errstate(under="ignore"):
+            f = np.exp(t.log_f(np.arange(n)))
+        edges = [distribution._first(b) + k for b in blocks for k in (-1, 0)]
+        js = np.unique(np.clip([*range(0, n, 97), *edges, n - 2], 0, n - 2))
+        want = _fsum_prefixes(f.tolist(), js + 1)
+        assert np.all(np.abs(cum[js] - want) <= 5e-13)
+        rev = [t.tail, *f[::-1].tolist()]
+        want = _fsum_prefixes(rev, n + 1 - js[::-1])[::-1]
+        first = np.concatenate([[0.0], cum[:-1]])[js] == 0.0
+        assert np.all(sf[js][first] == 1.0)
+        assert np.all(np.abs(sf[js] - want)[~first] <= 1e-14 * want[~first])
+        # bit for bit, a block's columns are the same made at build, on first
+        # read, or on a fresh table in another order
+        built = t._blocks.pop(0)
+        assert all(np.array_equal(x, y) for x, y in zip(built, t._block(0)))
+        distribution._CACHE.pop(p, None)
+        fresh = _tables(p)
+        for b in reversed(blocks):
+            assert all(np.array_equal(x, y) for x, y in zip(t._block(b), fresh._block(b)))
         # draws, sorted or not, on the table with every block made and on a fresh one
         u = np.random.default_rng(17).random(20_000)
-        u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], carries, u])
+        u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], t.below, u])
         for draw_u in (u, np.sort(u)):
-            want = cum.searchsorted(draw_u, side="right")
-            assert np.array_equal(t.draw(draw_u), want)
+            got = t.draw(draw_u)
+            assert got.min() >= 0 and got.max() <= t.jmax
             distribution._CACHE.pop(p, None)
-            assert np.array_equal(_tables(p).draw(draw_u), want)
+            assert np.array_equal(_tables(p).draw(draw_u), got)
         # ccdf away from the cut reads sf
         distribution._CACHE.pop(p, None)
         js = np.arange(t.jmax + 2, dtype=float)
