@@ -81,14 +81,15 @@ class _Tables:
     (b + 1) _BLOCK], in log f and in the two columns, cum and sf; cum ends
     in +inf and sf in the 0 at jmax + 1. The build keeps, per block, the cum
     just below it and the suffix sum just past it, both running sums of the
-    block masses, and block 0's columns, also held as cum and sf. The first
-    read of a later block makes its columns from its span of log f and its
-    two carries, and keeps them. log f is not kept: a read makes the blocks
-    of log f that its span meets again, each from its block's mark (see
-    _log_blocks)."""
+    block masses, and block 0's columns as cum and sf. Each read of a later
+    block makes its columns again from its span of log f and its two
+    carries, and keeps none. log f is not kept either: a read makes the
+    blocks of log f that its span meets again, each from its block's mark
+    (see _log_blocks). So what a table holds is fixed at its build: head,
+    marks, carries and block 0."""
 
     __slots__ = ("nu", "alpha", "log_theta", "j0", "log_f0", "head", "log_norm_low", "marks",
-                 "jmax", "log_f_cut", "tail", "below", "past", "cum", "sf", "_blocks")
+                 "jmax", "log_f_cut", "tail", "below", "past", "cum", "sf")
 
     def __init__(self, params: GigpParams, j0: int, log_f0: float):
         # what log f is made from; the build sets the rest
@@ -101,7 +102,6 @@ class _Tables:
             self.head[0] = -math.inf
         self.log_norm_low = 0.0  # see _build_tables
         self.marks = [(0.0, bessel_k_ratio(self.nu, self.alpha) if self.alpha else None)]
-        self._blocks = {}  # block b -> its (cum, sf), once read
 
     def _log_blocks(self, b: int):
         """Yield (first, block) for block b on: block[k] is log f_j at j = first
@@ -147,21 +147,19 @@ class _Tables:
         return np.concatenate(pieces)
 
     def _block(self, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """Block b's (cum, sf), made on first read from its span of log f.
-        P(X >= j) = 1 exactly up to the first j with mass."""
-        cols = self._blocks.get(b)
-        if cols is None:
-            end = b + 1 == len(self.below)
-            with np.errstate(under="ignore"):
-                f = np.exp(self._span(_first(b), min((b + 1) * _BLOCK, self.jmax)))
-            sf = _suffix(f, self.past[b], self.tail, end)
-            cum = np.cumsum(np.append(self.below[b], f))[1:]
-            if not self.below[b]:
-                sf[:cum.searchsorted(0.0, side="right") + 1] = 1.0
-            if end:
-                cum[-1] = math.inf
-            cols = self._blocks[b] = cum, sf
-        return cols
+        """Block b's (cum, sf), made from its span of log f and its two
+        carries; the caller keeps them or not. P(X >= j) = 1 exactly up to
+        the first j with mass."""
+        end = b + 1 == len(self.below)
+        with np.errstate(under="ignore"):
+            f = np.exp(self._span(_first(b), min((b + 1) * _BLOCK, self.jmax)))
+        sf = _suffix(f, self.past[b], self.tail, end)
+        cum = np.cumsum(np.append(self.below[b], f))[1:]
+        if not self.below[b]:
+            sf[:cum.searchsorted(0.0, side="right") + 1] = 1.0
+        if end:
+            cum[-1] = math.inf
+        return cum, sf
 
     def ccdf(self, j: np.ndarray) -> np.ndarray:
         """P(X >= j) at a flat array of whole numbers j >= 0; see ccdf()."""
@@ -180,7 +178,7 @@ class _Tables:
         far = np.flatnonzero(~is_near)
         firsts = np.arange(_BLOCK + 1, self.jmax + 1, _BLOCK)
         for b, at, kb in _by_block(far, k[far], firsts):
-            out[at] = self._block(b)[1][kb - _first(b)]
+            out[at] = (self._block(b)[1] if b else self.sf)[kb - _first(b)]
         near = np.flatnonzero(is_near)
         ends = np.minimum(self.jmax + np.ceil((j[near] + span - self.jmax) / step) * step,
                           _MAX_SUPPORT)

@@ -293,6 +293,37 @@ def test_build_past_the_cap_gives_up_before_it_allocates():
         assert peak < 2 ** 20
 
 
+def test_a_build_that_reaches_the_cap_raises_once(monkeypatch):
+    # at (-0.5, 1e-6, 0.99999, truncated) the give-up test reads the
+    # unnormalized tail constant and lets the build start, but the table's
+    # raw total is ~1e-6, so no cut comes: the build makes all 489 blocks up
+    # to the cap, and only then raises. The error is cached, so the next
+    # read gives it again without a second build
+    p = GigpParams(-0.5, 1e-6, 0.99999, True)
+    made = []
+    log_steps = distribution._log_steps
+
+    def counted(nu, alpha, lo, hi, *rest):
+        made.append(lo)
+        return log_steps(nu, alpha, lo, hi, *rest)
+
+    def no_build(params):
+        raise AssertionError("the table build was tried again")
+
+    distribution._CACHE.pop(p, None)
+    try:
+        monkeypatch.setattr(distribution, "_log_steps", counted)
+        with pytest.raises(RuntimeError, match="pmf support cutoff not reached"):
+            _tables(p)
+        assert len(made) == -(-distribution._MAX_SUPPORT // distribution._BLOCK) == 489
+        monkeypatch.setattr(distribution, "_build_tables", no_build)
+        with pytest.raises(RuntimeError, match="pmf support cutoff not reached"):
+            _tables(p)
+        assert len(made) == 489
+    finally:
+        distribution._CACHE.pop(p, None)
+
+
 # ccdf at (0.5, 2, 0.9999) on 200 points in (jmax - 16 A, jmax + 32 A)
 NEAR_CUT_DIGEST = "e1fef05e4fd1482057a7fbf1a3a9c6ee93bf9556168dfd91ed06f2a79f04cd9e"
 
@@ -303,10 +334,13 @@ def test_table_holds_two_columns_and_log_f_only_once_read():
     # (j <= 4,096) only, with two carries per 4,096-entry block: its
     # tracemalloc peak stays under 1 MiB, a fifth of the two dense columns
     p = GigpParams(0.5, 2.0, 0.9999)
+    grid = np.linspace(0.2, 30.0, 3000)
     distribution._build_tables(GigpParams(0.5, 2.0, 0.9))
+    expected_shape_deviation(GigpParams(0.5, 2.0, 0.9), grid)
+    distribution._CACHE.pop(p, None)
     tracemalloc.start()
     try:
-        t = distribution._build_tables(p)
+        t = _tables(p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -316,21 +350,33 @@ def test_table_holds_two_columns_and_log_f_only_once_read():
         return {name: (getattr(t, name).dtype, getattr(t, name).shape) for name in t.__slots__
                 if isinstance(getattr(t, name), np.ndarray)}
 
+    def containers():
+        return [name for name in t.__slots__ if isinstance(getattr(t, name), (dict, list, tuple))]
+
     size = distribution._BLOCK
     blocks = -(-t.jmax // size)
     block_0 = {"head": (np.dtype(float), (1,)), "sf": (np.dtype(float), (size + 1,)),
                "cum": (np.dtype(float), (size + 1,)), "below": (np.dtype(float), (blocks,)),
                "past": (np.dtype(float), (blocks,))}
-    assert held() == block_0 and list(t._blocks) == [0] and t._blocks[0][0] is t.cum
+    assert held() == block_0 and containers() == ["marks"] and not hasattr(t, "_blocks")
+    cum, sf = t.cum, t.sf
 
-    # log f is made again for each read and kept by none, and a block's two
-    # columns only once a draw or a ccdf reads it: a sample, sup_distance,
-    # ccdf reads far from and near the cut, pmf and log_pmf leave block 0
-    # and the blocks of the draws and of x = 100,000, under half the dense
-    # columns. The near-cut values are those the table gave when it kept a
-    # prefix
-    distribution._CACHE.pop(p, None)
-    t = _tables(p)
+    # a ccdf grid out to 30 A meets 40 of the 79 blocks and keeps none of
+    # their columns, so it leaves under 0.1 MiB on the table (keeping them
+    # would leave 2.46 MiB)
+    tracemalloc.start()
+    try:
+        expected_shape_deviation(p, grid)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 0.1 * 2 ** 20
+
+    # log f is made again for each read and kept by none, and so are the
+    # columns of every block past block 0: a sample, sup_distance, ccdf
+    # reads far from and near the cut, pmf and log_pmf leave the build's
+    # arrays only. The near-cut values are those the table gave when it
+    # kept a prefix
     table = sample(p, 1, 100_000)
     sup_distance(table, p, 0.2)
     ccdf(p, [0.0, 100.0, 100_000.0, t.jmax - 20_000.0])
@@ -339,11 +385,8 @@ def test_table_holds_two_columns_and_log_f_only_once_read():
     assert hashlib.sha256(near.tobytes()).hexdigest() == NEAR_CUT_DIGEST
     pmf(p, 5)
     log_pmf(p, t.jmax)
-    assert held() == block_0
-    reached = {max(j - 1, 0) // size for j in [*table.support.tolist(), 100_000]}
-    assert sorted(t._blocks) == sorted(reached) and len(reached) < blocks // 2
-    for b, (cum, sf) in t._blocks.items():
-        assert cum.shape == sf.shape == ((size,) if b else (size + 1,))
+    assert _tables(p) is t and t.cum is cum and t.sf is sf
+    assert held() == block_0 and containers() == ["marks"]
 
 
 def test_a_scalar_read_makes_at_most_one_block(monkeypatch):
@@ -855,10 +898,9 @@ def test_blocks_match_the_dense_table_bit_for_bit(p):
         first = np.concatenate([[0.0], cum[:-1]])[js] == 0.0
         assert np.all(sf[js][first] == 1.0)
         assert np.all(np.abs(sf[js] - want)[~first] <= 1e-14 * want[~first])
-        # bit for bit, a block's columns are the same made at build, on first
-        # read, or on a fresh table in another order
-        built = t._blocks.pop(0)
-        assert all(np.array_equal(x, y) for x, y in zip(built, t._block(0)))
+        # bit for bit, a block's columns are the same kept at build, made
+        # again, or made on a fresh table in another order
+        assert all(np.array_equal(x, y) for x, y in zip((t.cum, t.sf), t._block(0)))
         distribution._CACHE.pop(p, None)
         fresh = _tables(p)
         for b in reversed(blocks):
