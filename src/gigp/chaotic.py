@@ -86,13 +86,13 @@ def _replicate_counts(params: GigpParams, rng: np.random.Generator, m_sources: i
                       threshold: float, replicates: int) -> np.ndarray:
     """Y = the count of values >= threshold in each of `replicates` samples
     of m_sources. One sampler call per replicate, in order, keeps the RNG
-    stream; the compare and count run once per block of rows."""
-    ys = np.empty(replicates, dtype=np.int64)
+    stream; the calls share the table columns past block 0 that they make."""
+    ys, blocks = np.empty(replicates, dtype=np.int64), {}
     rows = np.empty((min(replicates, _BLOCK_ROWS), m_sources), dtype=np.int64)
     for lo in range(0, replicates, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, replicates)
         for r in range(hi - lo):
-            rows[r] = _sample_values_rng(params, rng, m_sources)
+            rows[r] = _sample_values_rng(params, rng, m_sources, blocks=blocks)
         ys[lo:hi] = np.count_nonzero(rows[:hi - lo] >= threshold, axis=1)
     return ys
 

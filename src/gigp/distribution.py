@@ -176,8 +176,7 @@ class _Tables:
         k = np.minimum(j, self.jmax + 1).astype(np.intp)
         out = np.empty(len(j))
         far = np.flatnonzero(~is_near)
-        firsts = np.arange(_BLOCK + 1, self.jmax + 1, _BLOCK)
-        for b, at, kb in _by_block(far, k[far], firsts):
+        for b, at, kb in _by_block(far, k[far], np.arange(_BLOCK + 1, self.jmax + 1, _BLOCK)):
             out[at] = (self._block(b)[1] if b else self.sf)[kb - _first(b)]
         near = np.flatnonzero(is_near)
         ends = np.minimum(self.jmax + np.ceil((j[near] + span - self.jmax) / step) * step,
@@ -198,15 +197,17 @@ class _Tables:
         lo = int(js.min(initial=end))
         return self._span(lo, end)[js - lo]
 
-    def draw(self, u: np.ndarray) -> np.ndarray:
-        """The inverse cdf at uniforms u in [0, 1), by one search in block
-        0's cum (the ndarray method skips np.searchsorted's dispatch, ~2 us
-        a call), then for a u past it in the block whose carries bracket it."""
+    def draw(self, u: np.ndarray, blocks: dict) -> np.ndarray:
+        """The inverse cdf at uniforms u in [0, 1): one search in block 0's cum
+        (the ndarray method skips np.searchsorted's dispatch, ~2 us a call), then
+        one in the cum of the block whose carries bracket u, kept in the caller's blocks."""
         out = self.cum.searchsorted(u, side="right")
         if self.jmax > _BLOCK:
             far = np.flatnonzero(out > _BLOCK)
             for b, at, ub in _by_block(far, u[far], self.below[1:]):
-                out[at] = self._block(b)[0].searchsorted(ub, side="right") + _first(b)
+                if b not in blocks:
+                    blocks[b] = self._block(b)[0]
+                out[at] = blocks[b].searchsorted(ub, side="right") + _first(b)
         return out
 
 
@@ -627,13 +628,13 @@ def tail_pmf_asymptotic(params: GigpParams, j: int) -> float:
     return math.exp(logv) if logv > -745.0 else 0.0
 
 
-def _sample_values_rng(params: GigpParams, rng: np.random.Generator,
-                       count: int, ordered: bool = False) -> np.ndarray:
+def _sample_values_rng(params: GigpParams, rng: np.random.Generator, count: int,
+                       ordered: bool = False, blocks: dict | None = None) -> np.ndarray:
     """count draws by inverse cdf on the cached pmf table; zero truncation
     is already in the table, whose f_0 is 0. For alpha > 0 past the
     table's support cap they come from the GIG mixture of Poissons in
     gigp._mixture. ordered gives them sorted, from sorted uniforms, so the
-    table reads its blocks in order."""
+    table reads its blocks in order; blocks is as in _Tables.draw."""
     try:
         t = _tables(params)
     except RuntimeError:
@@ -647,7 +648,7 @@ def _sample_values_rng(params: GigpParams, rng: np.random.Generator,
     u = rng.random(count)
     if ordered:
         u.sort()
-    return t.draw(u)
+    return t.draw(u, {} if blocks is None else blocks)
 
 
 def _rng(params: GigpParams, seed, count: int) -> np.random.Generator:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gigp import chaotic
+from gigp import chaotic, distribution
 from gigp.chaotic import (increment_rates, integrated_rate,
                           poisson_gof_experiment, poisson_rate, _poisson_pmf,
                           _poisson_sf, _replicate_counts)
@@ -186,6 +186,32 @@ def test_replicate_counts_in_blocks_match_the_one_at_a_time_loop(monkeypatch, re
                 reports.append(str(exc))
         assert reports[0] == reports[1]
         assert m == 1 or replicates < 255 or not isinstance(reports[0], str)
+
+
+def test_replicate_counts_make_each_block_once_past_block_0(monkeypatch):
+    # at theta = 0.9999 (B ~ 2) the table has many blocks and the draws
+    # reach past block 0, where the table keeps no columns: the sampler
+    # calls of one experiment share the ones they make, so each is made once
+    params, m = GigpParams(-0.5, 2.0, 0.9999), 350
+    thr = scaling_b(params, m).a * 0.2
+    want = _counts_one_at_a_time(params, np.random.default_rng(5), m, thr, 600)
+    made, block = [], distribution._Tables._block
+    monkeypatch.setattr(distribution._Tables, "_block", lambda t, b: made.append(b) or block(t, b))
+    got = _replicate_counts(params, np.random.default_rng(5), m, thr, 600)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert max(made) > 1 and len(made) == len(set(made))
+
+
+def test_replicate_counts_past_the_table_cap_keep_one_call_per_replicate():
+    # past the cap the GIG mixture draws, and its stream depends on the
+    # size of each call, so the counts stay those of one call per replicate
+    params, m = GigpParams(0.5, 1.0, 0.999999), 35
+    with pytest.raises(RuntimeError, match="cutoff not reached"):
+        distribution._tables(params)
+    thr = scaling_b(params, m).a * 0.2
+    got = _replicate_counts(params, np.random.default_rng(5), m, thr, 300)
+    want = _counts_one_at_a_time(params, np.random.default_rng(5), m, thr, 300)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 def test_gof_experiment_warns_in_regular_regime():

@@ -905,14 +905,15 @@ def test_blocks_match_the_dense_table_bit_for_bit(p):
         fresh = _tables(p)
         for b in reversed(blocks):
             assert all(np.array_equal(x, y) for x, y in zip(t._block(b), fresh._block(b)))
-        # draws, sorted or not, on the table with every block made and on a fresh one
+        # draws, sorted or not, on the table with every block made and on a fresh one;
         u = np.random.default_rng(17).random(20_000)
         u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], t.below, u])
+        kept = {}  # the second draw reads the columns the first made
         for draw_u in (u, np.sort(u)):
-            got = t.draw(draw_u)
+            got = t.draw(draw_u, kept)
             assert got.min() >= 0 and got.max() <= t.jmax
             distribution._CACHE.pop(p, None)
-            assert np.array_equal(_tables(p).draw(draw_u), got)
+            assert np.array_equal(_tables(p).draw(draw_u, {}), got)
         # ccdf away from the cut reads sf
         distribution._CACHE.pop(p, None)
         js = np.arange(t.jmax + 2, dtype=float)
