@@ -176,7 +176,8 @@ class _Tables:
         k = np.minimum(j, self.jmax + 1).astype(np.intp)
         out = np.empty(len(j))
         far = np.flatnonzero(~is_near)
-        for b, at, kb in _by_block(far, k[far], np.arange(_BLOCK + 1, self.jmax + 1, _BLOCK)):
+        firsts = np.arange(_BLOCK + 1, self.jmax + 1, _BLOCK)
+        for b, at, kb in _by_block(far, k[far], firsts):
             out[at] = (self._block(b)[1] if b else self.sf)[kb - _first(b)]
         near = np.flatnonzero(is_near)
         ends = np.minimum(self.jmax + np.ceil((j[near] + span - self.jmax) / step) * step,
