@@ -25,7 +25,7 @@ from . import diagram
 from .specfun import bessel_k_ratio, log_bessel_k
 
 _LOG_TAIL_EPS = math.log(1e-15)
-_MAX_SUPPORT = 2_000_000
+_MAX_SUPPORT = 100_000_000
 # the pmf table is made and read in blocks of _BLOCK orders (see _Tables)
 _BLOCK = 4_096
 _J_WINDOW = 12  # forward steps that settle a crude Bessel ratio seed
@@ -212,8 +212,8 @@ class _Tables:
         return out
 
 
-# per params, its table or its build's error, so a failed build is not tried again
-_CACHE: dict[GigpParams, _Tables | RuntimeError] = {}
+# per params, its table
+_CACHE: dict[GigpParams, _Tables] = {}
 
 
 def _bessel_ratios(nu: float, alpha: float, j: np.ndarray, r_prev: float | None = None
@@ -426,16 +426,27 @@ def _build_tables(params: GigpParams) -> _Tables:
 def _tables(params: GigpParams) -> _Tables:
     cached = _CACHE.get(params)
     if cached is None:
-        try:
-            cached = _build_tables(params)
-        except RuntimeError as exc:
-            cached = exc
+        cached = _build_tables(params)
         if len(_CACHE) > 64:
             _CACHE.clear()
         _CACHE[params] = cached
-    if isinstance(cached, RuntimeError):
-        raise RuntimeError(*cached.args)
     return cached
+
+
+def _pmf_end(params: GigpParams, end: int) -> int:
+    """The first j past the table's cut where pmf(params, j) is 0.0, or end
+    if none comes before it. Past the cut f only falls, so every later pmf,
+    and the ccdf from there, is 0.0 too."""
+    t = _tables(params)
+    with np.errstate(under="ignore"):
+        for first, block in t._log_blocks(max(t.jmax - 1, 0) // _BLOCK):
+            lo = max(t.jmax + 1, first)
+            zero = np.flatnonzero(np.exp(block[lo - first:]) == 0.0)
+            if zero.size:
+                return min(lo + int(zero[0]), end)
+            if first + len(block) > end:
+                break
+    return end
 
 
 def pmf(params: GigpParams, j):
@@ -632,20 +643,10 @@ def tail_pmf_asymptotic(params: GigpParams, j: int) -> float:
 def _sample_values_rng(params: GigpParams, rng: np.random.Generator, count: int,
                        ordered: bool = False, blocks: dict | None = None) -> np.ndarray:
     """count draws by inverse cdf on the cached pmf table; zero truncation
-    is already in the table, whose f_0 is 0. For alpha > 0 past the
-    table's support cap they come from the GIG mixture of Poissons in
-    gigp._mixture. ordered gives them sorted, from sorted uniforms, so the
-    table reads its blocks in order; blocks is as in _Tables.draw."""
-    try:
-        t = _tables(params)
-    except RuntimeError:
-        if params.alpha == 0.0:
-            raise
-        from ._mixture import _sample_mixture
-        values = _sample_mixture(params, rng, count)
-        if ordered:
-            values.sort()
-        return values
+    is already in the table, whose f_0 is 0. ordered gives them sorted, from
+    sorted uniforms, so the table reads its blocks in order; blocks is as in
+    _Tables.draw."""
+    t = _tables(params)
     u = rng.random(count)
     if ordered:
         u.sort()

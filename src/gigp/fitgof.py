@@ -175,14 +175,18 @@ def pearson_chi2(observed: Sequence[int], expected: Sequence[float],
 def _open_top_chi2(table: FrequencyTable, j_lo: int, probs, n_fitted_params: int,
                    min_expected: float) -> GofReport:
     """pearson_chi2 of a table with no value below j_lo over the bins j_lo,
-    ..., j_hi - 1 and "j_hi+" from its largest value j_hi, whose
-    probabilities are probs(j_hi)."""
+    ..., j_end - 1 and "j_hi+" from its largest value j_hi, whose
+    probabilities are probs(j_hi): the last one is that of all j >= j_end,
+    for the j_end <= j_hi that its length gives."""
     j_hi = int(table.support[-1])
-    observed = np.zeros(j_hi - j_lo + 1, dtype=np.int64)
-    observed[table.support - j_lo] = table.mult
-    labels = [str(j) for j in range(j_lo, j_hi)] + [f"{j_hi}+"]
-    return pearson_chi2(observed, table.M * probs(j_hi), n_fitted_params, min_expected,
-                        labels)
+    p = probs(j_hi)
+    j_end = j_lo + len(p) - 1
+    k = int(table.support.searchsorted(j_end))
+    observed = np.zeros(len(p), dtype=np.int64)
+    observed[table.support[:k] - j_lo] = table.mult[:k]
+    observed[-1] = table.mult[k:].sum()
+    labels = [str(j) for j in range(j_lo, j_end)] + [f"{j_hi}+"]
+    return pearson_chi2(observed, table.M * p, n_fitted_params, min_expected, labels)
 
 
 def pointwise_z_test(table: FrequencyTable, params: GigpParams,

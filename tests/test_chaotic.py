@@ -202,16 +202,17 @@ def test_replicate_counts_make_each_block_once_past_block_0(monkeypatch):
     assert max(made) > 1 and len(made) == len(set(made))
 
 
-def test_replicate_counts_past_the_table_cap_keep_one_call_per_replicate():
-    # past the cap the GIG mixture draws, and its stream depends on the
-    # size of each call, so the counts stay those of one call per replicate
-    params, m = GigpParams(0.5, 1.0, 0.999999), 35
-    with pytest.raises(RuntimeError, match="cutoff not reached"):
-        distribution._tables(params)
+def test_replicate_counts_at_theta_0_99999_keep_one_call_per_replicate():
+    # a 788-block table, whose draws at m = 35 reach blocks far past
+    # block 0: the shared block columns leave the counts those of one
+    # sampler call per replicate
+    params, m = GigpParams(0.5, 2.0, 0.99999), 35
+    assert len(distribution._tables(params).below) == 788
     thr = scaling_b(params, m).a * 0.2
     got = _replicate_counts(params, np.random.default_rng(5), m, thr, 300)
     want = _counts_one_at_a_time(params, np.random.default_rng(5), m, thr, 300)
     assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert 0 < got.sum() < 300 * m
 
 
 def test_gof_experiment_warns_in_regular_regime():

@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gigp import _mixture, cli
+from gigp import cli, distribution
 from gigp.chaotic import poisson_gof_experiment
 from gigp.cli import _csv_doc, _json_doc, main, read_frequency_csv
 from gigp.diagram import FrequencyTable
-from gigp.distribution import GigpParams, sample, theta_from_mean
+from gigp.distribution import GigpParams, pmf, sample, theta_from_mean
 from gigp.shape import ShapeReport, sup_distance
 from gigp.specfun import chi2_sf
 
@@ -296,19 +296,6 @@ def test_chaotic_command(tmp_path):
     assert sum(e for _, _, e in res["bins"]) == pytest.approx(100.0, rel=1e-12)
 
 
-def test_alpha_positive_draws_below_the_cap_skip_the_gig_sampler(tmp_path, monkeypatch):
-    # below the table cap alpha > 0 draws come from the pmf table; the GIG
-    # rejection sampler runs only past it
-    def no_gig(*args):
-        raise AssertionError("the GIG sampler ran below the table cap")
-
-    monkeypatch.setattr(_mixture, "_gig_rvs", no_gig)
-    rep = poisson_gof_experiment(GigpParams(-0.5, 2.0, 0.99), 35, 0.2, 100, seed=1)
-    assert rep.observed.sum() == 100
-    _run_to_file(tmp_path, "fast.json", ["shape", "--nu", "0.5", "--alpha", "2",
-                                         "--theta", "0.9999", "--m", "1000", "--seed", "1"])
-
-
 def test_partition_command(tmp_path):
     out = _run_to_file(tmp_path, "part.json",
                        ["partition", "--n", "400", "--seed", "5"])
@@ -354,15 +341,13 @@ def test_exit_codes(tmp_path, capsys):
                  "--m", "10", "--seed", "1"]) == 1
     assert main(["simulate", "--bogus-flag", "1"]) == 1
     # a kernel that gives up is an error line, not a traceback: at
-    # theta = 0.99999 the pmf table would pass its 2e6-entry cap
+    # theta = 0.9999998 the pmf table would pass its 1e8-entry cap, for
+    # every family
     capsys.readouterr()
-    assert main(["simulate", "--nu", "0.5", "--alpha", "0", "--theta", "0.99999",
-                 "--m", "10", "--seed", "1"]) == 1
-    assert capsys.readouterr() == ("", "error: pmf support cutoff not reached\n")
-    # at alpha > 0 the draws there come from the GIG mixture of Poissons
-    assert main(["simulate", "--nu", "0.5", "--alpha", "2", "--theta", "0.99999",
-                 "--m", "10", "--seed", "1"]) == 0
-    capsys.readouterr()
+    for alpha in ("0", "2"):
+        assert main(["simulate", "--nu", "0.5", "--alpha", alpha, "--theta", "0.9999998",
+                     "--m", "10", "--seed", "1"]) == 1
+        assert capsys.readouterr() == ("", "error: pmf support cutoff not reached\n")
     # a malformed table is one error line too: a value past 64 bits, and a
     # header without rows, with theta given so nothing is fitted
     huge = tmp_path / "huge.csv"
@@ -459,9 +444,10 @@ def test_a_bad_numeric_flag_is_one_error_line(tmp_path, monkeypatch, capsys, cmd
 
 
 @pytest.mark.parametrize("args, line", [
-    # alpha^2 theta / 2 overflows in the GIG mixture that samples past the cap
+    # the mean is 3.5e199, so the build gives up before it starts: no cut can
+    # come under the pmf table's cap
     (["shape", "--nu", "0.5", "--alpha", "1e200", "--theta", "0.5", "--m", "10", "--seed", "1"],
-     "error: alpha is too large to sample: the GIG parameter alpha^2 theta / 2 overflows\n"),
+     "error: pmf support cutoff not reached\n"),
     # B = M / Gamma(nu), and Gamma(1e6) overflows
     (["shape", "--nu", "1e6", "--alpha", "2", "--theta", "0.5", "--m", "10", "--seed", "1"],
      "error: the scale B is out of floating-point range at these parameters\n"),
@@ -481,6 +467,27 @@ def test_gof_folds_a_far_outlier_whose_model_mass_underflows(tmp_path, capsys):
     bins = json.loads(capsys.readouterr().out)["result"]["bins"]
     assert [b[0] for b in bins] == ["0", "1", "2", "3", "4-5000+"]
     assert bins[-1][1] == 1 and bins[-1][2] > 0.0
+
+
+@pytest.mark.parametrize("far", [3_000_000, 90_000_000])
+def test_gof_bins_end_where_the_pmf_is_zero(tmp_path, capsys, far):
+    # at (0.5, 2, 0.5) the pmf is 0.0 from j = 1,071 on (the table's cut is
+    # 56), so the dense bins stop there and the far value folds into the open
+    # top "far+": one bin per j up to 9e7 would take ~12 GB at ~133 B a bin
+    p = GigpParams(0.5, 2.0, 0.5)
+    assert pmf(p, 1070) > 0.0 and pmf(p, 1071) == 0.0
+    assert distribution._pmf_end(p, far) == 1071 and distribution._pmf_end(p, 500) == 500
+    data = _write_csv(tmp_path, "far.csv", [(1, 50), (2, 30), (3, 14), (4, 8), (far, 1)])
+    tracemalloc.start()
+    try:
+        assert main(["gof", "--data", str(data), "--nu", "0.5", "--alpha", "2",
+                     "--theta", "0.5"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bins = json.loads(capsys.readouterr().out)["result"]["bins"]
+    assert [b[0] for b in bins] == ["0", "1", "2", "3", f"4-{far}+"]
+    assert bins[-1][1] == 9 and peak < 2 ** 20
 
 
 def test_a_row_with_three_fields_is_one_error_line(tmp_path, capsys):
@@ -699,7 +706,7 @@ def test_out_file_gets_the_bytes_stdout_gets(tmp_path, fmt):
 
 @pytest.mark.parametrize("args", [
     LONG_SHAPE_ARGS + ["--delta", "-1"],
-    ["shape", "--nu", "0.5", "--alpha", "0", "--theta", "0.99999", "--m", "10", "--seed", "1"],
+    ["shape", "--nu", "0.5", "--alpha", "0", "--theta", "0.9999998", "--m", "10", "--seed", "1"],
     ["simulate", "--nu", "0.5", "--alpha", "2", "--theta", "1.5", "--m", "10", "--seed", "1"],
 ], ids=["bad-delta", "past-the-cap", "bad-theta"])
 def test_a_failed_command_creates_no_out_file(tmp_path, capsys, args):
