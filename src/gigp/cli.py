@@ -4,24 +4,23 @@ Every output document embeds the resolved run configuration (including
 the scaling pair and regime when a model is involved), and rerunning the
 same command reproduces the file byte for byte. Exit codes: 0 success,
 1 validation error or a numerical kernel that gave up or left
-floating-point range, 2 I/O error.
+floating-point range, 2 I/O error, a closed stdout included.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import gc
 import json
 import math
 import os
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
-# numpy and the numeric modules are imported by the code that uses them, so
-# a process loads only its own command's modules, and one that only parses
-# its arguments (--help, a usage error) loads none of them
+# numpy, csv and the numeric modules are imported by the code that uses
+# them, so a process loads only its own command's modules, and one that only
+# parses its arguments (--help, a usage error) loads none of them
 if TYPE_CHECKING:
     from .diagram import FrequencyTable
     from .distribution import GigpParams
@@ -35,6 +34,8 @@ def read_frequency_csv(path: str) -> FrequencyTable:
     Lines starting with '#' are skipped so the tool's own CSV output,
     which carries a config echo comment, can be fed back in.
     """
+    import csv
+
     from .diagram import FrequencyTable
     counts: dict[int, int] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -69,6 +70,9 @@ def _destination(out: str | None):
     --out file. Callers take it once every value of the document is
     computed, so a command that fails creates no file."""
     if out is None:
+        # None when the process started with its stdout closed
+        if sys.stdout is None:
+            raise OSError("stdout is closed")
         return contextlib.nullcontext(sys.stdout)
     base = os.environ.get(OUTPUT_DIR_ENV)
     if base and not os.path.dirname(out):
@@ -452,14 +456,21 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one command line and return its exit code, with stdout flushed:
+    every byte of a document or of --help is written, or main prints one
+    `io error:` line and returns 2."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 1
-        return 0 if code == 0 else 1  # argparse usage errors are validation
-    try:
-        return _COMMANDS[args.command](args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            # --help, or a usage error, which is validation
+            code = 0 if exc.code == 0 else 1
+        else:
+            code = _COMMANDS[args.command](args)
+        if sys.stdout is not None:
+            sys.stdout.flush()
+        return code
     except (ValueError, RuntimeError, ArithmeticError, MemoryError) as exc:
         # RuntimeError: a kernel gave up, e.g. the pmf table hit its size cap;
         # ArithmeticError: a value left floating-point range; MemoryError: an
@@ -471,14 +482,15 @@ def main(argv=None) -> int:
         return 2
 
 
-def run() -> None:
-    """The process entry of `python -m gigp` and the `gigp` script: main, then
-    exit. What main leaves dies with the process, so gc.freeze() spares the
-    interpreter's collection on the way out; main, which tests call in
-    process, leaves the collector alone."""
-    code = main()
-    gc.freeze()
-    sys.exit(code)
+def run() -> NoReturn:
+    """The process entry of `python -m gigp`, `python -m gigp.cli` and the
+    `gigp` script: main without the cyclic collector, then os._exit. What
+    main leaves dies with the process, so neither a collection nor the
+    interpreter's teardown frees anything that matters; main has flushed
+    stdout, and stderr is line-buffered. main, which tests call in process,
+    leaves the collector alone."""
+    gc.disable()
+    os._exit(main())
 
 
 if __name__ == "__main__":

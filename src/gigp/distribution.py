@@ -355,10 +355,14 @@ def _by_block(at: np.ndarray, keys: np.ndarray, bounds: np.ndarray):
         return
     order = keys.argsort(kind="stable")
     at, keys = at[order], keys[order]
-    cuts = keys.searchsorted(bounds, side="left").tolist()
-    for b, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, keys.size])):
-        if lo < hi:
-            yield b, at[lo:hi], keys[lo:hi]
+    # block b's keys are keys[cuts[b]:cuts[b + 1]]; the loop meets only the
+    # blocks they reach, and no array is as long as keys
+    cuts = np.empty(bounds.size + 2, np.intp)
+    cuts[0], cuts[-1] = 0, keys.size
+    cuts[1:-1] = keys.searchsorted(bounds, side="left")
+    for b in np.flatnonzero(cuts[:-1] < cuts[1:]).tolist():
+        lo, hi = cuts[b:b + 2].tolist()
+        yield b, at[lo:hi], keys[lo:hi]
 
 
 def _build_tables(params: GigpParams) -> _Tables:

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line surface."""
 
+import gc
 import hashlib
 import io
 import json
@@ -717,18 +718,25 @@ def test_a_failed_command_creates_no_out_file(tmp_path, capsys, args):
 
 
 DOC = "doc.json"
+# a 1.5 MB document, many times the size of a pipe's buffer (64 KiB) and of
+# stdout's (8 KiB)
+BIG_SHAPE_ARGS = ["shape", "--nu", "0.5", "--alpha", "2", "--theta", "0.9999",
+                  "--m", "20000", "--seed", "7"]
 
 
 @pytest.mark.parametrize("args, code", [
+    (["--help"], 0),
+    (BIG_SHAPE_ARGS, 0),
     (["partition", "--n", "100", "--seed", "1", "--format", "csv"], 0),
     (["simulate", "--nu", "0.5", "--alpha", "2", "--theta", "0.9", "--m", "50", "--seed", "1",
       "--out", DOC], 0),
     (["simulate", "--nu", "0.5", "--alpha", "2", "--theta", "1.5", "--m", "10", "--seed", "1",
       "--out", DOC], 1),
     (["partition", "--n", "100", "--seed", "1", "--out", os.path.join("missing", DOC)], 2),
-], ids=["stdout", "out-file", "validation-error", "io-error"])
+], ids=["help", "big-stdout", "stdout", "out-file", "validation-error", "io-error"])
 def test_a_process_ends_as_main_returns(tmp_path, monkeypatch, capsys, args, code):
-    # python -m gigp exits through cli.run, which adds gc.freeze() and sys.exit
+    # python -m gigp exits through cli.run, which ends the process with
+    # os._exit: nothing main left buffered would be written after it
     child, own = tmp_path / "child", tmp_path / "own"
     child.mkdir()
     own.mkdir()
@@ -739,9 +747,70 @@ def test_a_process_ends_as_main_returns(tmp_path, monkeypatch, capsys, args, cod
     assert main(args) == code == done.returncode
     stdout, stderr = capsys.readouterr()
     assert (done.stdout, done.stderr) == (stdout.encode(), stderr.encode())
+    if args == BIG_SHAPE_ARGS:
+        assert len(done.stdout) > 2 ** 20
     assert (child / DOC).exists() == (own / DOC).exists() == (code == 0 and DOC in args)
     if (own / DOC).exists():
         assert (child / DOC).read_bytes() == (own / DOC).read_bytes()
+
+
+@pytest.mark.parametrize("args", [
+    ["--help"],
+    ["shape", "--nu", "0.5", "--alpha", "2", "--theta", "0.9", "--m", "10", "--seed", "1"],
+    ["chaotic", "--nu", "-0.5", "--alpha", "2", "--theta", "0.99", "--m", "35", "--x0", "0.2",
+     "--replicates", "50", "--seed", "1"],
+    BIG_SHAPE_ARGS,
+], ids=["help", "shape", "chaotic", "big-shape"])
+def test_a_closed_stdout_is_one_io_error_line(args):
+    # the pipe's read end is closed before the child starts, so its first
+    # write fails; stdout is block-buffered, so a short document first
+    # reaches the pipe when main flushes it
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "gigp", *args], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, cwd=ROOT, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    assert done.stderr.startswith("io error: ") and done.stderr.count("\n") == 1
+
+
+def test_a_process_started_without_stdout_is_one_io_error_line():
+    # the child's fd 1 is closed before it starts, so sys.stdout is None
+    done = subprocess.run([sys.executable, "-m", "gigp", *SHAPE_ARGS],
+                          preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE,
+                          env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+                          cwd=ROOT, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (2, "io error: stdout is closed\n")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(capsys, enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(SHAPE_ARGS) == 0
+        assert main(["shape", "--nu", "0.5"]) == 1
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert capsys.readouterr().out.startswith("{")
+
+
+def test_the_process_entry_runs_main_without_the_collector_and_exits_with_its_code():
+    # this main flushes what it saw of the collector, then leaves a line
+    # buffered, which the process ends without writing
+    entry = ("import gc, sys; from gigp import cli; "
+             "cli.main = lambda: print(gc.isenabled(), flush=True) or print('left') or 3; "
+             "cli.run()")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    done = subprocess.run([sys.executable, "-c", entry], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (3, "False\n", "")
 
 
 # 10^14 values need >= 728 TiB, past the 2^47-byte user address space, so

@@ -1128,3 +1128,22 @@ def test_sample_values_keep_draw_order():
         2510, 19452, 205, 19150, 880, 1652]
     assert sample_values(GigpParams(0.5, 2.0, 0.99999), 1, 6).tolist() == [
         24367, 193383, 1776, 190368, 8291, 15880]
+
+
+@pytest.mark.parametrize("bounds", [[], [3.0], [2.0, 2.0, 5.0, 9.0], [0.0, 1.0, 7.0, 7.0, 8.0]])
+def test_by_block_yields_each_reached_block_once_with_its_keys(bounds):
+    # block b takes the keys in [bounds[b - 1], bounds[b]); blocks that no
+    # key reaches, including the empty ones between equal bounds, yield nothing
+    keys = np.array([8.5, 2.0, 0.5, 7.0, 2.0, 9.0, 4.0, 1.0])
+    at = np.arange(len(keys)) * 10
+    bounds = np.array(bounds)
+    got = [(b, a.tolist(), k.tolist())
+           for b, a, k in distribution._by_block(at, keys, bounds)]
+    want = {}
+    for i in np.argsort(keys, kind="stable").tolist():
+        b = int(np.sum(bounds <= keys[i]))
+        want.setdefault(b, ([], []))
+        want[b][0].append(int(at[i]))
+        want[b][1].append(float(keys[i]))
+    assert got == [(b, *want[b]) for b in sorted(want)]
+    assert all(type(b) is int for b, _, _ in got)

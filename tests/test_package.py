@@ -36,14 +36,14 @@ def test_dir_lists_every_public_name_and_an_unknown_name_is_an_attribute_error()
 
 
 def _loaded(argv, cwd, code=0):
-    """The gigp modules, and numpy, that a fresh interpreter imports to run
+    """The gigp modules, numpy and csv that a fresh interpreter imports to run
     argv with exit code code, sorted."""
     done = subprocess.run([sys.executable, "-X", "importtime", *argv], env=ENV, cwd=cwd,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == code, done.stderr[-2000:]
     names = [line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
              if line.startswith("import time:") and "|" in line]
-    return sorted(n for n in names if n in ("gigp", "numpy") or n.startswith("gigp."))
+    return sorted(n for n in names if n in ("gigp", "numpy", "csv") or n.startswith("gigp."))
 
 
 MODEL = ["--nu", "0.5", "--alpha", "2"]
@@ -60,8 +60,9 @@ CORE = PARSE + ["gigp.diagram", "gigp.distribution", "gigp.shape", "gigp.specfun
     (["simulate", *MODEL, "--theta", "0.9", "--m", "100", "--seed", "1"], 0, CORE),
     # a 3.2e6-entry table: every draw comes from a pmf table, up to its cap
     (["simulate", *MODEL, "--theta", "0.99999", "--m", "100", "--seed", "1"], 0, CORE),
-    (["fit", "--data", "tiny.csv", *MODEL], 0, CORE + ["gigp.fitgof"]),
-    (["gof", "--data", "tiny.csv", *MODEL], 0, CORE + ["gigp.fitgof"]),
+    # only the commands that read a data CSV load csv
+    (["fit", "--data", "tiny.csv", *MODEL], 0, CORE + ["gigp.fitgof", "csv"]),
+    (["gof", "--data", "tiny.csv", *MODEL], 0, CORE + ["gigp.fitgof", "csv"]),
     (["chaotic", "--nu", "-0.5", "--alpha", "2", "--theta", "0.99", "--m", "35",
       "--x0", "0.2", "--replicates", "20", "--seed", "1"], 0,
      CORE + ["gigp.chaotic", "gigp.fitgof"]),
