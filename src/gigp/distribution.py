@@ -15,6 +15,7 @@ alpha = 0 is excluded.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -210,10 +211,6 @@ class _Tables:
                     blocks[b] = self._block(b)[0]
                 out[at] = blocks[b].searchsorted(ub, side="right") + _first(b)
         return out
-
-
-# per params, its table
-_CACHE: dict[GigpParams, _Tables] = {}
 
 
 def _bessel_ratios(nu: float, alpha: float, j: np.ndarray, r_prev: float | None = None
@@ -427,14 +424,10 @@ def _build_tables(params: GigpParams) -> _Tables:
     return t
 
 
+# the 64 most recently read tables; a failed build is not kept
+@functools.lru_cache(maxsize=64)
 def _tables(params: GigpParams) -> _Tables:
-    cached = _CACHE.get(params)
-    if cached is None:
-        cached = _build_tables(params)
-        if len(_CACHE) > 64:
-            _CACHE.clear()
-        _CACHE[params] = cached
-    return cached
+    return _build_tables(params)
 
 
 def _pmf_end(params: GigpParams, end: int) -> int:
@@ -662,7 +655,7 @@ def _rng(params: GigpParams, seed, count: int) -> np.random.Generator:
     validate(params)
     if count < 1 or int(count) != count:
         raise ValueError("count must be a positive integer")
-    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    return np.random.default_rng(seed)
 
 
 def sample_values(params: GigpParams, seed, count: int) -> np.ndarray:

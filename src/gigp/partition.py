@@ -41,7 +41,7 @@ def sample_partition(config: PartitionConfig, seed) -> FrequencyTable:
 
     numpy's geometric counts trials, not failures, hence the minus one.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     js = np.arange(1, config.j_cutoff + 1)
     mult = rng.geometric(1.0 - config.z ** js) - 1
     kept = mult > 0

@@ -11,8 +11,9 @@ from gigp import chaotic, distribution
 from gigp.chaotic import (increment_rates, integrated_rate,
                           poisson_gof_experiment, poisson_rate, _poisson_pmf,
                           _poisson_sf, _replicate_counts)
-from gigp.distribution import GigpParams, ccdf, _sample_values_rng
-from gigp.shape import boundary_moments, limit_shape, scaling_b
+from gigp.distribution import GigpParams, ccdf, sample_values, _sample_values_rng
+from gigp.fitgof import pearson_chi2
+from gigp.shape import boundary_moments, limit_shape, scaling_a, scaling_b
 from gigp.specfun import chi2_sf
 
 P61 = GigpParams(-0.5, 2.0, 0.99)
@@ -53,6 +54,33 @@ def test_increment_rates_telescope():
         increment_rates(P61, M61, [0.4, 0.2])
     with pytest.raises(ValueError, match="strictly increasing"):
         increment_rates(P61, M61, np.array([0.4, 0.2]))
+
+
+def test_cell_counts_are_independent_poissons_in_inverted_time():
+    # the paper's Poisson process in inverted time at the bench's chaotic
+    # params: the counts of sources in A [0.5, 1), A [1, 2) and A [2, inf)
+    # follow Poisson(lambda) with lambda = 0.998, 0.356 and 0.073, where the
+    # total-variation bound lambda^2 / M is at most 0.03, and are all but
+    # uncorrelated: a multinomial's cells correlate by
+    # -sqrt(q_i q_j / ((1 - q_i)(1 - q_j))), q = lambda / M, under 0.02 here
+    # ([0.2, 0.5), where lambda^2 / M = 0.24, is left to the distance checks)
+    xs, replicates = [0.5, 1.0, 2.0], 5000
+    lams = increment_rates(P61, M61, xs)
+    assert max(lam * lam / M61 for lam in lams) < 0.03
+    values = sample_values(P61, 1, replicates * M61).reshape(replicates, M61)
+    ends = scaling_a(P61.theta) * np.array(xs + [math.inf])
+    counts = [np.count_nonzero((values >= lo) & (values < hi), axis=1)
+              for lo, hi in zip(ends[:-1], ends[1:])]
+    for lam, ys in zip(lams, counts):
+        top = int(ys.max())
+        expected = replicates * np.array([_poisson_pmf(k, lam) for k in range(top)]
+                                         + [_poisson_sf(top, lam)])
+        assert pearson_chi2(np.bincount(ys), expected).p_value > 0.01, lam
+    q = np.array(lams) / M61
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        want = -math.sqrt(q[i] * q[j] / ((1.0 - q[i]) * (1.0 - q[j])))
+        assert abs(want) < 0.02
+        assert abs(np.corrcoef(counts[i], counts[j])[0, 1] - want) <= 3.0 / math.sqrt(replicates)
 
 
 def test_integrated_rate_basic():

@@ -111,7 +111,7 @@ def test_ccdf_does_not_depend_on_earlier_calls():
     theta = 0.98908835
     p = GigpParams(0.5, 0.0, theta)
     want = stats.nbinom.sf(5999, 0.5, 1.0 - theta)
-    distribution._CACHE.clear()
+    distribution._tables.cache_clear()
     before = ccdf(p, 6000)
     pmf(p, np.arange(8331))
     after = ccdf(p, 6000)
@@ -130,9 +130,9 @@ def test_ccdf_does_not_depend_on_earlier_calls():
              lambda: ccdf(p, 4200.0), lambda: log_pmf(p, np.arange(3000, 3900))]
     want = []
     for read in reads:
-        distribution._CACHE.pop(p, None)
+        distribution._tables.cache_clear()
         want.append(read())
-    distribution._CACHE.pop(p, None)
+    distribution._tables.cache_clear()
     pmf(p, 3999)
     for read, value in zip(reads + reads[::-1], want + want[::-1]):
         assert np.array_equal(read(), value)
@@ -194,7 +194,7 @@ def test_blocks_below_j_star_carry_the_bessel_ratio(monkeypatch):
         return bessel_k_ratio(nu, alpha)
 
     monkeypatch.setattr(distribution, "bessel_k_ratio", counted)
-    distribution._CACHE.pop(p, None)
+    distribution._tables.cache_clear()
     try:
         assert _tables(p).jmax == 90_321
         ccdf(p, np.arange(70_000))
@@ -203,13 +203,13 @@ def test_blocks_below_j_star_carry_the_bessel_ratio(monkeypatch):
             log_pmf(p, j)
         assert calls == [(0.5, 3e4)]
     finally:
-        distribution._CACHE.pop(p, None)
+        distribution._tables.cache_clear()
 
 
 def test_ccdf_past_the_cut_is_linear_in_points():
     # each grid end takes one suffix-sum pass, not one per point
     p = GigpParams(0.5, 2.0, 0.9999)
-    distribution._CACHE.pop(p, None)
+    distribution._tables.cache_clear()
     try:
         jmax = _tables(p).jmax
         start = time.perf_counter()
@@ -217,7 +217,7 @@ def test_ccdf_past_the_cut_is_linear_in_points():
         assert time.perf_counter() - start < 0.5
         assert got[0] == 1.0 and np.all(np.diff(got) <= 0.0) and got[-1] > 0.0
     finally:
-        distribution._CACHE.pop(p, None)
+        distribution._tables.cache_clear()
 
 
 def test_bessel_ratios_match_the_sequential_recurrence():
@@ -323,16 +323,40 @@ def test_a_build_that_reaches_the_cap_raises_once(monkeypatch):
         made.append(lo)
         return log_steps(nu, alpha, lo, hi, *rest)
 
-    distribution._CACHE.pop(p, None)
+    distribution._tables.cache_clear()
     monkeypatch.setattr(distribution, "_log_steps", counted)
     monkeypatch.setattr(distribution, "_MAX_SUPPORT", 2_000_000)
     for reads in (1, 2):
         with pytest.raises(RuntimeError, match="pmf support cutoff not reached"):
             _tables(p)
         assert len(made) == 489 * reads
-    assert p not in distribution._CACHE
+    assert distribution._tables.cache_info().currsize == 0
     monkeypatch.undo()
     assert _tables(p).jmax == 2_282_789
+
+
+def test_tables_keep_the_64_most_recently_read(monkeypatch):
+    # a 65th table evicts only the least recently read one: after 66 reads
+    # the last 64 are all still kept, and reading them again builds none
+    built = []
+    build = distribution._build_tables
+
+    def counted(params):
+        built.append(params)
+        return build(params)
+
+    monkeypatch.setattr(distribution, "_build_tables", counted)
+    distribution._tables.cache_clear()
+    ps = [GigpParams(0.5, 0.0, 0.5 + k / 1000) for k in range(66)]
+    for p in ps:
+        _tables(p)
+    assert built == ps
+    for p in ps[2:]:
+        _tables(p)
+    assert built == ps
+    assert distribution._tables.cache_info().currsize == 64
+    _tables(ps[0])
+    assert built == ps + ps[:1]
 
 
 # ccdf at (0.5, 2, 0.9999) on 200 points in (jmax - 16 A, jmax + 32 A)
@@ -348,7 +372,7 @@ def test_table_holds_two_columns_and_log_f_only_once_read():
     grid = np.linspace(0.2, 30.0, 3000)
     distribution._build_tables(GigpParams(0.5, 2.0, 0.9))
     expected_shape_deviation(GigpParams(0.5, 2.0, 0.9), grid)
-    distribution._CACHE.pop(p, None)
+    distribution._tables.cache_clear()
     tracemalloc.start()
     try:
         t = _tables(p)
@@ -406,7 +430,7 @@ def test_a_scalar_read_makes_at_most_one_block(monkeypatch):
     p = GigpParams(0.5, 2.0, 0.9999)
     spans = {300_000: 4_096, 70_000: 4_096, 131_073: 4_096, 50_000: 4_096, 8_193: 4_096,
              3_000: 4_096, 5: 4_096}
-    distribution._CACHE.pop(p, None)
+    distribution._tables.cache_clear()
     want = log_pmf(p, np.arange(300_001))
     computed = []
     log_steps = distribution._log_steps
@@ -422,7 +446,7 @@ def test_a_scalar_read_makes_at_most_one_block(monkeypatch):
             assert log_pmf(p, j) == want[j]
             assert computed == [orders]
     finally:
-        distribution._CACHE.pop(p, None)
+        distribution._tables.cache_clear()
 
 
 def test_table_ends_cum_at_infinity():
@@ -605,7 +629,7 @@ def test_ccdf_array_matches_scalar():
     got = ccdf(p, xs)
     assert np.all(got > 0.0) and np.all(np.diff(got) < 0.0)
     for x, value in zip(xs.tolist(), got.tolist()):
-        distribution._CACHE.pop(p, None)
+        distribution._tables.cache_clear()
         assert ccdf(p, x) == value
     js = np.arange(0, 60, dtype=np.int64).reshape(6, 10)
     assert ccdf(p, js).tolist() == [[ccdf(p, int(j)) for j in row] for row in js]
@@ -708,6 +732,27 @@ def test_mean_exact_allows_deep_nu_for_diagnostics():
     assert got == pytest.approx(1.0, abs=0.15)
 
 
+_CLOSED_FORM_NORM = ("mean_exact divides by the closed-form 1 - f0, which loses its digits "
+                     "as alpha -> 0+ with nu < 0 (FOUND line in CHANGES.md)")
+
+
+@pytest.mark.parametrize("p", [
+    GigpParams(-0.5, 2.0, 0.99, True), GigpParams(0.5, 2.0, 0.9, True),
+    GigpParams(0.0, 0.0, 0.5, True),
+    # 0.750 against the table's 1.040, and a math domain error against 1.010
+    pytest.param(GigpParams(-0.9, 1e-8, 0.5, True), id="-0.9-1e-08-0.5-truncated",
+                 marks=pytest.mark.xfail(strict=True, reason=_CLOSED_FORM_NORM)),
+    pytest.param(GigpParams(-1.0, 1e-8, 0.5, True), id="-1.0-1e-08-0.5-truncated",
+                 marks=pytest.mark.xfail(strict=True, reason=_CLOSED_FORM_NORM))])
+def test_truncated_mean_exact_is_the_table_mean(p):
+    # no zero-truncated mean is below 1, and the table's sum of j f_j up to
+    # its cut is the mean within the tail's 1e-15
+    js = np.arange(1, _tables(p).jmax + 1)
+    want = math.fsum((js * pmf(p, js)).tolist())
+    got = mean_exact(p)
+    assert got >= 1.0 and got == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
 def test_theta_from_mean_example_and_roundtrip():
     assert theta_from_mean(0.5, 0.0, 50.0) == pytest.approx(0.990099, abs=1e-6)
     grid = [GigpParams(0.5, 2.0, 0.9), GigpParams(0.5, 2.0, 0.99, True),
@@ -776,11 +821,11 @@ def test_tail_pmf_asymptotic_converges():
         assert errs[2] < 0.02
     # a closed form: no table is built, so none is needed under the cap
     p = GigpParams(0.5, 0.0, 0.99999)
-    distribution._CACHE.pop(p, None)
+    distribution._tables.cache_clear()
     for j in (10, 10 ** 4, 10 ** 6):
         want = (1.0 - p.theta) ** 0.5 / math.gamma(0.5) * j ** -0.5 * p.theta ** j
         assert tail_pmf_asymptotic(p, j) == pytest.approx(want, rel=1e-12)
-    assert p not in distribution._CACHE
+    assert distribution._tables.cache_info().currsize == 0
 
 
 def test_validate_domain():
@@ -866,7 +911,7 @@ def test_log_f_is_made_again_bit_for_bit(p):
     got = []
     for first in firsts:
         for read in reads:
-            distribution._CACHE.pop(p, None)
+            distribution._tables.cache_clear()
             first()
             got.append(read().tobytes())
     assert got[3:6] == got[:3] and got[6:] == got[:3]
@@ -896,7 +941,7 @@ def _fsum_prefixes(f, ends):
 
 @pytest.mark.parametrize("p", FOLD_GRID + BLOCK_GRID)
 def test_blocks_match_the_dense_table_bit_for_bit(p):
-    distribution._CACHE.pop(p, None)
+    distribution._tables.cache_clear()
     try:
         t = _tables(p)
         n, blocks = t.jmax + 1, range(len(t.below))
@@ -922,7 +967,7 @@ def test_blocks_match_the_dense_table_bit_for_bit(p):
         # bit for bit, a block's columns are the same kept at build, made
         # again, or made on a fresh table in another order
         assert all(np.array_equal(x, y) for x, y in zip((t.cum, t.sf), t._block(0)))
-        distribution._CACHE.pop(p, None)
+        distribution._tables.cache_clear()
         fresh = _tables(p)
         for b in reversed(blocks):
             assert all(np.array_equal(x, y) for x, y in zip(t._block(b), fresh._block(b)))
@@ -933,15 +978,15 @@ def test_blocks_match_the_dense_table_bit_for_bit(p):
         for draw_u in (u, np.sort(u)):
             got = t.draw(draw_u, kept)
             assert got.min() >= 0 and got.max() <= t.jmax
-            distribution._CACHE.pop(p, None)
+            distribution._tables.cache_clear()
             assert np.array_equal(_tables(p).draw(draw_u, {}), got)
         # ccdf away from the cut reads sf
-        distribution._CACHE.pop(p, None)
+        distribution._tables.cache_clear()
         js = np.arange(t.jmax + 2, dtype=float)
         js = js[js <= t.jmax + 16.0 / math.log(p.theta)]
         assert np.array_equal(ccdf(p, js[::-1])[::-1], sf[:len(js)])
     finally:
-        distribution._CACHE.pop(p, None)
+        distribution._tables.cache_clear()
 
 
 # theta_from_mean's bracket exits that FOLD_GRID does not reach: eta too
@@ -1074,7 +1119,7 @@ def test_truncated_draws_near_alpha_zero_are_fast():
     # table gives j = 0 no mass, so 1e5 draws take its build and one
     # inverse-cdf pass
     p = GigpParams(-0.5, 1e-6, 0.99999, True)
-    distribution._CACHE.pop(p, None)
+    distribution._tables.cache_clear()
     start = time.perf_counter()
     values = sample_values(p, 1, 100_000)
     assert time.perf_counter() - start < 1.0
