@@ -17,8 +17,8 @@ __version__ = "0.1.0"
 # each submodule and the public names it defines
 _EXPORTS = {
     "distribution": ("GigpParams", "validate", "pmf", "log_pmf", "cdf", "ccdf",
-                     "mean_exact", "mean_asymptotic", "theta_from_mean", "gig_density",
-                     "tail_pmf_asymptotic", "sample", "sample_values"),
+                     "mean_exact", "mean_asymptotic", "theta_from_mean", "tail_pmf_asymptotic",
+                     "sample", "sample_values"),
     "diagram": ("FrequencyTable", "table_from_sample", "young_y", "scaled_y",
                 "martingale_w"),
     "shape": ("ScalingPair", "ShapeReport", "scaling_a", "scaling_b", "boundary_moments",

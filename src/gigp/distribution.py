@@ -213,8 +213,7 @@ class _Tables:
         return out
 
 
-def _bessel_ratios(nu: float, alpha: float, j: np.ndarray, r_prev: float | None = None
-                   ) -> np.ndarray:
+def _bessel_ratios(nu: float, alpha: float, j: np.ndarray, r_prev: float) -> np.ndarray:
     """r_j = K_(nu+j+1)(alpha) / K_(nu+j)(alpha) at the consecutive orders j.
 
     The forward recurrence r_j = 2 (nu+j)/alpha + 1/r_(j-1) shrinks an
@@ -226,8 +225,7 @@ def _bessel_ratios(nu: float, alpha: float, j: np.ndarray, r_prev: float | None 
     2 (nu+j_1-_J_WINDOW) / alpha, w = ceil(36 ln 2 / ln r_min) steps,
     between 2 and _J_WINDOW, shrink the seed's error by at least 2^-72, as
     _J_WINDOW steps at r_min = 8 do. Below that order the scalar loop runs,
-    on from r_prev = r_(j[0]-1) (r_0 at j[0] = 0) when given and from r_0
-    otherwise.
+    on from r_prev = r_(j[0]-1) (r_0 at j[0] = 0).
     """
     r = np.empty_like(j)
     lo, hi = int(j[0]), int(j[-1]) + 1
@@ -237,11 +235,9 @@ def _bessel_ratios(nu: float, alpha: float, j: np.ndarray, r_prev: float | None 
         j_first += 1
     j_star = max(j_first + _J_WINDOW, lo)
     if lo < j_star:
-        k0, ratio = (0, bessel_k_ratio(nu, alpha)) if r_prev is None else (max(lo - 1, 0), r_prev)
-        head = [ratio]
+        k0, head = max(lo - 1, 0), [r_prev]
         for k in range(k0 + 1, min(hi, j_star)):
-            ratio = 2.0 * (nu + k) / alpha + 1.0 / ratio
-            head.append(ratio)
+            head.append(2.0 * (nu + k) / alpha + 1.0 / head[-1])
         r[:j_star - lo] = head[lo - k0:]
     tail, jt = r[j_star - lo:], j[j_star - lo:]
     if tail.size:
@@ -260,7 +256,7 @@ def _bessel_ratios(nu: float, alpha: float, j: np.ndarray, r_prev: float | None 
     return r
 
 
-def _log_steps(nu: float, alpha: float, lo: int, hi: int, r_prev: float | None = None
+def _log_steps(nu: float, alpha: float, lo: int, hi: int, r_prev: float | None
                ) -> tuple[np.ndarray, float | None]:
     """s_j = log(f_(j+1) / (theta f_j)) for lo <= j < hi, and for alpha > 0
     the Bessel ratio r_(hi-1) that the steps from hi on continue from.
@@ -610,21 +606,6 @@ def theta_from_mean(nu: float, alpha: float, eta_target: float,
             lo = mid
         else:
             hi = mid
-
-
-def gig_density(params: GigpParams, lam: float) -> float:
-    """GIG mixing density of the Poisson rate, c the untruncated pmf tail constant: log g(lam)
-    = log c - nu log theta + (nu-1) log lam - (1-theta) lam/theta - alpha^2 theta/(4 lam)."""
-    nu, alpha, theta = params.nu, params.alpha, params.theta
-    _check_mean_domain(params)
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError("lam must be positive")
-    if alpha == 0.0 and nu <= 0.0:
-        raise ValueError("the alpha = 0 mixing density needs nu > 0")
-    logg = (_family_head(replace(params, zero_truncated=False))[2] - nu * math.log(theta)
-            + (nu - 1.0) * math.log(lam) - (1.0 - theta) * lam / theta
-            - alpha * alpha * theta / (4.0 * lam))
-    return math.exp(logg) if logg > -745.0 else 0.0
 
 
 def tail_pmf_asymptotic(params: GigpParams, j: int) -> float:

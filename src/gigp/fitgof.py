@@ -221,7 +221,7 @@ def ks_normality(samples: Sequence[float]) -> tuple[float, float]:
     n = arr.size
     if n < 20:
         raise ValueError("need at least 20 samples")
-    f = 0.5 * _libm(math.erfc, -arr / math.sqrt(2.0))  # normal_cdf at each sample
+    f = _libm(normal_cdf, arr)
     i = np.arange(n)
     d = float(np.max(np.maximum((i + 1) / n - f, f - i / n)))
     en = math.sqrt(n)

@@ -19,6 +19,8 @@ from .diagram import FrequencyTable, young_y
 from .distribution import GigpParams, ccdf, validate
 from .specfun import _libm, upper_incomplete_gamma
 
+_REGULAR_B = 50.0  # the smallest B that classify_regime calls regular
+
 
 @dataclass(frozen=True)
 class ScalingPair:
@@ -97,11 +99,9 @@ def scaling_b(params: GigpParams, m_sources: int) -> ScalingPair:
     return ScalingPair(scaling_a(theta), b, label)
 
 
-def classify_regime(pair: ScalingPair, threshold: float = 50.0) -> str:
-    """'regular' when B clears the threshold (inclusive), else 'chaotic'."""
-    if not threshold > 0.0:
-        raise ValueError("threshold must be positive")
-    return "regular" if pair.b >= threshold else "chaotic"
+def classify_regime(pair: ScalingPair) -> str:
+    """'regular' when B >= 50 (_REGULAR_B), else 'chaotic'."""
+    return "regular" if pair.b >= _REGULAR_B else "chaotic"
 
 
 def _fluctuation(table: FrequencyTable, params: GigpParams, x, j):

@@ -243,6 +243,22 @@ def test_replicate_counts_at_theta_0_99999_keep_one_call_per_replicate():
     assert 0 < got.sum() < 300 * m
 
 
+@pytest.mark.parametrize("theta, m", [(0.99, 35), (0.9999, 350)])
+def test_values_past_the_threshold_are_the_uniforms_past_its_cum(theta, m):
+    # the sampler's value is >= A x0 exactly when its uniform is >= P(X < A x0),
+    # the entry cum[ceil(A x0) - 1] of block 0: so a replicate's Y can be
+    # counted from the same stream's uniforms, with no draw
+    params = GigpParams(-0.5, 2.0, theta)
+    thr = scaling_a(theta) * 0.2
+    cum = distribution._tables(params).cum
+    assert math.ceil(thr) <= distribution._BLOCK
+    values, uniforms = np.random.default_rng(1), np.random.default_rng(1)
+    ys = [np.count_nonzero(_sample_values_rng(params, values, m) >= thr) for _ in range(2000)]
+    us = [np.count_nonzero(uniforms.random(m) >= cum[math.ceil(thr) - 1]) for _ in range(2000)]
+    assert ys == us
+    assert 0 < sum(ys) < 2000 * m
+
+
 def test_gof_experiment_warns_in_regular_regime():
     # B = 564 >> 50: warns about the regime; with lambda ~ 550 spread over
     # hundreds of values, 5 replicates leave no bin with expected >= 5

@@ -1,17 +1,16 @@
 """Distribution-level oracle tests.
 
 The alpha > 0 pmf is checked against a direct mpmath evaluation of the
-Bessel formula, the mixing density against the pmf by numerical
-integration (two independent routes), the ccdf against an mpmath GIG
-mixture of Poisson tails, and the closed-form families against their
-textbook expressions.
+Bessel formula and against the Poisson law mixed over scipy's GIG (the
+gamma at alpha = 0) by numerical integration (two independent routes),
+the ccdf against an mpmath GIG mixture of Poisson tails, and the
+closed-form families against their textbook expressions.
 """
 
 import hashlib
 import math
 import time
 import tracemalloc
-from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -19,10 +18,9 @@ import pytest
 from scipy import integrate, special, stats
 
 from gigp import diagram, distribution
-from gigp.distribution import (GigpParams, _bessel_ratios, _tables, ccdf, cdf, gig_density,
-                               log_pmf, mean_asymptotic, mean_exact, pmf, resolve_truncation,
-                               sample, sample_values, tail_pmf_asymptotic, theta_from_mean,
-                               validate)
+from gigp.distribution import (GigpParams, _bessel_ratios, _tables, ccdf, cdf, log_pmf,
+                               mean_asymptotic, mean_exact, pmf, resolve_truncation, sample,
+                               sample_values, tail_pmf_asymptotic, theta_from_mean, validate)
 from gigp.shape import expected_shape_deviation, scaling_a, scaling_b, sup_distance
 from gigp.specfun import bessel_k_ratio
 
@@ -230,15 +228,16 @@ def test_bessel_ratios_match_the_sequential_recurrence():
         for k in range(1, 301_000):
             ratio = 2.0 * (nu + k) / alpha + 1.0 / ratio
             want.append(ratio)
-        got = _bessel_ratios(nu, alpha, np.arange(0, 5000, dtype=float))
+        got = _bessel_ratios(nu, alpha, np.arange(0, 5000, dtype=float), want[0])
         assert got.tolist() == want[:5000]
         for lo in (1024, 3000, 65_536, 300_000):
-            later = _bessel_ratios(nu, alpha, np.arange(lo, lo + 1000, dtype=float))
+            later = _bessel_ratios(nu, alpha, np.arange(lo, lo + 1000, dtype=float), want[lo - 1])
             assert later.tolist() == want[lo:lo + 1000]
         # a block sizes its window from its own first order: at (0.5, 2) the
         # window has 2 steps from r_min = 2^18 on, so the block from 266,240
         # takes 2 where one sized from the power of 2 below it took 3
-        got = _bessel_ratios(nu, alpha, np.arange(266_240, 270_336, dtype=float))
+        got = _bessel_ratios(nu, alpha, np.arange(266_240, 270_336, dtype=float),
+                             want[266_239])
         assert got.tolist() == want[266_240:270_336]
     # at alpha = 3e4, j* ~ 120,012: blocks below it, and the one across it,
     # run the scalar loop on from the ratio carried from the block below
@@ -778,36 +777,31 @@ def test_theta_from_mean_errors():
         theta_from_mean(-1.0, 1e-300, 5.0)
 
 
+def _gig_density(p):
+    """The untruncated model's mixing law of the Poisson rate: the GIG
+    density prop. to lam^(nu-1) exp(-(1-theta) lam/theta - alpha^2 theta/(4 lam)),
+    in scipy's parametrization, and its gamma limit at alpha = 0."""
+    if p.alpha == 0.0:
+        return stats.gamma(p.nu, scale=p.theta / (1.0 - p.theta)).pdf
+    root = math.sqrt(1.0 - p.theta)
+    return stats.geninvgauss(p.nu, p.alpha * root,
+                             scale=p.alpha * p.theta / (2.0 * root)).pdf
+
+
 def test_gig_density_normalizes_and_mixes_to_pmf():
-    for nu, alpha, theta in [(0.5, 2.0, 0.9), (-0.5, 1.0, 0.7), (2.0, 0.5, 0.6)]:
+    # the GIGP is the Poisson law mixed over the GIG; at alpha = 0, the
+    # negative binomial mixed over the gamma
+    for nu, alpha, theta in [(0.5, 2.0, 0.9), (-0.5, 1.0, 0.7), (2.0, 0.5, 0.6),
+                             (2.0, 0.0, 0.5), (0.5, 0.0, 0.9)]:
         p = GigpParams(nu, alpha, theta)
-        total, _ = integrate.quad(lambda lam: gig_density(p, lam), 0.0, np.inf)
+        density = _gig_density(p)
+        total, _ = integrate.quad(density, 0.0, np.inf)
         assert total == pytest.approx(1.0, abs=1e-8)
         for j in [0, 1, 3, 7]:
             mixed, _ = integrate.quad(
                 lambda lam: math.exp(-lam + j * math.log(lam) - math.lgamma(j + 1))
-                * gig_density(p, lam), 0.0, np.inf)
+                * density(lam), 0.0, np.inf)
             assert mixed == pytest.approx(pmf(p, j), rel=1e-8)
-
-
-def test_gig_density_is_blind_to_truncation():
-    # the mixing law is that of the untruncated model
-    for p in [GigpParams(0.5, 2.0, 0.9), GigpParams(-0.5, 1.0, 0.7), GigpParams(2.0, 0.0, 0.5),
-              GigpParams(-2.0, 1.0, 0.9)]:
-        for lam in (0.1, 1.0, 30.0):
-            assert gig_density(replace(p, zero_truncated=True), lam) == gig_density(p, lam)
-
-
-def test_gig_density_gamma_limit():
-    p = GigpParams(2.0, 0.0, 0.5)
-    rate = (1.0 - 0.5) / 0.5
-    for lam in [0.2, 1.0, 4.0]:
-        want = rate ** 2 * lam * math.exp(-rate * lam)  # gamma(2, rate)
-        assert gig_density(p, lam) == pytest.approx(want, rel=1e-12)
-    with pytest.raises(ValueError):
-        gig_density(GigpParams(0.0, 0.0, 0.5, True), 1.0)
-    with pytest.raises(ValueError):
-        gig_density(p, 0.0)
 
 
 def test_tail_pmf_asymptotic_converges():
@@ -851,7 +845,6 @@ NON_FINITE_ENTRY_POINTS = {
     "cdf": lambda p: cdf(p, 3.0),
     "mean_exact": mean_exact,
     "mean_asymptotic": mean_asymptotic,
-    "gig_density": lambda p: gig_density(p, 1.0),
     "tail_pmf_asymptotic": lambda p: tail_pmf_asymptotic(p, 5),
     "sample_values": lambda p: sample_values(p, 1, 10),
     "scaling_b": lambda p: scaling_b(p, 100),

@@ -51,10 +51,11 @@ def test_scaling_b_anchors():
 def test_classify_regime():
     assert classify_regime(ScalingPair(99.5, 564.19, "a")) == "regular"
     assert classify_regime(ScalingPair(99.5, 1.974664, "c")) == "chaotic"
-    assert classify_regime(ScalingPair(99.5, 50.0, "a")) == "regular"  # inclusive
-    assert classify_regime(ScalingPair(99.5, 564.19, "a"), threshold=1000.0) == "chaotic"
-    with pytest.raises(ValueError):
-        classify_regime(ScalingPair(99.5, 10.0, "a"), threshold=0.0)
+    # the split is the fixed B = 50, inclusive
+    assert classify_regime(ScalingPair(99.5, 50.0, "a")) == "regular"
+    assert classify_regime(ScalingPair(99.5, math.nextafter(50.0, 0.0), "a")) == "chaotic"
+    with pytest.raises(TypeError):
+        classify_regime(ScalingPair(99.5, 564.19, "a"), threshold=1000.0)
 
 
 def test_limit_shape_is_incomplete_gamma():
