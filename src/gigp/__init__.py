@@ -16,14 +16,12 @@ __version__ = "0.1.0"
 
 # each submodule and the public names it defines
 _EXPORTS = {
-    "distribution": ("GigpParams", "validate", "pmf", "log_pmf", "cdf", "ccdf",
-                     "mean_exact", "mean_asymptotic", "theta_from_mean", "tail_pmf_asymptotic",
-                     "sample", "sample_values"),
-    "diagram": ("FrequencyTable", "table_from_sample", "young_y", "scaled_y",
-                "martingale_w"),
-    "shape": ("ScalingPair", "ShapeReport", "scaling_a", "scaling_b", "boundary_moments",
-              "classify_regime", "limit_shape", "upsilon", "limit_cov", "tail_transform",
-              "sup_distance", "expected_shape_deviation"),
+    "distribution": ("GigpParams", "validate", "pmf", "log_pmf", "ccdf", "mean_exact",
+                     "mean_asymptotic", "theta_from_mean", "sample", "sample_values"),
+    "diagram": ("FrequencyTable", "table_from_sample", "young_y"),
+    "shape": ("ScalingPair", "ShapeReport", "scaling_a", "scaling_b", "classify_regime",
+              "limit_shape", "upsilon", "limit_cov", "tail_transform", "sup_distance",
+              "expected_shape_deviation"),
     "chaotic": ("PoissonApprox", "poisson_rate", "increment_rates", "integrated_rate",
                 "poisson_gof_experiment"),
     "fitgof": ("TailFit", "GofReport", "fit_tail_line", "alpha_from_b", "pearson_chi2",

@@ -471,10 +471,11 @@ def main(argv=None) -> int:
         if sys.stdout is not None:
             sys.stdout.flush()
         return code
-    except (ValueError, RuntimeError, ArithmeticError, MemoryError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError, MemoryError, Warning) as exc:
         # RuntimeError: a kernel gave up, e.g. the pmf table hit its size cap;
         # ArithmeticError: a value left floating-point range; MemoryError: an
-        # allocation was refused, e.g. for --m or --replicates past memory
+        # allocation was refused, e.g. for --m or --replicates past memory;
+        # Warning: a warning raised as an error, as under -W error
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -9,7 +9,7 @@ N = sum j M_j (where j = 0 entries add sources but no area).
 from __future__ import annotations
 
 import operator
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -97,27 +97,3 @@ def young_y(table: FrequencyTable, x):
     number x, an int64 array for an array of them."""
     out = table.suffix[np.searchsorted(table.support, np.asarray(x), side="left")]
     return int(out) if np.ndim(x) == 0 else out
-
-
-def scaled_y(table: FrequencyTable, a: float, b: float, x):
-    """Y-tilde(x) = Y(A x) / B, a float for a number x, an array for an array."""
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError("scales must be positive")
-    return young_y(table, np.multiply(a, x)) / b
-
-
-def martingale_w(values, cdf: Callable[[float], float], t: float) -> float:
-    """W(t) = #{X_i < 1/t} / F(1/t) - n with F(x) = P(X < x).
-
-    The zero-mean martingale in t behind the fluctuation theory; t = 0
-    returns 0 by convention.
-    """
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
-    if t == 0.0:
-        return 0.0
-    arr = np.asarray(values)
-    prob = cdf(1.0 / t)
-    if not prob > 0.0:
-        raise ValueError("F(1/t) must be positive")
-    return float(np.count_nonzero(arr < 1.0 / t) / prob - arr.size)

@@ -229,6 +229,11 @@ def _bessel_ratios(nu: float, alpha: float, j: np.ndarray, r_prev: float) -> np.
     """
     r = np.empty_like(j)
     lo, hi = int(j[0]), int(j[-1]) + 1
+    # r_(hi-1), the largest ratio, is 2 (nu+hi-1)/alpha to rounding, as the
+    # loops form it; past the float range the pmf steps would read inf and NaN
+    if not math.isfinite(2.0 * ((hi - 1) + nu) / alpha):
+        raise OverflowError("the pmf's Bessel ratios are out of floating-point range "
+                            "at these parameters")
     j_first = math.ceil(4.0 * alpha - nu)
     if nu + j_first <= 0.0:
         # 4 alpha - nu rounded to the integer -nu, where the order is 0, not 4 alpha
@@ -487,11 +492,6 @@ def ccdf(params: GigpParams, x):
     return float(out) if out.ndim == 0 else out
 
 
-def cdf(params: GigpParams, x: float) -> float:
-    """Strict lower tail F(x) = P(X < x), the complement of ccdf."""
-    return 1.0 - ccdf(params, x)
-
-
 def mean_exact(params: GigpParams) -> float:
     """E[X], or the zero-truncated mean when the params say so.
 
@@ -606,16 +606,6 @@ def theta_from_mean(nu: float, alpha: float, eta_target: float,
             lo = mid
         else:
             hi = mid
-
-
-def tail_pmf_asymptotic(params: GigpParams, j: int) -> float:
-    """Leading tail term c j^(nu-1) theta^j with the family constant c."""
-    validate(params)
-    if int(j) != j or j < 1:
-        raise ValueError("j must be a positive integer")
-    logv = (_family_head(params)[2] - _log_norm(params) + (params.nu - 1.0) * math.log(j)
-            + j * math.log(params.theta))
-    return math.exp(logv) if logv > -745.0 else 0.0
 
 
 def _sample_values_rng(params: GigpParams, rng: np.random.Generator, count: int,

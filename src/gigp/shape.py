@@ -126,25 +126,6 @@ def upsilon(table: FrequencyTable, params: GigpParams, x: float) -> float:
     return float(ups)
 
 
-def boundary_moments(params: GigpParams, m_sources: int, x: float,
-                     x2: float | None = None) -> tuple[float, float, float]:
-    """(mean, variance, covariance) of Y(x) (and Y(x2)) under the model.
-
-    Y(x) is Binomial(M, F-bar(x)), and for x <= x2 the covariance of
-    Y(x), Y(x2) is M F-bar(x2) (1 - F-bar(x)).
-    """
-    _check_m_sources(m_sources)
-    if x2 is None:
-        x2 = x
-    if x2 < x:
-        raise ValueError("x2 must be >= x")
-    p1, p2 = ccdf(params, np.array([x, x2], dtype=float)).tolist()
-    mean = m_sources * p1
-    var = m_sources * p1 * (1.0 - p1)
-    cov = m_sources * p2 * (1.0 - p1)
-    return mean, var, cov
-
-
 def limit_cov(nu: float, x: float, x2: float) -> float:
     """Limiting Cov(Upsilon(x), Upsilon(x2)) = sqrt(phi(x2)/phi(x)) for x <= x2."""
     if not 0.0 < x <= x2:
@@ -190,7 +171,13 @@ def sup_distance(table: FrequencyTable, params: GigpParams, delta: float) -> Sha
     dev = np.maximum(np.abs(y_scaled - phi), np.abs(lower - phi))
     sup = max(0.0, float(dev.max()))
     bias = m * fbar / b - phi
-    msd = m * fbar * (1.0 - fbar) / (b * b) + bias * bias
+    # msd ~ M F-bar / B^2 can pass the float range at a tiny B, whose
+    # square underflows (to 0 from B ~ 1.5e-162)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        msd = m * fbar * (1.0 - fbar) / (b * b) + bias * bias
+    if not np.isfinite(msd).all():
+        raise ValueError("the mean squared deviation is out of floating-point range at "
+                         "these parameters")
     return ShapeReport(delta, sup, xs, y_scaled, phi, ups, msd)
 
 

@@ -13,7 +13,7 @@ from gigp.chaotic import (increment_rates, integrated_rate,
                           _poisson_sf, _replicate_counts)
 from gigp.distribution import GigpParams, ccdf, sample_values, _sample_values_rng
 from gigp.fitgof import pearson_chi2
-from gigp.shape import boundary_moments, limit_shape, scaling_a, scaling_b
+from gigp.shape import limit_shape, scaling_a, scaling_b
 from gigp.specfun import chi2_sf
 
 P61 = GigpParams(-0.5, 2.0, 0.99)
@@ -139,8 +139,7 @@ def test_poisson_sf_from_the_mean_plus_one_matches_scipy():
 
 def test_m_sources_must_be_a_positive_integer():
     calls = [lambda m: poisson_rate(P61, m, 1.0), lambda m: increment_rates(P61, m, [1.0, 2.0]),
-             lambda m: integrated_rate(P61, m, 1.0), lambda m: boundary_moments(P61, m, 1.0),
-             lambda m: scaling_b(P61, m)]
+             lambda m: integrated_rate(P61, m, 1.0), lambda m: scaling_b(P61, m)]
     for call in calls:
         for m in (-5, -3, 0, 10.5):
             with pytest.raises(ValueError, match="m_sources must be a positive integer"):

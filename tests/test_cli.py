@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -92,6 +93,9 @@ PINNED_ARGS = {
                            "--m", "35", "--x0", "0.2", "--replicates", "200", "--seed", "9",
                            "--fit-lambda"],
     "gof-sparse": ["gof", "--data", "sparse.csv", "--nu", "-0.5", "--alpha", "2"],
+    # B = 8.9e-159, whose square is subnormal: msd reaches 2.9e158 and stays finite
+    "shape-tiny-b": ["shape", "--nu", "-0.5", "--alpha", "1e-160", "--theta", "0.9",
+                     "--m", "1000", "--seed", "1"],
 }
 PINNED = [
     ("shape", "json", "41324ef6aac7d4752b40f4ccb30a31bffbfa3573898c15c3e2334ec14a167cc5"),
@@ -109,6 +113,7 @@ PINNED = [
     ("gof-sparse", "json", "a491465e7e9d9f5ae8bfe2a2cd9fa3731ace1efbac313f51149d6618bcd97dbb"),
     ("shape", "svg", "5daedd42cf3216794bfcbb5f5b968f2d1f3cdc4aeba4f105c6110d566c4ef321"),
     ("shape-alpha2", "svg", "c2f02f2c62adb8e6c15b2fc9f3a368a182b0e0d54202654bb4120dc62ce308fd"),
+    ("shape-tiny-b", "json", "289502b6b2be82617e42a2ab98ab87a0394f7d0342185b9768adb83a2735ff77"),
 ]
 
 
@@ -452,12 +457,39 @@ def test_a_bad_numeric_flag_is_one_error_line(tmp_path, monkeypatch, capsys, cmd
     # B = M / Gamma(nu), and Gamma(1e6) overflows
     (["shape", "--nu", "1e6", "--alpha", "2", "--theta", "0.5", "--m", "10", "--seed", "1"],
      "error: the scale B is out of floating-point range at these parameters\n"),
-], ids=["huge-alpha", "huge-nu"])
+    # B = 8.9e-299, so B^2 underflows to 0, and no float holds msd (~1e598)
+    (["shape", "--nu", "-0.5", "--alpha", "1e-300", "--theta", "0.9", "--m", "1000",
+      "--seed", "1"],
+     "error: the mean squared deviation is out of floating-point range at these parameters\n"),
+    # the Bessel ratio 2 (nu + j) / alpha passes the float range within block 0
+    (["shape", "--nu", "-0.5", "--alpha", "1e-306", "--theta", "0.9", "--m", "1000",
+      "--seed", "1"],
+     "error: the pmf's Bessel ratios are out of floating-point range at these parameters\n"),
+    (["shape", "--nu", "-0.5", "--alpha", "1e-308", "--theta", "0.9", "--m", "1000",
+      "--seed", "1"],
+     "error: the pmf's Bessel ratios are out of floating-point range at these parameters\n"),
+], ids=["huge-alpha", "huge-nu", "tiny-b", "bessel-1e-306", "bessel-1e-308"])
 def test_arithmetic_failures_are_one_error_line(tmp_path, monkeypatch, capsys, args, line):
     monkeypatch.chdir(tmp_path)
     _write_csv(tmp_path, "small.csv", [(1, 50), (2, 20), (5, 10), (30, 3)])
     assert main(args) == 1
     assert capsys.readouterr() == ("", line)
+
+
+def test_a_warning_raised_as_an_error_is_one_error_line(capsys):
+    # B = 564 is in the regular regime, so chaotic warns; under -W error the
+    # warning is raised, and main gives one error line, not a traceback
+    args = ["chaotic", "--nu", "0.5", "--alpha", "2", "--theta", "0.99", "--m", "1000",
+            "--x0", "0.2", "--replicates", "50", "--seed", "1"]
+    with pytest.warns(UserWarning, match="regular regime"):
+        assert main(args) == 0
+    doc = capsys.readouterr().out
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == 1
+    assert capsys.readouterr() == ("", "error: B is in the regular regime; the Poisson "
+                                       "approximation is meant for bounded B\n")
+    assert json.loads(doc)["result"]["df"] >= 1
 
 
 def test_gof_folds_a_far_outlier_whose_model_mass_underflows(tmp_path, capsys):
@@ -709,7 +741,8 @@ def test_out_file_gets_the_bytes_stdout_gets(tmp_path, fmt):
     LONG_SHAPE_ARGS + ["--delta", "-1"],
     ["shape", "--nu", "0.5", "--alpha", "0", "--theta", "0.9999998", "--m", "10", "--seed", "1"],
     ["simulate", "--nu", "0.5", "--alpha", "2", "--theta", "1.5", "--m", "10", "--seed", "1"],
-], ids=["bad-delta", "past-the-cap", "bad-theta"])
+    ["shape", "--nu", "-0.5", "--alpha", "1e-300", "--theta", "0.9", "--m", "1000", "--seed", "1"],
+], ids=["bad-delta", "past-the-cap", "bad-theta", "tiny-b"])
 def test_a_failed_command_creates_no_out_file(tmp_path, capsys, args):
     out = tmp_path / "never.json"
     assert main(args + ["--out", str(out)]) == 1

@@ -5,10 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gigp.diagram import (FrequencyTable, martingale_w, scaled_y,
-                          table_from_sample, young_y)
-from gigp.distribution import GigpParams, ccdf
-from gigp.shape import boundary_moments
+from gigp.diagram import FrequencyTable, table_from_sample, young_y
 
 
 def test_table_from_sample_example():
@@ -45,13 +42,6 @@ def test_boundary_vectorized():
     assert got.dtype == np.int64
     assert got.tolist() == [young_y(t, x) for x in xs] == [6, 6, 1, 1, 0]
     assert type(young_y(t, 2.5)) is int
-
-
-def test_scaled_y():
-    t = table_from_sample([4, 2, 2, 2, 1, 1])
-    assert scaled_y(t, 2.0, 6.0, 1.0) == pytest.approx(4.0 / 6.0)
-    with pytest.raises(ValueError):
-        scaled_y(t, 0.0, 6.0, 1.0)
 
 
 def test_frequency_table_validation():
@@ -98,45 +88,3 @@ def test_frequency_table_arrays():
     assert table_from_sample(ordered) == from_dict and np.array_equal(values, drawn)
     assert table_from_sample(np.array([3])).counts == {3: 1}
     assert FrequencyTable({}).M == 0 and FrequencyTable({}).support.size == 0
-
-
-def test_boundary_moments_binomial():
-    p = GigpParams(0.5, 2.0, 0.9)
-    m = 50
-    mean, var, cov = boundary_moments(p, m, 2.0)
-    q = ccdf(p, 2.0)
-    assert mean == pytest.approx(m * q, rel=1e-12)
-    assert var == pytest.approx(m * q * (1.0 - q), rel=1e-12)
-    assert cov == pytest.approx(var, rel=1e-12)
-    _, _, cov2 = boundary_moments(p, m, 2.0, 5.0)
-    q2 = ccdf(p, 5.0)
-    assert cov2 == pytest.approx(m * q2 * (1.0 - q), rel=1e-12)
-    with pytest.raises(ValueError):
-        boundary_moments(p, m, 5.0, 2.0)
-    with pytest.raises(ValueError):
-        boundary_moments(p, 0, 1.0)
-
-
-def test_martingale_w_exact_small_case():
-    values = [1, 2, 3]
-    cdf = lambda x: 0.25 if x == 2.0 else None
-    # t = 1/2: threshold 1/t = 2, one value below it
-    assert martingale_w(values, cdf, 0.5) == pytest.approx(1 / 0.25 - 3)
-    assert martingale_w(values, cdf, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        martingale_w(values, lambda x: 0.0, 0.5)
-    with pytest.raises(ValueError):
-        martingale_w(values, cdf, -0.5)
-
-
-def test_martingale_w_zero_mean():
-    # model F(x) = P(X < x) makes W(t) mean-zero at every t
-    from gigp.distribution import cdf as model_cdf, sample_values
-    p = GigpParams(0.5, 2.0, 0.9)
-    rng = np.random.default_rng(5)
-    f = lambda x: model_cdf(p, x)
-    for t in [0.2, 0.7]:
-        ws = [martingale_w(sample_values(p, rng, 200), f, t) for _ in range(300)]
-        ws = np.asarray(ws)
-        se = ws.std(ddof=1) / np.sqrt(len(ws))
-        assert abs(ws.mean()) < 5.0 * se + 1e-9

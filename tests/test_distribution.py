@@ -18,9 +18,10 @@ import pytest
 from scipy import integrate, special, stats
 
 from gigp import diagram, distribution
-from gigp.distribution import (GigpParams, _bessel_ratios, _tables, ccdf, cdf, log_pmf,
-                               mean_asymptotic, mean_exact, pmf, resolve_truncation, sample,
-                               sample_values, tail_pmf_asymptotic, theta_from_mean, validate)
+from gigp.distribution import (GigpParams, _bessel_ratios, _family_head, _log_norm, _tables,
+                               ccdf, log_pmf, mean_asymptotic, mean_exact, pmf,
+                               resolve_truncation, sample, sample_values, theta_from_mean,
+                               validate)
 from gigp.shape import expected_shape_deviation, scaling_a, scaling_b, sup_distance
 from gigp.specfun import bessel_k_ratio
 
@@ -34,6 +35,16 @@ def _pmf_oracle(nu, alpha, theta, j):
     base = ((1 - th) ** (mpmath.mpf(nu) / 2) / mpmath.besselk(nu, al * mpmath.sqrt(1 - th))
             * (al * th / 2) ** j / mpmath.factorial(j) * mpmath.besselk(nu + j, al))
     return float(base)
+
+
+def _tail_pmf_asymptotic(p, j):
+    # the leading tail term c j^(nu-1) theta^j with the family constant c,
+    # under truncation over the closed-form 1 - f0; a closed form, so it
+    # builds no table and holds past the support cap
+    validate(p)
+    logv = (_family_head(p)[2] - _log_norm(p) + (p.nu - 1.0) * math.log(j)
+            + j * math.log(p.theta))
+    return math.exp(logv) if logv > -745.0 else 0.0
 
 
 POS_ALPHA_GRID = [(0.5, 2.0, 0.9), (-0.5, 2.0, 0.99), (0.0, 1.0, 0.5),
@@ -151,7 +162,7 @@ def test_ccdf_just_below_the_support_cap(monkeypatch):
     assert _tables(p).jmax == 32_229_948
     monkeypatch.setattr(distribution, "_log_steps", counted)
     for x in (9e7, 9.5e7, 9.9e7):
-        asymptote = tail_pmf_asymptotic(p, int(x)) / (1.0 - p.theta)
+        asymptote = _tail_pmf_asymptotic(p, int(x)) / (1.0 - p.theta)
         computed.clear()
         assert ccdf(p, x) == pytest.approx(asymptote, rel=0.01, abs=0.0)
         if x > 9e7:
@@ -250,6 +261,16 @@ def test_bessel_ratios_match_the_sequential_recurrence():
     for lo in (4096, 69_632, 118_784, 122_880):
         got = _bessel_ratios(nu, alpha, np.arange(lo, lo + 4096, dtype=float), want[lo - 1])
         assert got.tolist() == want[lo:lo + 4096]
+
+
+@pytest.mark.parametrize("alpha", [1e-306, 1e-308])
+def test_bessel_ratios_past_the_float_range_raise(alpha):
+    # block 0's last ratio, 2 (nu + 4095) / alpha, passes 1.8e308: the read
+    # raises before numpy overflows (its warning is an error under the test config)
+    with pytest.raises(OverflowError, match="Bessel ratios are out of floating-point range"):
+        ccdf(GigpParams(-0.5, alpha, 0.9), 1.0)
+    # at 1e-304 it is 8.2e307, and the table reads
+    assert 0.0 < ccdf(GigpParams(-0.5, 1e-304, 0.9), 1.0) < 1e-300
 
 
 def test_table_cut_past_the_mass_for_nu_above_one():
@@ -612,7 +633,7 @@ def test_ccdf_values_and_conventions():
     assert ccdf(p, 2.0001) == ccdf(p, 3.0)
     for j in [0, 1, 7]:
         assert ccdf(p, j) - ccdf(p, j + 1) == pytest.approx(pmf(p, j), rel=1e-9)
-    assert cdf(p, 2.0) == pytest.approx(pmf(p, 0) + pmf(p, 1), rel=1e-9)
+    assert 1.0 - ccdf(p, 2.0) == pytest.approx(pmf(p, 0) + pmf(p, 1), rel=1e-9)
     assert ccdf(p, 1e9) == 0.0
 
 
@@ -809,7 +830,7 @@ def test_tail_pmf_asymptotic_converges():
              GigpParams(2.0, 0.0, 0.9), GigpParams(0.0, 0.0, 0.9, True),
              GigpParams(-0.5, 0.0, 0.9, True), GigpParams(0.5, 2.0, 0.9, True)]
     for p in cases:
-        errs = [abs(pmf(p, j) / tail_pmf_asymptotic(p, j) - 1.0) for j in (50, 100, 300)]
+        errs = [abs(pmf(p, j) / _tail_pmf_asymptotic(p, j) - 1.0) for j in (50, 100, 300)]
         # Fisher's leading term is already exact, hence the slack
         assert errs[2] <= errs[0] + 1e-12
         assert errs[2] < 0.02
@@ -818,7 +839,7 @@ def test_tail_pmf_asymptotic_converges():
     distribution._tables.cache_clear()
     for j in (10, 10 ** 4, 10 ** 6):
         want = (1.0 - p.theta) ** 0.5 / math.gamma(0.5) * j ** -0.5 * p.theta ** j
-        assert tail_pmf_asymptotic(p, j) == pytest.approx(want, rel=1e-12)
+        assert _tail_pmf_asymptotic(p, j) == pytest.approx(want, rel=1e-12)
     assert distribution._tables.cache_info().currsize == 0
 
 
@@ -836,16 +857,15 @@ def test_validate_domain():
         pmf(GigpParams(0.5, 2.0, 0.9), -1)
 
 
-# every public entry point takes (nu, alpha, theta) through validate();
-# theta_from_mean reads the bad theta as its target mean
+# every public entry point, and the tail oracle, takes (nu, alpha, theta)
+# through validate(); theta_from_mean reads the bad theta as its target mean
 NON_FINITE_ENTRY_POINTS = {
     "pmf": lambda p: pmf(p, 2),
     "log_pmf": lambda p: log_pmf(p, 2),
     "ccdf": lambda p: ccdf(p, 3.0),
-    "cdf": lambda p: cdf(p, 3.0),
     "mean_exact": mean_exact,
     "mean_asymptotic": mean_asymptotic,
-    "tail_pmf_asymptotic": lambda p: tail_pmf_asymptotic(p, 5),
+    "tail_pmf_asymptotic": lambda p: _tail_pmf_asymptotic(p, 5),
     "sample_values": lambda p: sample_values(p, 1, 10),
     "scaling_b": lambda p: scaling_b(p, 100),
     "theta_from_mean": lambda p: theta_from_mean(p.nu, p.alpha, 10.0 * p.theta),
@@ -882,7 +902,7 @@ def test_family_head_and_truncation_bits_are_pinned():
     h = hashlib.sha256()
     for p in FOLD_GRID:
         eta = mean_exact(p)
-        h.update(repr((eta, tail_pmf_asymptotic(p, 37),
+        h.update(repr((eta, _tail_pmf_asymptotic(p, 37),
                        theta_from_mean(p.nu, p.alpha, eta, p.zero_truncated))).encode())
         t = _tables(p)
         h.update(t.log_f(np.arange(t.jmax + 1)).tobytes())

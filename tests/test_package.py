@@ -29,6 +29,24 @@ def test_public_names_are_their_modules_objects():
     assert star["__version__"] == gigp.__version__ == "0.1.0"
 
 
+# the public surface; a name joins or leaves it only with an edit here
+PUBLIC_NAMES = [
+    "FrequencyTable", "GigpParams", "GofReport", "KAPPA", "PartitionConfig", "PoissonApprox",
+    "ScalingPair", "ShapeReport", "TailFit", "__version__", "alpha_from_b", "bessel_k_ratio",
+    "calibrate", "ccdf", "chi2_sf", "classify_regime", "expected_shape_deviation",
+    "fit_tail_line", "increment_rates", "integrated_rate", "ks_normality", "limit_cov",
+    "limit_shape", "log_bessel_k", "log_pmf", "mean_asymptotic", "mean_exact", "normal_cdf",
+    "partition_shape", "pearson_chi2", "pmf", "pointwise_z_test", "poisson_gof_experiment",
+    "poisson_rate", "regularized_gamma_q", "sample", "sample_partition", "sample_values",
+    "scaling_a", "scaling_b", "sup_distance", "table_from_sample", "tail_transform",
+    "theta_from_mean", "upper_incomplete_gamma", "upsilon", "validate", "young_y",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(gigp.__all__) == PUBLIC_NAMES
+
+
 def test_dir_lists_every_public_name_and_an_unknown_name_is_an_attribute_error():
     assert set(gigp.__all__) <= set(dir(gigp))
     with pytest.raises(AttributeError, match="no_such_name"):
