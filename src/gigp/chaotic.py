@@ -122,6 +122,7 @@ def poisson_gof_experiment(params: GigpParams, m_sources: int, x0: float,
     ys = _replicate_counts(params, np.random.default_rng(seed), m_sources,
                            threshold, replicates)
     lam = float(np.mean(ys)) if fit_lambda else m_sources * ccdf(params, threshold)
-    return _open_top_chi2(table_from_sample(ys), 0, lambda jmax: np.array(
-        [_poisson_pmf(j, lam) for j in range(jmax)] + [_poisson_sf(jmax, lam)]),
-        1 if fit_lambda else 0, min_expected)
+    table = table_from_sample(ys)
+    j_hi = int(table.support[-1])
+    probs = np.array([_poisson_pmf(j, lam) for j in range(j_hi)] + [_poisson_sf(j_hi, lam)])
+    return _open_top_chi2(table, 0, probs, 1 if fit_lambda else 0, min_expected)

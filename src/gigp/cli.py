@@ -247,21 +247,13 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_gof(args) -> int:
-    import numpy as np
-
-    from .distribution import _pmf_end, ccdf, pmf
+    from .distribution import _tables
     from .fitgof import _open_top_chi2
     table = read_frequency_csv(args.data)
     params = _params_from(args, table)
     fitted = int(args.theta is None)
     j_lo = 1 if params.zero_truncated else 0
-
-    def probs(j_hi):
-        # the bins end where the pmf past the cut is 0.0: the ones they leave
-        # out, and the open top, add only 0.0 to the right edge's fold
-        end = _pmf_end(params, j_hi)
-        return np.append(pmf(params, np.arange(j_lo, end)), ccdf(params, end))
-
+    probs = _tables(params).gof_probs(j_lo, int(table.support[-1]))
     rep = _open_top_chi2(table, j_lo, probs, fitted, args.min_expected)
     cfg = _config_echo(args, params, table.M)
     result = {"statistic": rep.statistic, "df": rep.df, "p_value": rep.p_value,

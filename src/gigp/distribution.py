@@ -75,8 +75,8 @@ def _check_mean_domain(params: GigpParams) -> None:
 
 class _Tables:
     """The pmf table for one parameter triple (post truncation), read only
-    through ccdf, log_f and draw. It runs to the cut jmax that the params
-    fix; log_f_cut is log f_jmax and tail the geometric mass past jmax.
+    through ccdf, log_f, gof_probs and draw. It runs to the cut jmax that
+    the params fix; log_f_cut is log f_jmax and tail the geometric mass past jmax.
 
     Block 0 holds j = 0, ..., _BLOCK and block b > 0 holds j in (b _BLOCK,
     (b + 1) _BLOCK], in log f and in the two columns, cum and sf; cum ends
@@ -92,17 +92,74 @@ class _Tables:
     __slots__ = ("nu", "alpha", "log_theta", "j0", "log_f0", "head", "log_norm_low", "marks",
                  "jmax", "log_f_cut", "tail", "below", "past", "cum", "sf")
 
-    def __init__(self, params: GigpParams, j0: int, log_f0: float):
-        # what log f is made from; the build sets the rest
-        self.nu, self.alpha, self.log_theta = params.nu, params.alpha, math.log(params.theta)
+    def __init__(self, params: GigpParams):
+        nu, theta = params.nu, params.theta
+        j0, log_f0, log_tail_const, _ = _family_head(params)
+
+        # the cut is the first j >= cut_from with f_j < e^-40 and the tail
+        # asymptote below 1e-15, both relative to the table's total. For nu > 1
+        # the asymptote rises up to the mass at j = (nu - 1) A, A = -1 / log(theta),
+        # so the search starts there. Give up before building when no j up to the
+        # cap can have it: the asymptote is decreasing (nu <= 1) or concave
+        # (nu > 1), so least at an end, and the total is at most 1 (_family_head)
+        cut_from = max(16, math.ceil(min((1.0 - nu) / math.log(theta), _MAX_SUPPORT + 1.0)))
+        ends = np.array([cut_from, _MAX_SUPPORT])
+        if (cut_from > _MAX_SUPPORT
+                or _log_tail(ends, log_tail_const, nu, theta).min() >= _LOG_TAIL_EPS):
+            raise RuntimeError("pmf support cutoff not reached")
+        # what log f is made from; the build below sets the rest
+        self.nu, self.alpha, self.log_theta = nu, params.alpha, math.log(theta)
         self.j0, self.log_f0 = j0, log_f0
         # log f_j for j <= j0; zero truncation leaves f_0 no mass
         self.head = np.full(j0 + 1, -math.inf)
         self.head[j0] = log_f0
         if params.zero_truncated:
             self.head[0] = -math.inf
-        self.log_norm_low = 0.0  # see _build_tables
+        self.log_norm_low = 0.0  # see below
         self.marks = [(0.0, bessel_k_ratio(self.nu, self.alpha) if self.alpha else None)]
+
+        # each block of log f becomes f once and is summed once; only its mass is
+        # kept. The cut test reads against the running total, which only grows,
+        # so the cut can come late but never early, and none comes before any mass
+        masses, total, last = [], 0.0, 0.0
+        with np.errstate(under="ignore"):
+            for first, block in self._log_blocks(0):
+                f = np.exp(block)
+                mass = float(np.sum(f))
+                log_total = math.log(total + mass) if total + mass else -math.inf
+                k0 = max(cut_from - first, 0)
+                j = np.flatnonzero(block[k0:] < log_total - 40.0) + (first + k0)
+                hit = np.flatnonzero(_log_tail(j, log_tail_const, nu, theta)
+                                     < log_total + _LOG_TAIL_EPS)
+                if hit.size:
+                    break
+                masses.append(mass)
+                total += mass
+                last = float(f[-1])
+            else:
+                raise RuntimeError("pmf support cutoff not reached")
+            self.jmax = int(j[hit[0]])
+            f = f[:self.jmax + 1 - first]
+            masses.append(float(np.sum(f)))
+            total += masses[-1]
+            tail = _geometric_tail(np.append(last, f[-2:]))
+            # a zero-truncated table divides by its own total, the block masses
+            # plus the tail past the cut: log f_(j0) takes its log, and each block
+            # takes off, after its sums, what that rounding left (up to 1.8e-12
+            # where |log f_(j0)| ~ 2e4)
+            norm = total + tail if params.zero_truncated else 1.0
+            log_norm = math.log(norm)
+            self.log_f0 = log_f0 - log_norm
+            self.head -= log_norm
+            self.log_norm_low = math.fsum([log_norm, self.log_f0, -log_f0])
+            self.log_f_cut = float(block[self.jmax - first]) - log_norm
+            self.tail = tail / norm
+            # per block two carries: the cum just below it and the suffix sum
+            # just past it, summed from the cut down
+            m = np.array(masses) / norm
+            self.below = np.cumsum(np.append(0.0, m[:-1]))
+            self.past = np.append(np.cumsum(m[:0:-1])[::-1], 0.0)
+        self.cum, self.sf = self._block(0)
 
     def _log_blocks(self, b: int):
         """Yield (first, block) for block b on: block[k] is log f_j at j = first
@@ -199,17 +256,38 @@ class _Tables:
         lo = int(js.min(initial=end))
         return self._span(lo, end)[js - lo]
 
-    def draw(self, u: np.ndarray, blocks: dict) -> np.ndarray:
+    def gof_probs(self, j_lo: int, j_hi: int) -> np.ndarray:
+        """gof's bin probabilities P(X = j) for j_lo <= j < end, then P(X >= end),
+        where end is the first j past the cut at which the pmf is 0.0, or j_hi
+        if that comes first. Past the cut f only falls, so every later pmf,
+        and the ccdf from end, is 0.0 too."""
+        pieces, end = [], j_hi
+        with np.errstate(under="ignore"):
+            for first, block in self._log_blocks(0):
+                lo = max(j_lo, first)
+                f = np.exp(block[lo - first:])
+                zero = np.flatnonzero(f[max(self.jmax + 1 - lo, 0):] == 0.0)
+                if zero.size:
+                    end = min(end, max(self.jmax + 1, lo) + int(zero[0]))
+                pieces.append(f[:end - lo])
+                if lo + len(f) >= end:
+                    break
+            else:
+                raise RuntimeError("pmf support cutoff not reached")
+        return np.append(np.concatenate(pieces), self.ccdf(np.array([float(end)])))
+
+    def draw(self, u: np.ndarray, blocks: dict | None = None) -> np.ndarray:
         """The inverse cdf at uniforms u in [0, 1): one search in block 0's cum
         (the ndarray method skips np.searchsorted's dispatch, ~2 us a call), then
-        one in the cum of the block whose carries bracket u, kept in the caller's blocks."""
+        one in the cum of the block whose carries bracket u, kept in blocks if given."""
         out = self.cum.searchsorted(u, side="right")
         if self.jmax > _BLOCK:
             far = np.flatnonzero(out > _BLOCK)
             for b, at, ub in _by_block(far, u[far], self.below[1:]):
-                if b not in blocks:
-                    blocks[b] = self._block(b)[0]
-                out[at] = blocks[b].searchsorted(ub, side="right") + _first(b)
+                cum = self._block(b)[0] if blocks is None or b not in blocks else blocks[b]
+                if blocks is not None:
+                    blocks[b] = cum
+                out[at] = cum.searchsorted(ub, side="right") + _first(b)
         return out
 
 
@@ -281,7 +359,9 @@ def _log_steps(nu: float, alpha: float, lo: int, hi: int, r_prev: float | None
         s = j + nu
     j += 1.0
     s /= j
-    return np.log(s, out=s), r_prev
+    # at nu < -0.5 and a tiny alpha, s_0 can underflow to 0: log f_1 is -inf
+    with np.errstate(divide="ignore"):
+        return np.log(s, out=s), r_prev
 
 
 def _log_tail(j: np.ndarray, log_tail_const: float, nu: float, theta: float) -> np.ndarray:
@@ -364,87 +444,14 @@ def _by_block(at: np.ndarray, keys: np.ndarray, bounds: np.ndarray):
 
 
 def _build_tables(params: GigpParams) -> _Tables:
-    nu, theta = params.nu, params.theta
-    j0, log_f0, log_tail_const, _ = _family_head(params)
-
-    # the cut is the first j >= cut_from with f_j < e^-40 and the tail
-    # asymptote below 1e-15, both relative to the table's total. For nu > 1
-    # the asymptote rises up to the mass at j = (nu - 1) A, A = -1 / log(theta),
-    # so the search starts there. Give up before building when no j up to the
-    # cap can have it: the asymptote is decreasing (nu <= 1) or concave
-    # (nu > 1), so least at an end, and the total is at most 1 (_family_head)
-    cut_from = max(16, math.ceil(min((1.0 - nu) / math.log(theta), _MAX_SUPPORT + 1.0)))
-    ends = np.array([cut_from, _MAX_SUPPORT])
-    if (cut_from > _MAX_SUPPORT
-            or _log_tail(ends, log_tail_const, nu, theta).min() >= _LOG_TAIL_EPS):
-        raise RuntimeError("pmf support cutoff not reached")
-    t = _Tables(params, j0, log_f0)
-
-    # each block of log f becomes f once and is summed once; only its mass is
-    # kept. The cut test reads against the running total, which only grows,
-    # so the cut can come late but never early, and none comes before any mass
-    masses, total, last = [], 0.0, 0.0
-    with np.errstate(under="ignore"):
-        for first, block in t._log_blocks(0):
-            f = np.exp(block)
-            mass = float(np.sum(f))
-            log_total = math.log(total + mass) if total + mass else -math.inf
-            k0 = max(cut_from - first, 0)
-            j = np.flatnonzero(block[k0:] < log_total - 40.0) + (first + k0)
-            hit = np.flatnonzero(_log_tail(j, log_tail_const, nu, theta)
-                                 < log_total + _LOG_TAIL_EPS)
-            if hit.size:
-                break
-            masses.append(mass)
-            total += mass
-            last = float(f[-1])
-        else:
-            raise RuntimeError("pmf support cutoff not reached")
-        t.jmax = int(j[hit[0]])
-        f = f[:t.jmax + 1 - first]
-        masses.append(float(np.sum(f)))
-        total += masses[-1]
-        tail = _geometric_tail(np.append(last, f[-2:]))
-        # a zero-truncated table divides by its own total, the block masses
-        # plus the tail past the cut: log f_(j0) takes its log, and each block
-        # takes off, after its sums, what that rounding left (up to 1.8e-12
-        # where |log f_(j0)| ~ 2e4)
-        norm = total + tail if params.zero_truncated else 1.0
-        log_norm = math.log(norm)
-        t.log_f0 = log_f0 - log_norm
-        t.head -= log_norm
-        t.log_norm_low = math.fsum([log_norm, t.log_f0, -log_f0])
-        t.log_f_cut = float(block[t.jmax - first]) - log_norm
-        t.tail = tail / norm
-        # per block two carries: the cum just below it and the suffix sum
-        # just past it, summed from the cut down
-        m = np.array(masses) / norm
-        t.below = np.cumsum(np.append(0.0, m[:-1]))
-        t.past = np.append(np.cumsum(m[:0:-1])[::-1], 0.0)
-    t.cum, t.sf = t._block(0)
-    return t
+    """A table build, under a module name that _tables looks up at each call."""
+    return _Tables(params)
 
 
 # the 64 most recently read tables; a failed build is not kept
 @functools.lru_cache(maxsize=64)
 def _tables(params: GigpParams) -> _Tables:
     return _build_tables(params)
-
-
-def _pmf_end(params: GigpParams, end: int) -> int:
-    """The first j past the table's cut where pmf(params, j) is 0.0, or end
-    if none comes before it. Past the cut f only falls, so every later pmf,
-    and the ccdf from there, is 0.0 too."""
-    t = _tables(params)
-    with np.errstate(under="ignore"):
-        for first, block in t._log_blocks(max(t.jmax - 1, 0) // _BLOCK):
-            lo = max(t.jmax + 1, first)
-            zero = np.flatnonzero(np.exp(block[lo - first:]) == 0.0)
-            if zero.size:
-                return min(lo + int(zero[0]), end)
-            if first + len(block) > end:
-                break
-    return end
 
 
 def pmf(params: GigpParams, j):
@@ -618,7 +625,7 @@ def _sample_values_rng(params: GigpParams, rng: np.random.Generator, count: int,
     u = rng.random(count)
     if ordered:
         u.sort()
-    return t.draw(u, {} if blocks is None else blocks)
+    return t.draw(u, blocks)
 
 
 def _rng(params: GigpParams, seed, count: int) -> np.random.Generator:

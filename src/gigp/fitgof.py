@@ -172,14 +172,13 @@ def pearson_chi2(observed: Sequence[int], expected: Sequence[float],
                      np.array(out_o, dtype=np.int64), np.array(out_e))
 
 
-def _open_top_chi2(table: FrequencyTable, j_lo: int, probs, n_fitted_params: int,
+def _open_top_chi2(table: FrequencyTable, j_lo: int, p: np.ndarray, n_fitted_params: int,
                    min_expected: float) -> GofReport:
     """pearson_chi2 of a table with no value below j_lo over the bins j_lo,
     ..., j_end - 1 and "j_hi+" from its largest value j_hi, whose
-    probabilities are probs(j_hi): the last one is that of all j >= j_end,
-    for the j_end <= j_hi that its length gives."""
+    probabilities are p: the last one is that of all j >= j_end, for the
+    j_end <= j_hi that its length gives."""
     j_hi = int(table.support[-1])
-    p = probs(j_hi)
     j_end = j_lo + len(p) - 1
     k = int(table.support.searchsorted(j_end))
     observed = np.zeros(len(p), dtype=np.int64)

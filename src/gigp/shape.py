@@ -93,9 +93,12 @@ def scaling_b(params: GigpParams, m_sources: int) -> ScalingPair:
             label = "d"
             b = m_sources * (-nu) * math.pow(u, -nu) / math.gamma(nu + 1.0)
     except OverflowError:
-        # Gamma(nu) past nu ~ 171.6, or (alpha/2)^(-2 nu) for a huge alpha
+        b = math.inf
+    # Gamma(nu) past nu ~ 171.6 overflows, and (alpha/2)^(-2 nu) does for a
+    # huge alpha and underflows to 0 for a tiny one with nu near -1
+    if not 0.0 < b < math.inf:
         raise ValueError("the scale B is out of floating-point range at "
-                         "these parameters") from None
+                         "these parameters")
     return ScalingPair(scaling_a(theta), b, label)
 
 

@@ -468,7 +468,16 @@ def test_a_bad_numeric_flag_is_one_error_line(tmp_path, monkeypatch, capsys, cmd
     (["shape", "--nu", "-0.5", "--alpha", "1e-308", "--theta", "0.9", "--m", "1000",
       "--seed", "1"],
      "error: the pmf's Bessel ratios are out of floating-point range at these parameters\n"),
-], ids=["huge-alpha", "huge-nu", "tiny-b", "bessel-1e-306", "bessel-1e-308"])
+    # (alpha/2)^(-2 nu) underflows, so B = 0; at 1e-200 the pmf's first step
+    # s_0 underflows too, and log f_1 = -inf comes without a warning
+    (["shape", "--nu", "-0.9", "--alpha", "1e-180", "--theta", "0.9", "--m", "1000",
+      "--seed", "1"],
+     "error: the scale B is out of floating-point range at these parameters\n"),
+    (["shape", "--nu", "-0.9", "--alpha", "1e-200", "--theta", "0.9", "--m", "1000",
+      "--seed", "1"],
+     "error: the scale B is out of floating-point range at these parameters\n"),
+], ids=["huge-alpha", "huge-nu", "tiny-b", "bessel-1e-306", "bessel-1e-308", "b-underflow-1e-180",
+        "b-underflow-1e-200"])
 def test_arithmetic_failures_are_one_error_line(tmp_path, monkeypatch, capsys, args, line):
     monkeypatch.chdir(tmp_path)
     _write_csv(tmp_path, "small.csv", [(1, 50), (2, 20), (5, 10), (30, 3)])
@@ -509,7 +518,8 @@ def test_gof_bins_end_where_the_pmf_is_zero(tmp_path, capsys, far):
     # top "far+": one bin per j up to 9e7 would take ~12 GB at ~133 B a bin
     p = GigpParams(0.5, 2.0, 0.5)
     assert pmf(p, 1070) > 0.0 and pmf(p, 1071) == 0.0
-    assert distribution._pmf_end(p, far) == 1071 and distribution._pmf_end(p, 500) == 500
+    t = distribution._tables(p)
+    assert len(t.gof_probs(0, far)) - 1 == 1071 and len(t.gof_probs(0, 500)) - 1 == 500
     data = _write_csv(tmp_path, "far.csv", [(1, 50), (2, 30), (3, 14), (4, 8), (far, 1)])
     tracemalloc.start()
     try:
@@ -521,6 +531,26 @@ def test_gof_bins_end_where_the_pmf_is_zero(tmp_path, capsys, far):
     bins = json.loads(capsys.readouterr().out)["result"]["bins"]
     assert [b[0] for b in bins] == ["0", "1", "2", "3", f"4-{far}+"]
     assert bins[-1][1] == 9 and peak < 2 ** 20
+
+
+@pytest.mark.parametrize("rows, nu, alpha, theta", [
+    ([(0, 50), (1, 30), (2, 14), (3, 8), (5000, 1)], 0.5, 2.0, 0.5),
+    ([(1, 50), (2, 30), (3, 14), (4, 8), (3_000_000, 1)], 0.5, 2.0, 0.5),
+    (GOF_ROWS, 0.5, 0.0, None), (SPARSE_ROWS, -0.5, 2.0, None),
+    (GOF_ROWS[1:], -0.5, 0.0, None)],
+    ids=["far-outlier", "far.csv", "fixed.csv", "sparse.csv", "truncated"])
+def test_gof_probs_are_the_pmf_and_ccdf_bit_for_bit(tmp_path, rows, nu, alpha, theta):
+    # gof's one table read gives the bits of pmf up to end and ccdf from it;
+    # a zero-truncated model's bins start at j = 1
+    table = read_frequency_csv(_write_csv(tmp_path, "data.csv", rows))
+    truncated = alpha == 0.0 and nu <= 0.0
+    if theta is None:
+        theta = theta_from_mean(nu, alpha, table.N / table.M, truncated)
+    p, j_lo = GigpParams(nu, alpha, theta, truncated), int(truncated)
+    got = distribution._tables(p).gof_probs(j_lo, int(table.support[-1]))
+    end = j_lo + len(got) - 1
+    want = np.append(pmf(p, np.arange(j_lo, end)), distribution.ccdf(p, end))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_a_row_with_three_fields_is_one_error_line(tmp_path, capsys):

@@ -773,6 +773,37 @@ def test_truncated_mean_exact_is_the_table_mean(p):
     assert got >= 1.0 and got == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
+# tables of 2.5e4 to 3.8e6 entries, each past block 0; the two truncated
+# triples near alpha = 0 whose mean_exact is off (strict xfails above) are
+# left out
+MEAN_GRID = [GigpParams(nu, alpha, theta, truncated) for theta in (0.999, 0.99999)
+             for nu, alpha, truncated in ((0.5, 2.0, False), (-0.5, 2.0, False),
+                                          (2.0, 0.0, False), (-0.5, 0.0, True))]
+
+
+@pytest.mark.parametrize("p", MEAN_GRID)
+def test_sample_mean_is_mean_exact(p):
+    # 1e5 draws, sorted (sample) and in draw order (sample_values): each mean
+    # is within 5 standard errors of mean_exact, by the draws' own variance
+    m = 100_000
+    table = sample(p, 1, m)
+    js = table.support.astype(float)
+    mean = float(table.mult @ js) / m
+    values = sample_values(p, 2, m)
+    for got, var in ((mean, float(table.mult @ (js - mean) ** 2) / (m - 1)),
+                     (values.mean(), values.var(ddof=1))):
+        assert abs(got - mean_exact(p)) < 5.0 * math.sqrt(var / m)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_first_step_that_underflows_gives_log_f_1_without_a_warning():
+    # at (-0.9, 1e-200) the first step s_0 = alpha r_0 / 2 ~ (alpha/2)^0.8
+    # underflows to 0, so log f_1 is -inf and every mass is at j = 0
+    p = GigpParams(-0.9, 1e-200, 0.9)
+    distribution._tables.cache_clear()
+    assert pmf(p, 0) == 1.0 and pmf(p, 1) == 0.0
+
+
 def test_theta_from_mean_example_and_roundtrip():
     assert theta_from_mean(0.5, 0.0, 50.0) == pytest.approx(0.990099, abs=1e-6)
     grid = [GigpParams(0.5, 2.0, 0.9), GigpParams(0.5, 2.0, 0.99, True),
@@ -992,7 +1023,7 @@ def test_blocks_match_the_dense_table_bit_for_bit(p):
             got = t.draw(draw_u, kept)
             assert got.min() >= 0 and got.max() <= t.jmax
             distribution._tables.cache_clear()
-            assert np.array_equal(_tables(p).draw(draw_u, {}), got)
+            assert np.array_equal(_tables(p).draw(draw_u), got)
         # ccdf away from the cut reads sf
         distribution._tables.cache_clear()
         js = np.arange(t.jmax + 2, dtype=float)
@@ -1137,6 +1168,22 @@ def test_truncated_draws_near_alpha_zero_are_fast():
     values = sample_values(p, 1, 100_000)
     assert time.perf_counter() - start < 1.0
     assert values.shape == (100_000,) and values.min() >= 1
+
+
+def test_a_one_off_draw_keeps_no_block_columns():
+    # 1e5 sorted draws from a 3.2e6-entry table reach 171 blocks past block
+    # 0; each block's cum is made for its search and dropped, so the peak is
+    # the uniforms, the draws and one block (10.1 MiB when the draw kept
+    # every cum it made until it returned)
+    p = GigpParams(0.5, 2.0, 0.99999)
+    _tables(p)
+    tracemalloc.start()
+    try:
+        sample(p, 1, 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * 2 ** 20
 
 
 def test_sample_returns_table_and_is_deterministic():

@@ -48,6 +48,15 @@ def test_scaling_b_anchors():
         scaling_b(GigpParams(0.5, 2.0, 0.5), 0)
 
 
+@pytest.mark.parametrize("p", [GigpParams(1e6, 2.0, 0.5), GigpParams(-0.9, 1e-180, 0.9),
+                               GigpParams(-0.9, 1e-200, 0.9)])
+def test_scaling_b_out_of_the_float_range_raises(p):
+    # Gamma(1e6) overflows, and in case c (alpha/2)^(-2 nu) = (5e-181)^1.8
+    # underflows to 0: B = 0 is no scale to divide by
+    with pytest.raises(ValueError, match="scale B is out of floating-point range"):
+        scaling_b(p, 1000)
+
+
 def test_classify_regime():
     assert classify_regime(ScalingPair(99.5, 564.19, "a")) == "regular"
     assert classify_regime(ScalingPair(99.5, 1.974664, "c")) == "chaotic"
